@@ -64,58 +64,10 @@ from .traces import (
     write_trace_csv,
 )
 
-__all__ = [
-    "ArithmeticSequence",
-    "BOUNDED",
-    "BoundError",
-    "CapacityError",
-    "DECAYING",
-    "DegenerateSampleError",
-    "EmpiricalDistribution",
-    "GROWING",
-    "INCONCLUSIVE",
-    "LimitVerdict",
-    "NumericError",
-    "RemainderFit",
-    "SieveBlock",
-    "SummatoryTrace",
-    "TwoPointSchedule",
-    "empirical_cdf",
-    "empirical_mean",
-    "empirical_moments",
-    "estimate_limit_mean",
-    "euler_maclaurin_gap",
-    "fair_coin_schedule",
-    "fit_remainders",
-    "full_verdict",
-    "geometric_checkpoints",
-    "independence_estimator",
-    "ks_distance",
-    "liouville_oracle",
-    "liouville_sequence",
-    "liouville_trace",
-    "log2_indicator_schedule",
-    "log_coin_schedule",
-    "mean_rate_fit",
-    "mertens_trace",
-    "mobius_oracle",
-    "mobius_sequence",
-    "primes_up_to",
-    "realize_greedy",
-    "schedule_from_json_dict",
-    "schedule_mean",
-    "schedule_summatory",
-    "schedule_to_json_dict",
-    "sequence_from_function",
-    "sequence_from_values",
-    "sieve_block",
-    "summatory_trace",
-    "two_value_schedule",
-    "vanishing_sum_verdict",
-    "verdict_to_json_dict",
-    "weighted_mobius_sequence",
-    "weighted_mobius_trace",
-    "write_trace_csv",
-]
+from types import ModuleType as _ModuleType
+
+# Every name imported above is public; the subpackage modules are not.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))
 
 __version__ = "0.1.0"

@@ -24,9 +24,9 @@ import numpy as np
 from . import schedules, sequences, sieve, traces
 from .empirical import (
     KS_CRITICAL_1PCT,
+    LagCorrelations,
+    Moments,
     empirical_cdf,
-    empirical_moments,
-    independence_estimator,
     ks_distance,
 )
 from .errors import BoundError, CapacityError, DegenerateSampleError, NumericError
@@ -140,10 +140,8 @@ def _open_output(path: str | None):
         fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise _CliError(f"cannot write {path}: {exc}") from None
-    try:
+    with fh:
         yield fh
-    finally:
-        fh.close()
 
 
 def _write_json(doc: dict, out) -> None:
@@ -165,7 +163,7 @@ def cmd_compute(args) -> int:
                     "N": args.N,
                     "accumulation_kind": trace.accumulation_kind,
                     "trace": [
-                        {"n": int(n), "S": int(v) if trace.accumulation_kind == "exact-integer" else float(v)}
+                        {"n": int(n), "S": int(v) if trace.accumulation_kind == traces.EXACT_INTEGER else float(v)}
                         for n, v in zip(trace.checkpoints, trace.values)
                     ],
                 },
@@ -175,22 +173,20 @@ def cmd_compute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    seq = resolve_function(args.function, args.N)
-    lags = args.lag
-    if max(lags) + args.N > seq.bound:
-        seq = resolve_function(args.function, args.N + max(lags))
-    mean, variance = empirical_moments(seq, args.N)
-    stride = max(1, -(-args.N // KS_SAMPLE_CAP))
-    sample = np.concatenate(
-        [seq.values(lo, hi)[stride - 1 :: stride]
-         for lo, hi in sieve.iter_block_ranges(1, args.N, sieve.resolve_block_size(None))]
-    )
-    dist = empirical_cdf(sample)
+    N, lags = args.N, args.lag
+    seq = resolve_function(args.function, N + max(lags))
+    moments = Moments(N, seq.integer_valued)
+    values = traces.Strided(N, KS_SAMPLE_CAP, sums=False)
+    correlations = LagCorrelations(N, lags, seq.integer_valued)
+    traces.stream(seq, N + max(lags), [moments, values, correlations],
+                  threads=args.threads)
+    mean, variance = moments.result()
+    dist = empirical_cdf(values.sample)
     try:
         ks_normal = ks_distance(dist)
     except DegenerateSampleError:
         ks_normal = float("nan")
-    rho = [(h, independence_estimator(seq, args.N, h)) for h in lags]
+    rho = list(zip(lags, correlations.result()))
 
     with _open_output(args.output) as out:
         if args.format == "json":
@@ -403,9 +399,6 @@ def main(argv=None) -> int:
         _apply_config(args)
         _validate(args)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (BoundError, DegenerateSampleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

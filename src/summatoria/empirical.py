@@ -3,7 +3,9 @@
 Restricting a sequence to {1..n} and weighting every point by 1/n turns
 it into a random variable; these helpers compute its mean, population
 variance, empirical CDF, Kolmogorov-Smirnov distance to a reference law,
-and a lagged correlation that quantifies asymptotic independence.
+and a lagged correlation that quantifies asymptotic independence.  The
+moments and lag correlations are probes of ``traces.stream``, so
+``analyze`` gets all of them from one pass over the blocks.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from scipy.special import ndtr
 
 from .errors import BoundError, DegenerateSampleError
 from .sequences import ArithmeticSequence
-from .traces import NeumaierSum, summatory_trace
-from . import sieve
+from .traces import Block, Checkpoints, NeumaierSum, stream, summatory_trace
 
 STANDARD_NORMAL = "standard-normal"
 UNIFORM_01 = "uniform(0,1)"
@@ -55,42 +56,61 @@ def empirical_cdf(values) -> EmpiricalDistribution:
     )
 
 
-def empirical_mean(seq: ArithmeticSequence, n: int) -> float:
-    """Average of f over {1..n}; exact-integer S(n)/n for integer-valued f."""
+def _check_range(seq: ArithmeticSequence, n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > seq.bound:
         raise BoundError(f"n={n} exceeds the sequence bound {seq.bound}")
-    trace = summatory_trace(seq, n, [n])
-    if seq.integer_valued:
-        return int(trace.values[0]) / n
-    return float(trace.values[0]) / n
+
+
+def empirical_mean(seq: ArithmeticSequence, n: int) -> float:
+    """Average of f over {1..n}; exact-integer S(n)/n for integer-valued f."""
+    _check_range(seq, n)
+    total = summatory_trace(seq, n, [n]).values[0]
+    return (int(total) if seq.integer_valued else float(total)) / n
+
+
+class Moments:
+    """Probe: mean and population variance of f over {1..n}.
+
+    The mean is S(n)/n from the stream's running sum.  Integer values keep
+    sum f**2 exactly.  Real values merge each block's (count, mean, M2)
+    into the running M2 (Chan, Golub & LeVeque 1979), so a large common
+    offset never cancels the spread.
+    """
+
+    def __init__(self, n: int, exact: bool):
+        self.n, self.exact = n, exact
+        self.s = 0  # S(n) once the stream has passed n
+        self.s2 = 0  # sum f**2 (integer values) or M2 (real values)
+
+    def add(self, block: Block) -> None:
+        m, k = min(block.hi, self.n) - block.lo + 1, block.lo - 1  # new and seen counts
+        if m <= 0:
+            return
+        x = block.values[:m].astype(block.dtype, copy=False)
+        if self.exact:
+            self.s = block.base + int(x.sum())
+            self.s2 += int(np.dot(x, x))
+            return
+        total = block.total if m == block.values.size else math.fsum(x.tolist())
+        d = x - total / m
+        delta = total / m - block.base / k if k else 0.0
+        self.s2 += math.fsum((d * d).tolist()) + delta * delta * (k * m / (k + m))
+        self.s = block.base + total
+
+    def result(self) -> tuple[float, float]:
+        n, s = self.n, self.s
+        # For integers (s2*n - s*s) is exact, so the single float division rounds once.
+        return s / n, (self.s2 * n - s * s) / n / n if self.exact else self.s2 / n
 
 
 def empirical_moments(seq: ArithmeticSequence, n: int) -> tuple[float, float]:
     """(mean, population variance) of f over {1..n} in one streaming pass."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > seq.bound:
-        raise BoundError(f"n={n} exceeds the sequence bound {seq.bound}")
-    block_size = sieve.resolve_block_size(None)
-    if seq.integer_valued:
-        s = 0
-        s2 = 0
-        for lo, hi in sieve.iter_block_ranges(1, n, block_size):
-            arr = seq.values(lo, hi).astype(np.int64)
-            s += int(arr.sum(dtype=np.int64))
-            s2 += int((arr * arr).sum(dtype=np.int64))
-        # (s2*n - s*s) is exact, so the single float division rounds once.
-        return s / n, (s2 * n - s * s) / n / n
-    acc = NeumaierSum()
-    acc2 = NeumaierSum()
-    for lo, hi in sieve.iter_block_ranges(1, n, block_size):
-        arr = seq.values(lo, hi)
-        acc.add(math.fsum(arr.tolist()))
-        acc2.add(math.fsum((arr * arr).tolist()))
-    mean = acc.value / n
-    return mean, acc2.value / n - mean * mean
+    _check_range(seq, n)
+    probe = Moments(n, seq.integer_valued)
+    stream(seq, n, [probe])
+    return probe.result()
 
 
 def ks_distance(
@@ -130,6 +150,58 @@ def ks_distance(
     return float(d)
 
 
+class LagCorrelations:
+    """Probe: rho(n, h) of ``independence_estimator`` for each lag; the
+    stream must reach n + max(lags).
+
+    Sums of f(k) f(k+h) accumulate block by block (exactly for integer
+    values), with the last max(lags) values carried across block
+    boundaries.  The plain sums come from S at h, n and n + h.
+    """
+
+    def __init__(self, n: int, lags, exact: bool):
+        self.n, self.lags, self.exact = n, tuple(lags), exact
+        self.sums = Checkpoints(np.unique([n, *self.lags, *(n + h for h in self.lags)]))
+        self.products = {h: 0 if exact else NeumaierSum() for h in self.lags}
+        # (min, max) of f over the window [h+1, n+h]; h = 0 is the window of f(k).
+        self.ranges = {h: (math.inf, -math.inf) for h in (0, *self.lags)}
+        self.tail = np.empty(0, dtype=np.int64 if exact else np.float64)  # last max(lags) values
+
+    def add(self, block: Block) -> None:
+        self.sums.add(block)
+        values = block.values.astype(block.dtype, copy=False)
+        ext = np.concatenate((self.tail, values))
+        start = block.lo - self.tail.size  # ext[0] is f(start)
+        for h, (lo, hi) in self.ranges.items():
+            a, b = max(block.lo, h + 1) - start, min(block.hi, self.n + h) - start
+            if a <= b:
+                self.ranges[h] = (min(lo, ext[a : b + 1].min()), max(hi, ext[a : b + 1].max()))
+        for h in self.lags:
+            a, b = max(1, block.lo - h) - start, min(self.n, block.hi - h) - start
+            if a > b:
+                continue
+            x, y = ext[a : b + 1], ext[a + h : b + h + 1]
+            if self.exact:
+                self.products[h] += int(np.dot(x, y))
+            else:
+                self.products[h].add(math.fsum((x * y).tolist()))
+        self.tail = ext[-max(self.lags):].copy()
+
+    def result(self) -> list[float]:
+        n = self.n
+        S = dict(zip(self.sums.checkpoints.tolist(), self.sums.values))
+        out = []
+        for h in self.lags:
+            p = self.products[h]
+            mean_xy = (float(p) if self.exact else p.value) / n
+            # The correlation gap of a constant window is identically zero;
+            # skip the float path so the cancellation is exact.
+            constant = any(lo == hi for lo, hi in (self.ranges[0], self.ranges[h]))
+            rho = mean_xy - (float(S[n]) / n) * (float(S[n + h] - S[h]) / n)
+            out.append(0.0 if constant else rho)
+        return out
+
+
 def independence_estimator(seq: ArithmeticSequence, n: int, h: int) -> float:
     """Lag-h correlation gap over {1..n}:
 
@@ -142,13 +214,6 @@ def independence_estimator(seq: ArithmeticSequence, n: int, h: int) -> float:
         raise ValueError(f"n and h must be positive, got n={n}, h={h}")
     if n + h > seq.bound:
         raise BoundError(f"n + h = {n + h} exceeds the sequence bound {seq.bound}")
-    x = np.asarray(seq.values(1, n), dtype=np.float64)
-    y = np.asarray(seq.values(h + 1, n + h), dtype=np.float64)
-    # The correlation gap of a constant window is identically zero; skip
-    # the float path so the cancellation is exact.
-    if x.min() == x.max() or y.min() == y.max():
-        return 0.0
-    mean_xy = math.fsum((x * y).tolist()) / n
-    mean_x = math.fsum(x.tolist()) / n
-    mean_y = math.fsum(y.tolist()) / n
-    return mean_xy - mean_x * mean_y
+    probe = LagCorrelations(n, [h], seq.integer_valued)
+    stream(seq, n + h, [probe])
+    return probe.result()[0]

@@ -17,15 +17,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import quad
 
-from . import sieve
 from .empirical import empirical_cdf, ks_distance
 from .errors import DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
 from .traces import (
-    NeumaierSum,
+    Checkpoints,
+    Strided,
     SummatoryTrace,
-    _ordered_map,
-    geometric_checkpoints,
+    stream,
     summatory_trace,
     validate_checkpoints,
 )
@@ -71,10 +70,14 @@ class LimitVerdict:
     checkpoints: np.ndarray
     mu0_hat: float
     mean_rate: RemainderFit
-    asymptotic_form: RemainderFit
     ks_trace: tuple[tuple[int, float], ...]
     conditions_met: bool
     notes: str
+
+    @property
+    def asymptotic_form(self) -> RemainderFit:
+        """The same residuals as the mean-rate reading, so the same fit."""
+        return self.mean_rate
 
 
 def _loglog_slope(cps: np.ndarray, absr: np.ndarray) -> tuple[float, float]:
@@ -200,8 +203,6 @@ def euler_maclaurin_gap(
     antiderivative when available, otherwise adaptive quadrature piecewise
     between checkpoints (absolute error per piece <= 1e-10).
     """
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints(N)
     cps = validate_checkpoints(checkpoints, N)
     seq = sequence_from_function(fn, N, name="elementary", magnitude_bound=math.inf)
     trace = summatory_trace(seq, N, cps, block_size=block_size)
@@ -233,53 +234,6 @@ def euler_maclaurin_gap(
     return fit_remainders(cps, r)
 
 
-def _partial_sum_samples(
-    seq: ArithmeticSequence,
-    cps: np.ndarray,
-    *,
-    block_size: int,
-    threads: int,
-    cap: int = KS_SAMPLE_CAP,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One streaming pass: checkpoint sums plus, per checkpoint n_j, the
-    partial sums S(k) at k = s_j, 2 s_j, ... <= n_j with stride
-    s_j = ceil(n_j / cap)."""
-    exact = seq.integer_valued
-    strides = [max(1, -(-int(n) // cap)) for n in cps]
-    samples = [np.empty(int(n) // s, dtype=np.float64) for n, s in zip(cps, strides)]
-    cp_values = np.empty(cps.size, dtype=np.int64 if exact else np.float64)
-    filled = 0
-    total_int = 0
-    acc = NeumaierSum()
-    last = int(cps[-1])
-
-    ranges = list(sieve.iter_block_ranges(1, last, block_size))
-    for (lo, hi), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
-        if exact and arr.dtype.kind == "f":
-            arr = arr.astype(np.int64)
-        run = np.cumsum(arr, dtype=np.int64 if exact else np.float64)
-        base = total_int if exact else acc.value
-        for j, (nj, sj) in enumerate(zip(cps, strides)):
-            nj = int(nj)
-            if nj < lo:
-                continue
-            upper = min(hi, nj)
-            k_first = ((lo + sj - 1) // sj) * sj
-            if k_first <= upper:
-                ks = np.arange(k_first, upper + 1, sj, dtype=np.int64)
-                dest = k_first // sj - 1
-                samples[j][dest : dest + ks.size] = base + run[ks - lo]
-        hits = cps[(cps >= lo) & (cps <= hi)]
-        if hits.size:
-            cp_values[filled : filled + hits.size] = base + run[hits - lo]
-            filled += hits.size
-        if exact:
-            total_int += int(arr.sum(dtype=np.int64))
-        else:
-            acc.add(math.fsum(arr.tolist()))
-    return cp_values, samples
-
-
 def full_verdict(
     seq: ArithmeticSequence,
     N: int,
@@ -298,17 +252,11 @@ def full_verdict(
     """
     if N > seq.bound:
         raise ValueError(f"N={N} exceeds the sequence bound {seq.bound}")
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints(N)
     cps = validate_checkpoints(checkpoints, N)
-    block_size = sieve.resolve_block_size(block_size)
-
-    cp_values, samples = _partial_sum_samples(
-        seq, cps, block_size=block_size, threads=threads
-    )
-    kind = "exact-integer" if seq.integer_valued else "compensated-float"
-    trace = SummatoryTrace(checkpoints=cps, values=cp_values,
-                           accumulation_kind=kind, name=seq.name)
+    samples = [Strided(int(n), KS_SAMPLE_CAP) for n in cps]
+    probe = Checkpoints(cps)
+    stream(seq, int(cps[-1]), [probe, *samples], block_size=block_size, threads=threads)
+    trace = probe.trace(seq)
 
     est = estimate_limit_mean(trace)
     fit = mean_rate_fit(trace, est.value)
@@ -318,7 +266,7 @@ def full_verdict(
     degenerate = 0
     for nj, sample in zip(cps, samples):
         try:
-            d = ks_distance(empirical_cdf(sample))
+            d = ks_distance(empirical_cdf(sample.sample))
         except DegenerateSampleError:
             d = float("nan")
             degenerate += 1
@@ -332,7 +280,6 @@ def full_verdict(
         checkpoints=cps,
         mu0_hat=est.value,
         mean_rate=fit,
-        asymptotic_form=fit,
         ks_trace=tuple(ks_trace),
         conditions_met=bool(fit.classification == DECAYING),
         notes="; ".join(notes),
@@ -352,7 +299,6 @@ def vanishing_sum_verdict(trace: SummatoryTrace, magnitude_bound: float) -> Limi
         checkpoints=trace.checkpoints,
         mu0_hat=0.0,
         mean_rate=fit,
-        asymptotic_form=fit,
         ks_trace=(),
         conditions_met=bool(fit.classification == DECAYING),
         notes=notes,

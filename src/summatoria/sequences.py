@@ -17,11 +17,6 @@ import numpy as np
 from . import sieve
 from .errors import BoundError
 
-SIEVE_BACKED = "sieve-backed"
-CLOSED_FORM = "closed-form"
-SYNTHESIZED = "synthesized"
-
-
 @dataclass(frozen=True)
 class ArithmeticSequence:
     """A function f on {1, ..., bound} with a declared magnitude bound.
@@ -32,7 +27,6 @@ class ArithmeticSequence:
     """
 
     name: str
-    kind: str
     bound: int
     magnitude_bound: float
     integer_valued: bool
@@ -60,35 +54,30 @@ def _spot_check_magnitude(seq: ArithmeticSequence, samples: int = 32) -> None:
         )
 
 
-def mobius_sequence(bound: int) -> ArithmeticSequence:
-    """mu(k) for k <= bound, sieve-backed."""
+def _sieved(name: str, bound: int, integer_valued: bool, pick) -> ArithmeticSequence:
+    # pick maps a SieveBlock to the sequence's values on it.
     primes = sieve.primes_up_to(math.isqrt(bound))
 
     def block(lo: int, hi: int) -> np.ndarray:
-        return sieve.sieve_block(lo, hi, primes=primes).mu
+        return pick(sieve.sieve_block(lo, hi, primes=primes))
 
-    return ArithmeticSequence("mu", SIEVE_BACKED, bound, 1.0, True, block)
+    return ArithmeticSequence(name, bound, 1.0, integer_valued, block)
+
+
+def mobius_sequence(bound: int) -> ArithmeticSequence:
+    """mu(k) for k <= bound, sieve-backed."""
+    return _sieved("mu", bound, True, lambda blk: blk.mu)
 
 
 def liouville_sequence(bound: int) -> ArithmeticSequence:
     """lambda(k) for k <= bound, sieve-backed."""
-    primes = sieve.primes_up_to(math.isqrt(bound))
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        return sieve.sieve_block(lo, hi, primes=primes).lam
-
-    return ArithmeticSequence("lambda", SIEVE_BACKED, bound, 1.0, True, block)
+    return _sieved("lambda", bound, True, lambda blk: blk.lam)
 
 
 def weighted_mobius_sequence(bound: int) -> ArithmeticSequence:
     """mu(k)/k for k <= bound, sieve-backed."""
-    primes = sieve.primes_up_to(math.isqrt(bound))
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        mu = sieve.sieve_block(lo, hi, primes=primes).mu
-        return mu / np.arange(lo, hi + 1, dtype=np.float64)
-
-    return ArithmeticSequence("mu-over-k", SIEVE_BACKED, bound, 1.0, False, block)
+    return _sieved("mu-over-k", bound, False,
+                   lambda blk: blk.mu / np.arange(blk.lo, blk.hi + 1, dtype=np.float64))
 
 
 def sequence_from_function(
@@ -115,8 +104,7 @@ def sequence_from_function(
             raise ValueError("closed-form evaluator changed the block shape")
         return out
 
-    seq = ArithmeticSequence(name, CLOSED_FORM, bound, float(magnitude_bound),
-                             integer_valued, block)
+    seq = ArithmeticSequence(name, bound, float(magnitude_bound), integer_valued, block)
     _spot_check_magnitude(seq)
     return seq
 
@@ -134,12 +122,12 @@ def sequence_from_values(
     if not np.all(np.isfinite(arr)):
         raise ValueError("materialized sequence contains non-finite values")
     arr.flags.writeable = False
-    if magnitude_bound is None:
-        magnitude_bound = float(np.max(np.abs(arr)))
-    integer_valued = bool(np.all(arr == np.round(arr)))
+    peak = float(np.max(np.abs(arr)))
+    magnitude_bound = peak if magnitude_bound is None else magnitude_bound
+    # Beyond 2**53 floats skip integers and int64 block sums can wrap.
+    integer_valued = peak <= 2**53 and bool(np.all(arr == np.round(arr)))
 
     def block(lo: int, hi: int) -> np.ndarray:
         return arr[lo - 1 : hi]
 
-    return ArithmeticSequence(name, SYNTHESIZED, arr.size, float(magnitude_bound),
-                              integer_valued, block)
+    return ArithmeticSequence(name, arr.size, float(magnitude_bound), integer_valued, block)

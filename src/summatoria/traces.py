@@ -1,10 +1,16 @@
-"""Checkpointed summatory traces S(n) = sum_{k<=n} f(k).
+"""Checkpointed summatory traces S(n) = sum_{k<=n} f(k), and the one
+streaming engine every statistic in the package runs on.
 
-Integer-valued sequences accumulate exactly (arbitrary-precision Python
-ints fed by int64 block sums).  Real-valued sequences use compensated
-accumulation: each block is summed with math.fsum (correctly rounded)
-and blocks are merged through a Neumaier running sum, always in block
-order so results are deterministic regardless of thread count.
+``stream`` walks f(1..last) once in blocks and hands each block, in
+block order, to a list of probes: checkpoint sums here, strided samples
+for the KS statistics, moments and lag products in ``empirical``.  It
+keeps the running base S(lo - 1) once.  Integer-valued sequences
+accumulate exactly (arbitrary-precision Python ints fed by int64 block
+sums, or by Python ints where int64 could wrap).  Real-valued sequences
+use compensated accumulation: each block is summed with math.fsum
+(correctly rounded) and blocks are merged through a Neumaier running
+sum.  Blocks may be evaluated on worker threads, but probes always see
+them in order, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -75,7 +82,10 @@ class SummatoryTrace:
 
 def validate_checkpoints(checkpoints, N: int | None = None) -> np.ndarray:
     """Normalize a checkpoint schedule to an int64 array, enforcing that it
-    is nonempty, strictly increasing, positive, and bounded by N."""
+    is nonempty, strictly increasing, positive, and bounded by N.  None
+    stands for the default schedule, geometric ratio 2 from 10 up to N."""
+    if checkpoints is None:
+        checkpoints = geometric_checkpoints(N)
     cps = np.asarray(checkpoints, dtype=np.int64)
     if cps.ndim != 1 or cps.size == 0:
         raise ValueError("checkpoint schedule must be a nonempty 1-D sequence")
@@ -111,20 +121,105 @@ def _ordered_map(fn, args_iter: Iterable[tuple], threads: int) -> Iterator:
     blocks in flight, keeping memory bounded for long streams.
     """
     if threads <= 1:
-        for args in args_iter:
-            yield fn(*args)
+        yield from itertools.starmap(fn, args_iter)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        it = iter(args_iter)
-        pending = deque(
-            pool.submit(fn, *args) for args in itertools.islice(it, threads + 1)
-        )
+        pending = deque()
+        for args in args_iter:
+            pending.append(pool.submit(fn, *args))
+            if len(pending) > threads + 1:
+                yield pending.popleft().result()
         while pending:
-            done = pending.popleft()
-            nxt = next(it, None)
-            if nxt is not None:
-                pending.append(pool.submit(fn, *nxt))
-            yield done.result()
+            yield pending.popleft().result()
+
+
+class Block:
+    """One streamed block: ``values`` holds f(lo..hi), ``base`` is S(lo - 1).
+
+    ``dtype`` is float64, or for integers int64, or object (Python ints)
+    where |f|**2 * size could leave int64.  The running sums ``run``
+    (without the base) and the sum ``total`` are computed once, on first use.
+    """
+
+    def __init__(self, lo: int, values: np.ndarray, base, exact: bool):
+        self.dtype = np.float64
+        if exact:
+            if values.dtype.kind == "f":
+                values = values.astype(np.int64)
+            peak = max(int(values.max()), -int(values.min()))
+            self.dtype = np.int64 if peak * peak * values.size < 2**63 else object
+            values = values if self.dtype is np.int64 else values.astype(object)
+        self.lo, self.hi = lo, lo + values.size - 1
+        self.values, self.base, self.exact = values, base, exact
+
+    @cached_property
+    def run(self) -> np.ndarray:
+        return np.cumsum(self.values, dtype=self.dtype)
+
+    @cached_property
+    def total(self):
+        if self.exact:
+            return int(self.values.sum(dtype=self.dtype))
+        return math.fsum(self.values.tolist())
+
+
+def stream(seq: ArithmeticSequence, last: int, probes, *,
+           block_size: int | None = None, threads: int = 1):
+    """Walk f(1..last) once, handing each ``Block`` to every probe's
+    ``add(block)`` in block order, and return S(last).
+
+    ``block_size`` defaults to 2**20 or the SUMMATORIA_BLOCK_SIZE
+    environment variable; ``threads`` worker threads evaluate blocks.
+    """
+    exact = seq.integer_valued
+    total = 0
+    acc = NeumaierSum()
+    ranges = list(sieve.iter_block_ranges(1, last, sieve.resolve_block_size(block_size)))
+    for (lo, _), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
+        block = Block(lo, arr, total if exact else acc.value, exact)
+        for probe in probes:
+            probe.add(block)
+        if exact:
+            total += block.total
+        else:
+            acc.add(block.total)
+    return total if exact else acc.value
+
+
+class Checkpoints:
+    """Probe: S(n) at every checkpoint of a validated schedule."""
+
+    def __init__(self, checkpoints: np.ndarray):
+        self.checkpoints = checkpoints
+        self.values = []
+
+    def add(self, block: Block) -> None:
+        cps = self.checkpoints
+        hits = cps[(cps >= block.lo) & (cps <= block.hi)]
+        self.values.extend(block.base + block.run[hits - block.lo] if hits.size else ())
+
+    def trace(self, seq: ArithmeticSequence) -> SummatoryTrace:
+        kind = EXACT_INTEGER if seq.integer_valued else COMPENSATED_FLOAT
+        return SummatoryTrace(self.checkpoints, np.asarray(self.values), kind, seq.name)
+
+
+class Strided:
+    """Probe: S(k), or f(k) with ``sums=False``, at k = s, 2s, ... <= n for
+    the stride s = ceil(n / cap), so at most cap points."""
+
+    def __init__(self, n: int, cap: int, *, sums: bool = True):
+        self.n, self.stride, self.sums = n, -(-n // cap), sums
+        self.sample = np.empty(n // self.stride, dtype=np.float64)
+
+    def add(self, block: Block) -> None:
+        first = -(-block.lo // self.stride) * self.stride
+        upper = min(block.hi, self.n)
+        if first > upper:
+            return
+        at = slice(first - block.lo, upper - block.lo + 1, self.stride)
+        got = block.base + block.run[at] if self.sums else block.values[at]
+        dest = first // self.stride - 1
+        self.sample[dest : dest + got.size] = got
 
 
 def summatory_trace(
@@ -137,51 +232,16 @@ def summatory_trace(
 ) -> SummatoryTrace:
     """Stream a sequence once and record S(n) at every checkpoint.
 
-    Args:
-        seq: The sequence whose partial sums are wanted.
-        N: Stream bound; checkpoints must not exceed it.
-        checkpoints: Schedule; defaults to geometric ratio 2 from 10.
-        block_size: Entries per streamed block (default 2**20, or the
-            SUMMATORIA_BLOCK_SIZE environment variable).
-        threads: Worker threads for block evaluation; accumulation stays
-            sequential in block order, so results are thread-count
-            independent.
+    Checkpoints must not exceed N and default to geometric ratio 2 from
+    10.  ``block_size`` and ``threads`` are as for ``stream``; neither
+    changes the result.
     """
     if N > seq.bound:
         raise ValueError(f"N={N} exceeds the sequence bound {seq.bound}")
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints(N)
-    cps = validate_checkpoints(checkpoints, N)
-    block_size = sieve.resolve_block_size(block_size)
-    last = int(cps[-1])
-
-    exact = seq.integer_valued
-    out = np.empty(cps.size, dtype=np.int64 if exact else np.float64)
-    filled = 0
-    total_int = 0
-    acc = NeumaierSum()
-
-    ranges = list(sieve.iter_block_ranges(1, last, block_size))
-    for (lo, hi), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
-        if exact and arr.dtype.kind == "f":
-            arr = arr.astype(np.int64)
-        hits = cps[(cps >= lo) & (cps <= hi)]
-        if hits.size:
-            run = np.cumsum(arr, dtype=np.int64 if exact else np.float64)
-            at = run[hits - lo]
-            if exact:
-                out[filled : filled + hits.size] = total_int + at
-            else:
-                out[filled : filled + hits.size] = acc.value + at
-            filled += hits.size
-        if exact:
-            total_int += int(arr.sum(dtype=np.int64))
-        else:
-            acc.add(math.fsum(arr.tolist()))
-
-    kind = EXACT_INTEGER if exact else COMPENSATED_FLOAT
-    return SummatoryTrace(checkpoints=cps, values=out, accumulation_kind=kind,
-                          name=seq.name)
+    probe = Checkpoints(validate_checkpoints(checkpoints, N))
+    stream(seq, int(probe.checkpoints[-1]), [probe],
+           block_size=block_size, threads=threads)
+    return probe.trace(seq)
 
 
 def mertens_trace(N: int, checkpoints=None, *, block_size: int | None = None,
@@ -205,16 +265,10 @@ def weighted_mobius_trace(N: int, checkpoints=None, *, block_size: int | None = 
                            block_size=block_size, threads=threads)
 
 
-def format_value(v, kind: str) -> str:
-    """One CSV cell: exact integers without exponent, floats with 17
-    significant digits."""
-    if kind == EXACT_INTEGER:
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
 def write_trace_csv(trace: SummatoryTrace, out: TextIO) -> None:
-    """Write a trace as CSV with header ``n,S`` and LF line endings."""
+    """Write a trace as CSV with header ``n,S`` and LF line endings: exact
+    integers without exponent, floats with 17 significant digits."""
+    exact = trace.accumulation_kind == EXACT_INTEGER
     out.write("n,S\n")
     for n, v in zip(trace.checkpoints, trace.values):
-        out.write(f"{int(n)},{format_value(v, trace.accumulation_kind)}\n")
+        out.write(f"{int(n)},{int(v) if exact else format(float(v), '.17g')}\n")

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from summatoria import sieve
 from summatoria.cli import main, parse_checkpoints
 
 
@@ -133,6 +134,15 @@ def test_capacity_error_exits_two(capsys, monkeypatch):
                              "--checkpoints", "100", capsys=capsys)
     assert status == 2
     assert "budget" in err
+
+
+def test_analyze_streams_in_blocks_below_the_block_budget(capsys, monkeypatch):
+    # The lag windows used to be sieved as single blocks of N entries.
+    monkeypatch.setattr(sieve, "MAX_BLOCK_SIZE", 4096)
+    monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", "1024")
+    status, out, err = run_cli("analyze", "--function", "mu", "--N", "5000", capsys=capsys)
+    assert status == 0, err
+    assert json.loads(out)["N"] == 5000
 
 
 def test_block_size_env_var_changes_blocking_not_results(capsys, monkeypatch):

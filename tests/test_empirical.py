@@ -194,3 +194,27 @@ def test_independence_bound_error():
     seq = sequence_from_values(np.arange(10, dtype=np.float64))
     with pytest.raises(BoundError):
         independence_estimator(seq, 10, 1)
+
+
+def test_exact_moments_do_not_wrap_int64():
+    # f(k) = 1e8 + (k mod 2): sum f**2 over 1e5 terms is about 1e21.
+    k = np.arange(1, 10**5 + 1)
+    seq = sequence_from_values(1e8 + k % 2)
+    assert seq.integer_valued
+    assert empirical_moments(seq, 10**5) == (1e8 + 0.5, 0.25)
+
+
+def test_float_variance_survives_a_large_offset():
+    # E[f^2] - mean^2 cancels to 0.0 here; merged (count, mean, M2) does not.
+    k = np.arange(1, 10**5 + 1)
+    seq = sequence_from_values(1e8 + 0.5 * (k % 2))
+    assert not seq.integer_valued
+    assert empirical_moments(seq, 10**5) == (1e8 + 0.25, 0.0625)
+
+
+def test_moments_and_lags_stream_exactly_across_blocks(monkeypatch):
+    values = np.random.default_rng(7).integers(-9, 10, 300).astype(np.float64)
+    seq = sequence_from_values(values)
+    expected = (empirical_moments(seq, 290), independence_estimator(seq, 290, 7))
+    monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", "4")
+    assert (empirical_moments(seq, 290), independence_estimator(seq, 290, 7)) == expected

@@ -1,0 +1,136 @@
+"""The one streaming engine: blocking and threads change nothing but speed.
+
+The golden hashes pin the output of every invocation in the README's
+"Reproducing the reported values" table, as recorded before the statistics
+were rebuilt on ``traces.stream``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from summatoria import cli, mobius_sequence, sequence_from_values
+from summatoria.sieve import BLOCK_SIZE_ENV_VAR
+from summatoria.traces import Strided, stream
+
+README_TABLE = {
+    "compute --function mu --N 10 --checkpoints 10":
+        "8b389d831d065b4a79a892bf2de5a4b1e7f5486733a546fa9a6149eb39430859",
+    "compute --function mu --N 100 --checkpoints 10,100":
+        "fd68eae2fb3ac15966a6f268814314c76599008702be55fd0123e04c62b716a2",
+    "compute --function mu --N 1000000 --checkpoints 1000000":
+        "40bfeb3330f56ba762008d02113860c26cb0ffcc382d9e47827a456e4efaf6ce",
+    "compute --function lambda --N 10 --checkpoints 2,10":
+        "6709c36e49e3891bd375afdd142bcfb7056979ac844bf5bc827f91199e33e113",
+    "compute --function mu-over-k --N 3 --checkpoints 3":
+        "2b340a6407b3dc45ddd848b48c24a632531e48659dea82863c2f6d941cbbbbff",
+    "verdict --function mu-over-k --N 10000000 --checkpoints geometric(1000,2)":
+        "559a99aac960daa6a69750a27ad2351ff6130b18986d08754840745107bd12a2",
+    "analyze --function mu --N 10 --lag 1":
+        "c18f593bd3b6a30040879ca2317c94e42add210528285ceb5d5ff4af60ee77bb",
+    "analyze --function mu --N 10000 --lag 1,2":
+        "7d08b012c896fdcb95ad0b75dbf20fd25c11126ccee86975563c9173d2760745",
+    "verdict --function harmonic --N 1000000":
+        "8d3226d1f2410524fac00f18099d2e235246573a5d58c3005381b436a27e0612",
+    "compute --function harmonic --N 1000000 --checkpoints 1000000":
+        "968ed9e24e239e202fe6e2748a98f3dd664666bc5aa33524233158707e594ae0",
+    "synth --function synth:log --N 9 --format json":
+        "15b1ea91cf1f85d5b8e0a7f3e6fbef571f03efe6cbecb67a88fb0d737a0a4a5c",
+    "synth --function synth:log --N 10000":
+        "63a9a4d34e790314d4032cad1825c944d101e13fb8b9f39f77b96e1c17193759",
+    "verdict --function synth:log2 --N 1000000 --checkpoints geometric(10,2)":
+        "ab17186a7a4a40822bfda3997391f84cd44b227f54a94a2238458b83cd31542f",
+    "verdict --function synth:log --N 1000000":
+        "77ff8be2e11029e03538bf064dd6c08af2c76bd0adfff49fa382b926b20d37d6",
+    "selftest --seed 20260810":
+        "6f556fdd0bfd4c054620ca028c44ac9a6018f441dc74e536c074dd68bb9cfbb5",
+}
+
+
+def cli_bytes(*argv, block_size=None) -> bytes:
+    """stdout of one in-process CLI run, at the default block size or the
+    given one."""
+    buf = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(buf):
+        os.environ.pop(BLOCK_SIZE_ENV_VAR, None)
+        if block_size is not None:
+            os.environ[BLOCK_SIZE_ENV_VAR] = str(block_size)
+        assert cli.main([str(a) for a in argv]) == 0
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("invocation", sorted(README_TABLE))
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_readme_table_output_is_pinned(invocation, threads):
+    argv = invocation.split()
+    if argv[0] not in ("synth", "selftest"):
+        argv += ["--threads", threads]
+    assert hashlib.sha256(cli_bytes(*argv)).hexdigest() == README_TABLE[invocation]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    function=st.sampled_from(["mu", "lambda", "synth:log2"]),
+    N=st.integers(min_value=80, max_value=5000),
+    block_size=st.integers(min_value=1, max_value=64),
+    threads=st.sampled_from([1, 2]),
+    lags=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+)
+def test_blocking_and_threads_do_not_change_bytes(function, N, block_size, threads, lags):
+    lag = ",".join(map(str, lags))
+    runs = [
+        ("compute", "--function", function, "--N", N, "--checkpoints", "geometric(3,1.7)"),
+        ("verdict", "--function", function, "--N", N),
+        ("analyze", "--function", function, "--N", N, "--lag", lag),
+        ("analyze", "--function", function, "--N", N, "--lag", lag, "--format", "csv"),
+    ]
+    for argv in runs:
+        reference = cli_bytes(*argv, "--threads", 1)
+        assert cli_bytes(*argv, "--threads", threads, block_size=block_size) == reference
+
+
+def test_analyze_ks_sample_keeps_its_stride_across_blocks(monkeypatch):
+    # With 1000 sample points over N = 5000, the sample is f(5), f(10), ...
+    monkeypatch.setattr(cli, "KS_SAMPLE_CAP", 1000)
+    reference = cli_bytes("analyze", "--function", "mu", "--N", 5000, "--lag", 3)
+    for block_size in (7, 64, 999):
+        assert cli_bytes("analyze", "--function", "mu", "--N", 5000, "--lag", 3,
+                         block_size=block_size) == reference
+    mu = mobius_sequence(5000).values(1, 5000)
+    doc = json.loads(reference)
+    assert (doc["min"], doc["max"]) == (float(mu[4::5].min()), float(mu[4::5].max()))
+
+
+class Recorder:
+    def __init__(self):
+        self.seen = []
+
+    def add(self, block):
+        self.seen.append((block.lo, block.hi, block.base, block.values.tolist()))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stream_feeds_each_block_once_in_order(threads):
+    vals = np.arange(1.0, 24.0)
+    probes = [Recorder(), Recorder()]
+    total = stream(sequence_from_values(vals), 23, probes, block_size=5, threads=threads)
+    assert total == 276
+    expected = [(lo, min(lo + 4, 23), (lo - 1) * lo // 2, list(range(lo, min(lo + 4, 23) + 1)))
+                for lo in range(1, 24, 5)]
+    assert probes[0].seen == probes[1].seen == expected
+
+
+def test_strided_probe_matches_direct_slices():
+    vals = np.linspace(-1.0, 1.0, 100)
+    sums, values = Strided(97, 14), Strided(97, 14, sums=False)  # stride 7
+    stream(sequence_from_values(vals), 100, [sums, values], block_size=9)
+    assert values.sample.tolist() == vals[6:97:7].tolist()
+    assert np.allclose(sums.sample, np.cumsum(vals)[6:97:7], rtol=0, atol=1e-12)

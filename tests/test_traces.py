@@ -33,6 +33,13 @@ def test_mertens_trace_is_exact_integer():
     assert trace.values.dtype == np.int64
 
 
+def test_values_beyond_two_to_the_53_are_not_integer_valued():
+    seq = sequence_from_values(np.array([1e19, 1.0]))
+    assert not seq.integer_valued
+    assert summatory_trace(seq, 2, [1, 2]).values.tolist() == [1e19, 1e19 + 1.0]
+    assert sequence_from_values(np.array([2.0**53, -1.0])).integer_valued
+
+
 def test_liouville_examples():
     assert liouville_trace(10, [10]).values.tolist() == [0]
     assert liouville_trace(1, [1]).values.tolist() == [1]
