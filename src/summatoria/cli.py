@@ -6,6 +6,10 @@ Five subcommands: ``compute`` (summatory trace CSV), ``analyze``
 ``verdict`` (full limit-law evidence report as JSON), and ``selftest``
 (oracle-vs-sieve, identity, deviation and KS-calibration suites).
 
+Each subcommand accepts only the options it reads (``_SUBCOMMANDS``), plus
+``--config FILE``: a JSON object whose keys become flags placed before the
+explicit ones, so both pass the same argparse checks and explicit flags win.
+
 Exit status: 0 on success, 1 on validation errors, 2 on numeric or
 capacity errors (and on selftest failures).
 """
@@ -17,118 +21,88 @@ import json
 import math
 import re
 import sys
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import schedules, sequences, sieve, traces
-from .empirical import (
-    KS_CRITICAL_1PCT,
-    LagCorrelations,
-    Moments,
-    empirical_cdf,
-    ks_distance,
-)
+from .empirical import KS_CRITICAL_1PCT, LagCorrelations, Moments, empirical_cdf, ks_distance
 from .errors import BoundError, CapacityError, DegenerateSampleError, NumericError
 from .limits import KS_SAMPLE_CAP, full_verdict, verdict_to_json_dict
 from .sequences import ArithmeticSequence
 from .traces import geometric_checkpoints, validate_checkpoints
 
-FUNCTION_IDS = ("mu", "lambda", "mu-over-k", "harmonic", "synth:log", "synth:log2")
 DEFAULT_LAGS = (1, 2, 5, 10)
 
 _GEOMETRIC_RE = re.compile(r"^geometric\(\s*(\d+)\s*,\s*([0-9.]+)\s*\)$")
 
+_SCHEDULES = {"synth:log": schedules.log_coin_schedule,
+              "synth:log2": schedules.log2_indicator_schedule}
 
-class _CliError(ValueError):
-    """Validation failure that should exit with status 1."""
+
+# function id -> sequence bounded by N
+_SEQUENCES = {
+    "mu": sequences.mobius_sequence,
+    "lambda": sequences.liouville_sequence,
+    "mu-over-k": sequences.weighted_mobius_sequence,
+    "harmonic": lambda N: sequences.sequence_from_function(
+        lambda k: 1.0 / k, N, name="harmonic", magnitude_bound=1.0),
+    **{fid: lambda N, make=make: schedules.realize_greedy(make(), N)
+       for fid, make in _SCHEDULES.items()},
+}
+FUNCTION_IDS = tuple(_SEQUENCES)
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the convention here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def parse_checkpoints(spec: str, N: int) -> np.ndarray:
     """Parse 'geometric(start,ratio)' or a comma list like '10,100,1000'."""
-    spec = spec.strip()
-    m = _GEOMETRIC_RE.match(spec)
+    m = _GEOMETRIC_RE.match(spec.strip())
     if m:
-        start = int(m.group(1))
-        ratio = float(m.group(2))
-        if ratio <= 1.0:
-            raise _CliError(f"geometric ratio must exceed 1, got {ratio}")
-        return geometric_checkpoints(N, start=start, ratio=ratio)
-    try:
-        values = [int(part) for part in spec.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _CliError(f"malformed checkpoint list {spec!r}: {exc}") from None
-    if not values:
-        raise _CliError(f"empty checkpoint specification {spec!r}")
-    try:
-        return validate_checkpoints(values, N)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from None
+        return geometric_checkpoints(N, start=int(m.group(1)), ratio=float(m.group(2)))
+    return validate_checkpoints([int(part) for part in spec.split(",") if part.strip()], N)
 
 
 def _load_file_sequence(path: str) -> ArithmeticSequence:
-    values = []
+    """Read a ``k,f`` CSV whose indices run 1..n; every error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
-            if header.strip() != "k,f":
-                raise _CliError(f"{path}: expected header 'k,f', got {header.strip()!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise _CliError(f"{path}:{lineno}: expected two fields")
-                k, f = int(parts[0]), float(parts[1])
-                if k != len(values) + 1:
-                    raise _CliError(f"{path}:{lineno}: indices must run 1,2,... got {k}")
-                values.append(f)
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from None
-    if not values:
-        raise _CliError(f"{path}: no data rows")
-    return sequences.sequence_from_values(np.asarray(values), name=f"file:{path}")
+            header = fh.readline().strip()
+            if header != "k,f":
+                raise ValueError(f"expected header 'k,f', got {header!r}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty: reported below
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        if rows.size == 0:
+            raise ValueError("no data rows")
+        if rows.shape[1] != 2:
+            raise ValueError("expected two fields per row")
+        bad = np.flatnonzero(rows[:, 0] != np.arange(1, len(rows) + 1))
+        if bad.size:
+            raise ValueError(f"indices must run 1,2,... got {rows[bad[0], 0]:g} "
+                             f"in data row {bad[0] + 1}")
+        return sequences.sequence_from_values(rows[:, 1], name=f"file:{path}")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def resolve_function(function_id: str, N: int) -> ArithmeticSequence:
     """Map a function id to a sequence bounded by N."""
-    if function_id == "mu":
-        return sequences.mobius_sequence(N)
-    if function_id == "lambda":
-        return sequences.liouville_sequence(N)
-    if function_id == "mu-over-k":
-        return sequences.weighted_mobius_sequence(N)
-    if function_id == "harmonic":
-        return sequences.sequence_from_function(
-            lambda k: 1.0 / k, N, name="harmonic", magnitude_bound=1.0
-        )
-    if function_id.startswith("synth:"):
-        return schedules.realize_greedy(_resolve_schedule(function_id), N)
     if function_id.startswith("file:"):
         seq = _load_file_sequence(function_id[len("file:"):])
         if seq.bound < N:
-            raise _CliError(f"{function_id} holds {seq.bound} values, fewer than N={N}")
+            raise ValueError(f"{function_id} holds {seq.bound} values, fewer than N={N}")
         return seq
-    raise _CliError(
-        f"unknown function id {function_id!r}; expected one of "
-        f"{', '.join(FUNCTION_IDS)} or file:PATH"
-    )
-
-
-def _resolve_schedule(function_id: str) -> schedules.TwoPointSchedule:
-    if function_id == "synth:log":
-        return schedules.log_coin_schedule()
-    if function_id == "synth:log2":
-        return schedules.log2_indicator_schedule()
-    raise _CliError(f"unknown synthetic schedule {function_id!r}; use synth:log or synth:log2")
+    if function_id not in _SEQUENCES:
+        raise ValueError(f"unknown function id {function_id!r}; expected one of "
+                         f"{', '.join(FUNCTION_IDS)} or file:PATH")
+    return _SEQUENCES[function_id](N)
 
 
 @contextmanager
@@ -139,7 +113,7 @@ def _open_output(path: str | None):
     try:
         fh = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise _CliError(f"cannot write {path}: {exc}") from None
+        raise ValueError(f"cannot write {path}: {exc}") from None
     with fh:
         yield fh
 
@@ -157,18 +131,11 @@ def cmd_compute(args) -> int:
         if args.format == "csv":
             traces.write_trace_csv(trace, out)
         else:
-            _write_json(
-                {
-                    "function": seq.name,
-                    "N": args.N,
-                    "accumulation_kind": trace.accumulation_kind,
-                    "trace": [
-                        {"n": int(n), "S": int(v) if trace.accumulation_kind == traces.EXACT_INTEGER else float(v)}
-                        for n, v in zip(trace.checkpoints, trace.values)
-                    ],
-                },
-                out,
-            )
+            exact = trace.accumulation_kind == traces.EXACT_INTEGER
+            _write_json({"function": seq.name, "N": args.N,
+                         "accumulation_kind": trace.accumulation_kind,
+                         "trace": [{"n": int(n), "S": int(v) if exact else float(v)}
+                                   for n, v in zip(trace.checkpoints, trace.values)]}, out)
     return 0
 
 
@@ -190,46 +157,34 @@ def cmd_analyze(args) -> int:
 
     with _open_output(args.output) as out:
         if args.format == "json":
-            _write_json(
-                {
-                    "function": seq.name,
-                    "N": args.N,
-                    "mean": mean,
-                    "variance": variance,
-                    "min": float(dist.sample[0]),
-                    "max": float(dist.sample[-1]),
-                    "ks_normal_D": None if math.isnan(ks_normal) else ks_normal,
-                    "independence": [{"h": h, "rho": r} for h, r in rho],
-                },
-                out,
-            )
+            _write_json({"function": seq.name, "N": N, "mean": mean, "variance": variance,
+                         "min": float(dist.sample[0]), "max": float(dist.sample[-1]),
+                         "ks_normal_D": None if math.isnan(ks_normal) else ks_normal,
+                         "independence": [{"h": h, "rho": r} for h, r in rho]}, out)
         else:
             out.write("n,mean,variance,ks_normal_D,h,rho\n")
             for h, r in rho:
-                out.write(
-                    f"{args.N},{format(mean, '.17g')},{format(variance, '.17g')},"
-                    f"{format(ks_normal, '.17g')},{h},{format(r, '.17g')}\n"
-                )
+                out.write(f"{N},{mean:.17g},{variance:.17g},{ks_normal:.17g},{h},{r:.17g}\n")
     return 0
 
 
 def cmd_synth(args) -> int:
-    schedule = _resolve_schedule(args.function)
+    if args.function not in _SCHEDULES:
+        raise ValueError(f"unknown synthetic schedule {args.function!r}; "
+                         f"use {' or '.join(_SCHEDULES)}")
+    schedule = _SCHEDULES[args.function]()
     with _open_output(args.output) as out:
         if args.format == "json":
             _write_json(schedules.schedule_to_json_dict(schedule), out)
             return 0
         seq = schedules.realize_greedy(schedule, args.N)
-        vals = seq.values(1, args.N)
         out.write("k,f\n")
-        for k, f in enumerate(vals, start=1):
+        for k, f in enumerate(seq.values(1, args.N), start=1):
             out.write(f"{k},{format(float(f), '.17g')}\n")
     return 0
 
 
 def cmd_verdict(args) -> int:
-    if args.format == "csv":
-        raise _CliError("verdict reports are JSON only; drop --format csv")
     seq = resolve_function(args.function, args.N)
     cps = parse_checkpoints(args.checkpoints, args.N)
     verdict = full_verdict(seq, args.N, cps, threads=args.threads)
@@ -287,117 +242,119 @@ def _selftest_suites(seed: int):
 
 
 def cmd_selftest(args) -> int:
-    passed = 0
-    failed = 0
+    passed = failed = 0
     for name, suite in _selftest_suites(args.seed):
         ok = suite()
         print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        if ok:
-            passed += 1
-        else:
-            failed += 1
+        passed, failed = passed + ok, failed + (not ok)
     print(f"{passed} passed, {failed} failed")
     return 0 if failed == 0 else 2
-
-
-def _add_common(parser, *, needs_n=True):
-    parser.add_argument("--function", help=f"one of {', '.join(FUNCTION_IDS)} or file:PATH")
-    if needs_n:
-        parser.add_argument("--N", type=int, help="stream bound (largest index)")
-    parser.add_argument("--checkpoints", default="geometric(10,2)",
-                        help="'geometric(start,ratio)' or comma list; default geometric(10,2)")
-    parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), help="report format")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for KS calibration draws only; never affects "
-                             "number-theoretic output")
-    parser.add_argument("--threads", type=int, default=1, help="sieve worker threads")
-    parser.add_argument("--config", help="JSON config file; explicit flags override it")
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="summatoria",
-                     description="Summatory arithmetic functions and limit-law diagnostics.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="write a summatory trace")
-    _add_common(p)
-
-    p = sub.add_parser("analyze", help="value-distribution summary and lag correlations")
-    _add_common(p)
-    p.add_argument("--lag", default="1,2,5,10",
-                   help="comma list of lags for the independence table")
-
-    p = sub.add_parser("synth", help="realize a schedule as CSV, or emit the schedule JSON")
-    _add_common(p)
-
-    p = sub.add_parser("verdict", help="full limit-law evidence report (JSON)")
-    _add_common(p)
-
-    p = sub.add_parser("selftest", help="run the built-in consistency suites")
-    _add_common(p, needs_n=False)
-
-    return parser
-
-
-_DEFAULT_FORMATS = {"compute": "csv", "analyze": "json", "synth": "csv",
-                    "verdict": "json", "selftest": "json"}
-
-
-def _apply_config(args) -> None:
-    if not args.config:
-        return
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _CliError(f"cannot load config {args.config}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise _CliError(f"config {args.config} must hold a JSON object")
-    for key in ("function", "N", "checkpoints", "output", "format", "seed",
-                "threads", "lag"):
-        if key in doc and getattr(args, key, None) in (None, _ARG_DEFAULTS.get(key)):
-            setattr(args, key, doc[key])
-
-
-_ARG_DEFAULTS = {"checkpoints": "geometric(10,2)", "seed": 0, "threads": 1,
-                 "lag": "1,2,5,10"}
-
-
-def _validate(args) -> None:
-    if args.format is None:
-        args.format = _DEFAULT_FORMATS[args.command]
-    if args.command == "selftest":
-        return
-    if not args.function:
-        raise _CliError(f"{args.command} requires --function")
-    if args.N is None:
-        raise _CliError(f"{args.command} requires --N")
-    if args.N < 1:
-        raise _CliError(f"--N must be positive, got {args.N}")
-    if args.threads < 1:
-        raise _CliError(f"--threads must be positive, got {args.threads}")
-    if isinstance(args.checkpoints, list):
-        args.checkpoints = ",".join(str(c) for c in args.checkpoints)
-    if args.command == "analyze":
-        try:
-            args.lag = tuple(int(p) for p in str(args.lag).split(",") if p.strip())
-        except ValueError:
-            raise _CliError(f"malformed --lag {args.lag!r}") from None
-        if not args.lag or min(args.lag) < 1:
-            raise _CliError("--lag needs positive integers")
 
 
 _COMMANDS = {"compute": cmd_compute, "analyze": cmd_analyze, "synth": cmd_synth,
              "verdict": cmd_verdict, "selftest": cmd_selftest}
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _lags(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(part) for part in text.split(","))
+
+
+def _report_format(command: str, formats: tuple[str, ...]) -> dict:
+    """argparse keywords of ``--format``; the first format is the default."""
+    def report_format(text: str) -> str:
+        if text not in formats:
+            raise argparse.ArgumentTypeError(
+                f"{command} reports are {'/'.join(formats).upper()}, not {text!r}")
+        return text
+
+    return dict(type=report_format, default=formats[0], metavar="{" + ",".join(formats) + "}",
+                help=f"report format; default {formats[0]}")
+
+
+# option -> argparse keywords; --format comes from _report_format
+_OPTIONS = {
+    "config": dict(help="JSON file of option values; explicit flags override it"),
+    "function": dict(required=True,
+                     help=f"one of {', '.join(FUNCTION_IDS)} or file:PATH "
+                          f"(synth takes {' or '.join(_SCHEDULES)} only)"),
+    "N": dict(type=_positive_int, required=True, help="stream bound (largest index)"),
+    "checkpoints": dict(default="geometric(10,2)",
+                        help="'geometric(start,ratio)' or comma list; default geometric(10,2)"),
+    "lag": dict(type=_lags, default=DEFAULT_LAGS,
+                help="comma list of lags for the independence table; default 1,2,5,10"),
+    "threads": dict(type=_positive_int, default=1, help="sieve worker threads"),
+    "output": dict(help="output path (default: stdout)"),
+    "seed": dict(type=int, default=0, help="seed for KS calibration draws only; never "
+                                           "affects number-theoretic output"),
+}
+
+# subcommand -> (help, options it reads, report formats with the default first).
+# Handlers are looked up in _COMMANDS at call time, so wrappers put there see them.
+_SUBCOMMANDS = {
+    "compute": ("write a summatory trace",
+                ("function", "N", "checkpoints", "threads", "output", "format"), ("csv", "json")),
+    "analyze": ("value-distribution summary and lag correlations",
+                ("function", "N", "lag", "threads", "output", "format"), ("json", "csv")),
+    "synth": ("realize a schedule as CSV, or emit the schedule JSON",
+              ("function", "N", "output", "format"), ("csv", "json")),
+    "verdict": ("full limit-law evidence report (JSON)",
+                ("function", "N", "checkpoints", "threads", "output", "format"), ("json",)),
+    "selftest": ("run the built-in consistency suites", ("seed",), ()),
+}
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="summatoria",
+                     description="Summatory arithmetic functions and limit-law diagnostics.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, options, formats) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in ("config", *options):
+            kwargs = _report_format(command, formats) if option == "format" else _OPTIONS[option]
+            p.add_argument(f"--{option}", **kwargs)
+    return parser
+
+
+def _expand_config(argv: list[str]) -> list[str]:
+    """Insert the options a ``--config`` file sets, as flags, right after the
+    subcommand: argparse then checks them like any flag, and explicit flags,
+    coming later, win.  Keys the subcommand does not read are skipped."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return argv
+    pre = _Parser(prog=f"summatoria {argv[0]}", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
     try:
-        args = parser.parse_args(argv)
-        _apply_config(args)
-        _validate(args)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    flags = []
+    for key in _SUBCOMMANDS[argv[0]][1]:
+        if key in doc:
+            items = doc[key] if isinstance(doc[key], list) else [doc[key]]
+            if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool)
+                       for v in items):
+                raise ValueError(f"config {path}: {key!r} must be a string, "
+                                 "a number or a list of them")
+            flags.append(f"--{key}=" + ",".join(map(str, items)))
+    return [argv[0], *flags, *argv[1:]]
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(_expand_config(argv))
         return _COMMANDS[args.command](args)
     except (BoundError, DegenerateSampleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from . import sieve
+from .errors import NumericError
 from .sequences import (
     ArithmeticSequence,
     liouville_sequence,
@@ -145,6 +146,10 @@ class Block:
         self.dtype = np.float64
         if exact:
             if values.dtype.kind == "f":
+                # magnitude first: the cast of a value beyond int64 would wrap
+                if not (np.max(np.abs(values)) <= 2**53 and np.all(values == np.round(values))):
+                    raise NumericError(f"f({lo}..{lo + values.size - 1}) of an integer-valued "
+                                       "sequence holds a non-integer or a value beyond 2**53")
                 values = values.astype(np.int64)
             peak = max(int(values.max()), -int(values.min()))
             self.dtype = np.int64 if peak * peak * values.size < 2**63 else object

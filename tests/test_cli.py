@@ -1,10 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from summatoria import sieve
+from summatoria import cli, sieve
 from summatoria.cli import main, parse_checkpoints
 
 
@@ -188,3 +189,97 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n,S\n10,-1\n"
+
+
+def test_explicit_flags_beat_config_values_equal_to_defaults(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"function": "mu", "N": 100, "threads": 2,
+                                  "checkpoints": "10,100"}))
+    seen = []
+    compute = cli._COMMANDS["compute"]
+    monkeypatch.setitem(cli._COMMANDS, "compute", lambda args: seen.append(args) or compute(args))
+    status, out, _ = run_cli("compute", "--config", str(config), "--threads", "1",
+                             "--checkpoints", "geometric(10,2)", capsys=capsys)
+    assert status == 0
+    assert seen[0].threads == 1
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["10", "20", "40", "80"]
+
+
+def test_config_values_pass_the_flag_converters(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"function": "mu", "N": "100", "lag": [1, 2]}))
+    status, out, err = run_cli("analyze", "--config", str(config), capsys=capsys)
+    assert status == 0, err
+    doc = json.loads(out)
+    assert doc["N"] == 100
+    assert [entry["h"] for entry in doc["independence"]] == [1, 2]
+
+
+# Every lag value, a null N and -3 pin earlier behaviour; the other N and
+# threads values used to end in a TypeError traceback.
+@pytest.mark.parametrize("key", ["N", "threads", "lag"])
+@pytest.mark.parametrize("value", [100.5, True, None, {"a": 1}, [[1]], [], "ten", -3])
+def test_bad_config_values_exit_one_without_traceback(tmp_path, capsys, key, value):
+    config = tmp_path / "run.json"
+    doc = {"function": "mu", "N": 100}
+    doc[key] = value
+    config.write_text(json.dumps(doc))
+    status, _, err = run_cli("analyze", "--config", str(config), capsys=capsys)
+    assert status == 1
+    assert err.strip().splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--function", "synth:log2", "--N", "10", "--threads", "2"),
+    ("selftest", "--output", "x.json"),
+    ("verdict", "--function", "mu", "--N", "100", "--seed", "1"),
+    # pins behaviour the parser already had: compute never took --lag
+    ("compute", "--function", "mu", "--N", "10", "--lag", "1"),
+])
+def test_flags_a_subcommand_does_not_read_exit_one(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run_cli(*argv, capsys=capsys)
+    assert status == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("compute", {"function", "N", "checkpoints", "threads", "output", "format"}),
+    ("analyze", {"function", "N", "lag", "threads", "output", "format"}),
+    ("synth", {"function", "N", "output", "format"}),
+    ("verdict", {"function", "N", "checkpoints", "threads", "output", "format"}),
+    ("selftest", {"seed"}),
+])
+def test_help_lists_only_the_options_a_subcommand_reads(command, options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--([A-Za-z]+)", capsys.readouterr().out))
+    assert listed == options | {"config", "help"}
+
+
+# The exit statuses pin earlier behaviour; the fractional index, the comment
+# and the non-finite value used to give errors that did not name the file.
+@pytest.mark.parametrize("body, status", [
+    ("k,v\n1,1\n2,0\n", 1),  # wrong header
+    ("k,f\n1,1,0\n2,0,0\n", 1),  # three fields
+    ("k,f\n1,1\n2\n", 1),  # short row
+    ("k,f\n1,1\n3,0\n", 1),  # index gap
+    ("k,f\n1,1\n1.5,0\n", 1),  # fractional index
+    ("k,f\n", 1),  # no rows
+    ("k,f\n1,1 # x\n2,0\n", 1),  # no comments
+    ("k,f\n1,1\n2,inf\n", 1),  # non-finite value
+    ("k,f\n1,1\n\n2,0\n", 0),  # a blank line is skipped
+])
+def test_malformed_file_sequences(tmp_path, capsys, body, status):
+    path = tmp_path / "seq.csv"
+    path.write_text(body)
+    code, out, err = run_cli("compute", "--function", f"file:{path}", "--N", "2",
+                             "--checkpoints", "2", capsys=capsys)
+    assert code == status
+    if status:
+        assert str(path) in err
+    else:
+        assert out == "n,S\n2,1\n"

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summatoria import (
+    NumericError,
     geometric_checkpoints,
     liouville_trace,
     mertens_trace,
     mobius_oracle,
     mobius_sequence,
+    sequence_from_function,
     sequence_from_values,
     summatory_trace,
     weighted_mobius_trace,
@@ -163,3 +165,13 @@ def test_summatory_trace_respects_sequence_bound():
     seq = mobius_sequence(100)
     with pytest.raises(ValueError):
         summatory_trace(seq, 200, [200])
+
+
+@pytest.mark.parametrize("fn", [
+    lambda k: np.full_like(k, 1e19),  # beyond int64: the sum used to wrap negative
+    lambda k: k / 2,  # not integers: the sum used to truncate to 25, not 27.5
+])
+def test_closed_form_declared_integer_fails_loudly(fn):
+    seq = sequence_from_function(fn, 10, magnitude_bound=1e19, integer_valued=True)
+    with pytest.raises(NumericError, match="integer-valued"):
+        summatory_trace(seq, 10, [10])
