@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .empirical import empirical_cdf, ks_distance
 from .errors import DegenerateSampleError, NumericError
@@ -213,6 +212,8 @@ def euler_maclaurin_gap(
         for j, n in enumerate(cps):
             integrals[j] = antiderivative(float(n)) - base
     else:
+        from scipy.integrate import quad  # slow to import; no CLI command gets here
+
         scalar_fn = lambda t: float(np.asarray(fn(np.array([t])))[0])
         running = 0.0
         prev = 1.0

@@ -2,15 +2,21 @@
 
 Two evaluation paths are provided: per-integer trial-division oracles,
 which are slow but independent and serve as the reference fixture, and a
-block sieve that reproduces them at scale.  The sieve divides each entry
-of a block by every prime p <= sqrt(hi), tracking the parity of the
-prime-factor count and the product of the powers divided out; whatever
-cofactor remains is either 1 or a single prime > sqrt(hi) to the first
-power, which contributes one more distinct factor.
+block sieve that reproduces them at scale.  The sieve marks each entry of
+a block with every prime power p**k <= hi, p <= sqrt(hi), that divides
+it, tracking the sign of mu, the parity of the prime-factor count and
+the product of the powers divided out (the smooth part).  For p <= 7 the
+marks of p and p**2 repeat with period 2²·3²·5²·7² = 44100, so a block
+starts as one cached period shifted to lo mod 44100 and the loop adds
+only their higher powers (the pre-sieve of Deléglise & Rivat, 1996).
+What remains of n is 1 or a single prime > sqrt(hi), present exactly
+where the smooth part is not n; the finale applies it with int8
+arithmetic: mu *= 1 - 2·large, parity ^= large, lambda = 1 - 2·parity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -27,18 +33,24 @@ MAX_BLOCK_SIZE = 1 << 24
 
 BLOCK_SIZE_ENV_VAR = "SUMMATORIA_BLOCK_SIZE"
 
+_TILE_PRIMES = (2, 3, 5, 7)
+_TILE_PERIOD = math.prod(p * p for p in _TILE_PRIMES)  # 44100
+
 
 def resolve_block_size(block_size: int | None = None) -> int:
     """Pick the sieve block size: explicit argument, else the
     SUMMATORIA_BLOCK_SIZE environment variable, else the built-in default."""
+    name = "block size"
     if block_size is None:
-        block_size = int(os.environ.get(BLOCK_SIZE_ENV_VAR, DEFAULT_BLOCK_SIZE))
+        name, text = BLOCK_SIZE_ENV_VAR, os.environ.get(BLOCK_SIZE_ENV_VAR, DEFAULT_BLOCK_SIZE)
+        try:
+            block_size = int(text)
+        except ValueError:
+            raise ValueError(f"{name} must be a positive integer, got {text!r}") from None
     if block_size < 1:
-        raise ValueError(f"block size must be positive, got {block_size}")
+        raise ValueError(f"{name} must be positive, got {block_size}")
     if block_size > MAX_BLOCK_SIZE:
-        raise CapacityError(
-            f"block size {block_size} exceeds the {MAX_BLOCK_SIZE}-entry budget"
-        )
+        raise CapacityError(f"{name} {block_size} exceeds the {MAX_BLOCK_SIZE}-entry budget")
     return block_size
 
 
@@ -124,6 +136,37 @@ def liouville_oracle(n: int) -> int:
     return -1 if total % 2 else 1
 
 
+def _mark(mu, parity, smooth, lo: int, hi: int, q: int, p: int) -> None:
+    """Record the prime power q = p**k in every multiple of q in [lo, hi]:
+    k = 1 flips the sign of mu, k > 1 zeroes it; both flip the parity of
+    Omega and multiply the smooth part by p."""
+    first = -(-lo // q) * q
+    if first > hi:
+        return
+    sl = slice(first - lo, None, q)
+    v = mu[sl]
+    if q == p:
+        np.negative(v, out=v)
+    else:
+        v[:] = 0
+    parity[sl] ^= 1
+    smooth[sl] *= p
+
+
+@functools.cache
+def _small_prime_tile() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mu sign, Omega parity and smooth part of n mod 44100 from the powers
+    p and p**2 of p <= 7; read-only, built on first use."""
+    tile = (np.ones(_TILE_PERIOD, dtype=np.int8), np.zeros(_TILE_PERIOD, dtype=np.int8),
+            np.ones(_TILE_PERIOD, dtype=np.int32))
+    for p in _TILE_PRIMES:
+        _mark(*tile, 0, _TILE_PERIOD - 1, p, p)
+        _mark(*tile, 0, _TILE_PERIOD - 1, p * p, p)
+    for a in tile:
+        a.flags.writeable = False
+    return tile
+
+
 def sieve_block(lo: int, hi: int, *, primes: np.ndarray | None = None) -> SieveBlock:
     """Sieve Mobius and Liouville values for the whole range [lo, hi].
 
@@ -148,41 +191,26 @@ def sieve_block(lo: int, hi: int, *, primes: np.ndarray | None = None) -> SieveB
     if primes is None:
         primes = primes_up_to(math.isqrt(hi))
 
-    mu = np.ones(width, dtype=np.int8)
-    # Parity of Omega(n); each division by a prime flips it.
-    omega_parity = np.zeros(width, dtype=np.int8)
-    # Product of prime powers divided out so far (the sqrt(hi)-smooth part).
-    smooth = np.ones(width, dtype=np.int64)
-
-    for p in primes:
-        p = int(p)
+    # mu sign, parity of Omega(n) and the product of the prime powers
+    # divided out so far (the sqrt(hi)-smooth part; int32 holds n <= 1e9).
+    shift = lo % _TILE_PERIOD
+    mu, omega_parity, smooth = (np.resize(np.roll(a, -shift), width)
+                                for a in _small_prime_tile())
+    for p in primes.tolist():
         if p > hi:
             break
-        first = ((lo + p - 1) // p) * p
-        if first > hi:
-            continue
-        sl = slice(first - lo, width, p)
-        mu[sl] = -mu[sl]
-        omega_parity[sl] ^= 1
-        smooth[sl] *= p
-        q = p * p
+        q = p**3 if p in _TILE_PRIMES else p
         while q <= hi:
-            first_q = ((lo + q - 1) // q) * q
-            if first_q <= hi:
-                sq = slice(first_q - lo, width, q)
-                mu[sq] = 0
-                omega_parity[sq] ^= 1
-                smooth[sq] *= p
+            _mark(mu, omega_parity, smooth, lo, hi, q, p)
             q *= p
 
     # Whatever was not divided out is a single prime > sqrt(hi), power 1:
-    # two such primes would multiply past hi.
-    cofactor = np.arange(lo, hi + 1, dtype=np.int64) // smooth
-    large = cofactor > 1
-    mu[large] = -mu[large]
-    omega_parity[large] ^= 1
-
-    lam = np.where(omega_parity, -1, 1).astype(np.int8)
+    # two such primes would multiply past hi.  smooth divides n, so that
+    # prime is there exactly where smooth != n.
+    large = (np.arange(lo, hi + 1, dtype=np.int32) != smooth).view(np.int8)
+    mu *= 1 - (large << 1)
+    omega_parity ^= large
+    lam = 1 - (omega_parity << 1)
     mu.flags.writeable = False
     lam.flags.writeable = False
     return SieveBlock(lo=lo, hi=hi, mu=mu, lam=lam)

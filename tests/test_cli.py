@@ -137,6 +137,17 @@ def test_capacity_error_exits_two(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("value, status", [
+    ("abc", 1), ("1e6", 1), ("0", 1), ("20000000", 2),
+])
+def test_bad_block_size_env_var_is_named(value, status, capsys, monkeypatch):
+    monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", value)
+    code, _, err = run_cli("compute", "--function", "mu", "--N", "100", capsys=capsys)
+    assert code == status
+    assert "SUMMATORIA_BLOCK_SIZE" in err and value in err
+    assert "Traceback" not in err
+
+
 def test_analyze_streams_in_blocks_below_the_block_budget(capsys, monkeypatch):
     # The lag windows used to be sieved as single blocks of N entries.
     monkeypatch.setattr(sieve, "MAX_BLOCK_SIZE", 4096)

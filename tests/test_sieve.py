@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,14 @@ from summatoria import (
     primes_up_to,
     sieve_block,
 )
-from summatoria.sieve import MAX_BLOCK_SIZE, ORACLE_BOUND, iter_block_ranges
+from summatoria.sieve import (
+    GLOBAL_SIEVE_BOUND,
+    MAX_BLOCK_SIZE,
+    ORACLE_BOUND,
+    iter_block_ranges,
+)
+
+from reference_sieve import reference_sieve_block
 
 # Frozen from the definitions: mu via distinct-prime parity on squarefree
 # integers, lambda via (-1)**Omega.
@@ -142,3 +151,41 @@ def test_iter_block_ranges_cover_exactly():
     assert ranges[-1] == (101, 103)
     covered = [k for lo, hi in ranges for k in range(lo, hi + 1)]
     assert covered == list(range(1, 104))
+
+
+# The kernel against the pre-tile kernel kept in tests/reference_sieve.py,
+# with no table (primes up to sqrt(hi) per block) and with one table
+# covering sqrt(GLOBAL_SIEVE_BOUND), oversized for every smaller block.
+FULL_TABLE = primes_up_to(math.isqrt(GLOBAL_SIEVE_BOUND))
+TILE_PERIOD = 44_100  # 2**2 * 3**2 * 5**2 * 7**2
+
+
+def assert_matches_reference(lo, hi):
+    for primes in (None, FULL_TABLE):
+        got = sieve_block(lo, hi, primes=primes)
+        want = reference_sieve_block(lo, hi, primes=primes)
+        for new, old in ((got.mu, want.mu), (got.lam, want.lam)):
+            assert new.dtype == np.int8 and not new.flags.writeable
+            assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=1 << 14).flatmap(
+    lambda width: st.tuples(st.integers(min_value=1, max_value=GLOBAL_SIEVE_BOUND - width + 1),
+                            st.just(width))))
+def test_sieve_block_matches_reference_kernel(lo_width):
+    lo, width = lo_width
+    assert_matches_reference(lo, lo + width - 1)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1, 1 << 20),
+    (30_000_000 - (1 << 20) + 1, 30_000_000),
+    (GLOBAL_SIEVE_BOUND - (1 << 20) + 1, GLOBAL_SIEVE_BOUND),
+    *[(k * TILE_PERIOD + r, k * TILE_PERIOD + r + 100_000)
+      for k in (0, 1, 22_000) for r in (0, 1, TILE_PERIOD - 1) if k or r],
+    *[(lo, hi) for hi in range(1, 11) for lo in range(1, hi + 1)],
+    *[(lo, lo + width - 1) for lo in (4, 8, 9, 25, 27, 49, 343) for width in (1, 1000)],
+])
+def test_sieve_block_matches_reference_kernel_at_edges(lo, hi):
+    assert_matches_reference(lo, hi)
