@@ -142,9 +142,9 @@ def cmd_compute(args) -> int:
 def cmd_analyze(args) -> int:
     N, lags = args.N, args.lag
     seq = resolve_function(args.function, N + max(lags))
-    moments = Moments(N, seq.integer_valued)
+    moments = Moments(N)
     values = traces.Strided(N, KS_SAMPLE_CAP, sums=False)
-    correlations = LagCorrelations(N, lags, seq.integer_valued)
+    correlations = LagCorrelations(N, lags)
     traces.stream(seq, N + max(lags), [moments, values, correlations],
                   threads=args.threads)
     mean, variance = moments.result()

@@ -5,20 +5,20 @@ it into a random variable; these helpers compute its mean, population
 variance, empirical CDF, Kolmogorov-Smirnov distance to a reference law,
 and a lagged correlation that quantifies asymptotic independence.  The
 moments and lag correlations are probes of ``traces.stream``, so
-``analyze`` gets all of them from one pass over the blocks.
+``analyze`` gets all of them from one pass, summed by ``Block.sum``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import BoundError, DegenerateSampleError
 from .sequences import ArithmeticSequence
-from .traces import Block, Checkpoints, NeumaierSum, stream, summatory_trace
+from .traces import Block, Checkpoints, as_float, stream
 
 STANDARD_NORMAL = "standard-normal"
 UNIFORM_01 = "uniform(0,1)"
@@ -64,10 +64,9 @@ def _check_range(seq: ArithmeticSequence, n: int) -> None:
 
 
 def empirical_mean(seq: ArithmeticSequence, n: int) -> float:
-    """Average of f over {1..n}; exact-integer S(n)/n for integer-valued f."""
+    """Average S(n)/n of f over {1..n}, with S(n) as ``stream`` returns it."""
     _check_range(seq, n)
-    total = summatory_trace(seq, n, [n]).values[0]
-    return (int(total) if seq.integer_valued else float(total)) / n
+    return stream(seq, n, []) / n
 
 
 class Moments:
@@ -79,8 +78,8 @@ class Moments:
     offset never cancels the spread.
     """
 
-    def __init__(self, n: int, exact: bool):
-        self.n, self.exact = n, exact
+    def __init__(self, n: int):
+        self.n, self.exact = n, True
         self.s = 0  # S(n) once the stream has passed n
         self.s2 = 0  # sum f**2 (integer values) or M2 (real values)
 
@@ -88,16 +87,16 @@ class Moments:
         m, k = min(block.hi, self.n) - block.lo + 1, block.lo - 1  # new and seen counts
         if m <= 0:
             return
+        self.exact = block.exact
         x = block.values[:m].astype(block.dtype, copy=False)
-        if self.exact:
-            self.s = block.base + int(x.sum())
-            self.s2 += int(np.dot(x, x))
+        total = block.total if m == block.values.size else block.sum(x)
+        self.s = block.base + total
+        if block.exact:
+            self.s2 += block.sum(x * x)
             return
-        total = block.total if m == block.values.size else math.fsum(x.tolist())
         d = x - total / m
         delta = total / m - block.base / k if k else 0.0
-        self.s2 += math.fsum((d * d).tolist()) + delta * delta * (k * m / (k + m))
-        self.s = block.base + total
+        self.s2 += block.sum(d * d) + delta * delta * (k * m / (k + m))
 
     def result(self) -> tuple[float, float]:
         n, s = self.n, self.s
@@ -108,7 +107,7 @@ class Moments:
 def empirical_moments(seq: ArithmeticSequence, n: int) -> tuple[float, float]:
     """(mean, population variance) of f over {1..n} in one streaming pass."""
     _check_range(seq, n)
-    probe = Moments(n, seq.integer_valued)
+    probe = Moments(n)
     stream(seq, n, [probe])
     return probe.result()
 
@@ -136,6 +135,7 @@ def ks_distance(
             z = (dist.sample - dist.mean) / math.sqrt(dist.variance)
         else:
             z = dist.sample
+        from scipy.special import ndtr  # slow to import; compute and synth never get here
         # Phi(z) = ndtr(z), erf-based, abs error well under 1e-10.
         ref = ndtr(z)
     elif reference == UNIFORM_01:
@@ -154,18 +154,18 @@ class LagCorrelations:
     """Probe: rho(n, h) of ``independence_estimator`` for each lag; the
     stream must reach n + max(lags).
 
-    Sums of f(k) f(k+h) accumulate block by block (exactly for integer
-    values), with the last max(lags) values carried across block
-    boundaries.  The plain sums come from S at h, n and n + h.
+    Each block's sums of f(k) f(k+h) are merged exactly, with the last
+    max(lags) values carried across block boundaries.  The plain sums
+    come from S at h, n and n + h.
     """
 
-    def __init__(self, n: int, lags, exact: bool):
-        self.n, self.lags, self.exact = n, tuple(lags), exact
+    def __init__(self, n: int, lags):
+        self.n, self.lags = n, tuple(lags)
         self.sums = Checkpoints(np.unique([n, *self.lags, *(n + h for h in self.lags)]))
-        self.products = {h: 0 if exact else NeumaierSum() for h in self.lags}
+        self.products = dict.fromkeys(self.lags, Fraction(0))
         # (min, max) of f over the window [h+1, n+h]; h = 0 is the window of f(k).
         self.ranges = {h: (math.inf, -math.inf) for h in (0, *self.lags)}
-        self.tail = np.empty(0, dtype=np.int64 if exact else np.float64)  # last max(lags) values
+        self.tail = np.empty(0, dtype=np.int8)  # last max(lags) values; int8 widens to any dtype
 
     def add(self, block: Block) -> None:
         self.sums.add(block)
@@ -180,11 +180,7 @@ class LagCorrelations:
             a, b = max(1, block.lo - h) - start, min(self.n, block.hi - h) - start
             if a > b:
                 continue
-            x, y = ext[a : b + 1], ext[a + h : b + h + 1]
-            if self.exact:
-                self.products[h] += int(np.dot(x, y))
-            else:
-                self.products[h].add(math.fsum((x * y).tolist()))
+            self.products[h] += Fraction(block.sum(ext[a : b + 1] * ext[a + h : b + h + 1]))
         self.tail = ext[-max(self.lags):].copy()
 
     def result(self) -> list[float]:
@@ -192,8 +188,7 @@ class LagCorrelations:
         S = dict(zip(self.sums.checkpoints.tolist(), self.sums.values))
         out = []
         for h in self.lags:
-            p = self.products[h]
-            mean_xy = (float(p) if self.exact else p.value) / n
+            mean_xy = as_float(self.products[h], f"the sum of f(k) f(k+{h})") / n
             # The correlation gap of a constant window is identically zero;
             # skip the float path so the cancellation is exact.
             constant = any(lo == hi for lo, hi in (self.ranges[0], self.ranges[h]))
@@ -214,6 +209,6 @@ def independence_estimator(seq: ArithmeticSequence, n: int, h: int) -> float:
         raise ValueError(f"n and h must be positive, got n={n}, h={h}")
     if n + h > seq.bound:
         raise BoundError(f"n + h = {n + h} exceeds the sequence bound {seq.bound}")
-    probe = LagCorrelations(n, [h], seq.integer_valued)
+    probe = LagCorrelations(n, [h])
     stream(seq, n + h, [probe])
     return probe.result()[0]

@@ -93,27 +93,21 @@ def _loglog_slope(cps: np.ndarray, absr: np.ndarray) -> tuple[float, float]:
     return slope, math.sqrt(sigma2 / sxx)
 
 
-def fit_remainders(
-    checkpoints,
-    remainders,
-    *,
-    slope_threshold: float = SLOPE_THRESHOLD,
-    floor: float = REMAINDER_FLOOR,
-) -> RemainderFit:
+def fit_remainders(checkpoints, remainders) -> RemainderFit:
     """Classify a residual sequence sampled at increasing checkpoints.
 
     Rules, in order:
-      - every |r| at or below the floor: the residual is numerically
+      - every |r| at or below REMAINDER_FLOOR: the residual is numerically
         indistinguishable from zero everywhere, i.e. already converged;
         class is decaying with an undefined slope.
       - more than half the checkpoints at or below the floor: the fit has
         too little signal; inconclusive.
-      - slope < -threshold and the max |r| over the last quartile is
+      - slope < -SLOPE_THRESHOLD and the max |r| over the last quartile is
         below the max over the first quartile: decaying.  A negative
         slope without the quartile drop (oscillating residuals such as
         Mertens passing through zero) stays inconclusive.
-      - |slope| <= threshold: bounded.
-      - slope > threshold: growing.
+      - |slope| <= SLOPE_THRESHOLD: bounded.
+      - slope > SLOPE_THRESHOLD: growing.
     """
     cps = validate_checkpoints(checkpoints).astype(np.float64)
     r = np.asarray(remainders, dtype=np.float64)
@@ -124,7 +118,7 @@ def fit_remainders(
 
     absr = np.abs(r)
     m = absr.size
-    mask = absr > floor
+    mask = absr > REMAINDER_FLOOR
     included = int(mask.sum())
 
     if included == 0:
@@ -142,9 +136,9 @@ def fit_remainders(
 
     if 2 * (m - included) > m or included < 2:
         classification = INCONCLUSIVE
-    elif slope < -slope_threshold:
+    elif slope < -SLOPE_THRESHOLD:
         classification = DECAYING if last_max < first_max else INCONCLUSIVE
-    elif slope <= slope_threshold:
+    elif slope <= SLOPE_THRESHOLD:
         classification = BOUNDED
     else:
         classification = GROWING
@@ -163,9 +157,7 @@ def estimate_limit_mean(trace: SummatoryTrace) -> LimitMeanEstimate:
     return LimitMeanEstimate(value=value, drift=abs(value - prev))
 
 
-def mean_rate_fit(trace: SummatoryTrace, mu0: float, *,
-                  slope_threshold: float = SLOPE_THRESHOLD,
-                  floor: float = REMAINDER_FLOOR) -> RemainderFit:
+def mean_rate_fit(trace: SummatoryTrace, mu0: float) -> RemainderFit:
     """Fit the residuals r(n) = S(n) - n*mu0.
 
     The o(1/n) condition on means, n*(S(n)/n - mu0) -> 0, involves
@@ -183,7 +175,7 @@ def mean_rate_fit(trace: SummatoryTrace, mu0: float, *,
                 stacklevel=2,
             )
     r = trace.values.astype(np.float64) - cps.astype(np.float64) * mu0
-    return fit_remainders(cps, r, slope_threshold=slope_threshold, floor=floor)
+    return fit_remainders(cps, r)
 
 
 def euler_maclaurin_gap(
@@ -192,7 +184,6 @@ def euler_maclaurin_gap(
     checkpoints=None,
     *,
     antiderivative: Callable[[float], float] | None = None,
-    block_size: int | None = None,
 ) -> RemainderFit:
     """Classify r(n) = sum_{k<=n} f(k) - integral_1^n f(t) dt.
 
@@ -204,7 +195,7 @@ def euler_maclaurin_gap(
     """
     cps = validate_checkpoints(checkpoints, N)
     seq = sequence_from_function(fn, N, name="elementary", magnitude_bound=math.inf)
-    trace = summatory_trace(seq, N, cps, block_size=block_size)
+    trace = summatory_trace(seq, N, cps)
 
     integrals = np.empty(cps.size, dtype=np.float64)
     if antiderivative is not None:

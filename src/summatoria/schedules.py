@@ -166,7 +166,7 @@ def fair_coin_schedule() -> TwoPointSchedule:
     return two_value_schedule(1.0, -1.0, 0.5, eps, kind=KIND_NONE)
 
 
-def realize_greedy(s: TwoPointSchedule, N: int, *, name: str | None = None) -> ArithmeticSequence:
+def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     """Deterministic two-valued sequence tracking the schedule's proportions.
 
     At step n the value with the larger deficit against its running
@@ -202,7 +202,7 @@ def realize_greedy(s: TwoPointSchedule, N: int, *, name: str | None = None) -> A
             counts[i] = c
     took_first = np.diff(counts, prepend=0.0) > 0.0
     vals = np.where(took_first, s.values[0], s.values[1])
-    return sequence_from_values(vals, name=name or f"synth:{s.kind}")
+    return sequence_from_values(vals, name=f"synth:{s.kind}")
 
 
 def schedule_to_json_dict(s: TwoPointSchedule) -> dict:

@@ -109,12 +109,7 @@ def sequence_from_function(
     return seq
 
 
-def sequence_from_values(
-    values: np.ndarray,
-    *,
-    name: str = "values",
-    magnitude_bound: float | None = None,
-) -> ArithmeticSequence:
+def sequence_from_values(values: np.ndarray, *, name: str = "values") -> ArithmeticSequence:
     """Wrap a materialized array as the sequence f(k) = values[k - 1]."""
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
@@ -123,11 +118,10 @@ def sequence_from_values(
         raise ValueError("materialized sequence contains non-finite values")
     arr.flags.writeable = False
     peak = float(np.max(np.abs(arr)))
-    magnitude_bound = peak if magnitude_bound is None else magnitude_bound
     # Beyond 2**53 floats skip integers and int64 block sums can wrap.
     integer_valued = peak <= 2**53 and bool(np.all(arr == np.round(arr)))
 
     def block(lo: int, hi: int) -> np.ndarray:
         return arr[lo - 1 : hi]
 
-    return ArithmeticSequence(name, arr.size, float(magnitude_bound), integer_valued, block)
+    return ArithmeticSequence(name, arr.size, peak, integer_valued, block)

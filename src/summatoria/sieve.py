@@ -42,11 +42,11 @@ def resolve_block_size(block_size: int | None = None) -> int:
     SUMMATORIA_BLOCK_SIZE environment variable, else the built-in default."""
     name = "block size"
     if block_size is None:
-        name, text = BLOCK_SIZE_ENV_VAR, os.environ.get(BLOCK_SIZE_ENV_VAR, DEFAULT_BLOCK_SIZE)
-        try:
-            block_size = int(text)
-        except ValueError:
-            raise ValueError(f"{name} must be a positive integer, got {text!r}") from None
+        name = BLOCK_SIZE_ENV_VAR
+        text = os.environ.get(name, str(DEFAULT_BLOCK_SIZE))
+        if not text.strip().isdecimal():  # the rule of --N: no sign, underscore or exponent
+            raise ValueError(f"{name} must be a positive integer, got {text!r}")
+        block_size = int(text)
     if block_size < 1:
         raise ValueError(f"{name} must be positive, got {block_size}")
     if block_size > MAX_BLOCK_SIZE:

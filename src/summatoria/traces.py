@@ -4,22 +4,24 @@ streaming engine every statistic in the package runs on.
 ``stream`` walks f(1..last) once in blocks and hands each block, in
 block order, to a list of probes: checkpoint sums here, strided samples
 for the KS statistics, moments and lag products in ``empirical``.  It
-keeps the running base S(lo - 1) once.  Integer-valued sequences
-accumulate exactly (arbitrary-precision Python ints fed by int64 block
-sums, or by Python ints where int64 could wrap).  Real-valued sequences
-use compensated accumulation: each block is summed with math.fsum
-(correctly rounded) and blocks are merged through a Neumaier running
-sum.  Blocks may be evaluated on worker threads, but probes always see
-them in order, so results do not depend on the thread count.
+keeps the running base S(lo - 1) once.  ``Block.sum`` is the one rule
+for summing a block: exactly for integer values (int64, or Python ints
+where int64 could wrap), with math.fsum (correctly rounded) for reals.
+Block sums are merged exactly, as a Fraction, and a sum that is not
+finite raises NumericError.  Blocks may be evaluated on worker threads,
+but probes always see them in order, so results do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, TextIO
 
@@ -36,32 +38,6 @@ from .sequences import (
 
 EXACT_INTEGER = "exact-integer"
 COMPENSATED_FLOAT = "compensated-float"
-
-
-class NeumaierSum:
-    """Running compensated sum (Neumaier's variant of Kahan summation).
-
-    Tracks the rounding error of every addition in a second float, so
-    accumulating 10**8 terms of mixed magnitude keeps near full precision.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self, value: float = 0.0):
-        self._s = float(value)
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - s) + x
-        else:
-            self._c += (x - s) + self._s
-        self._s = s
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
 
 
 @dataclass(frozen=True)
@@ -134,15 +110,22 @@ def _ordered_map(fn, args_iter: Iterable[tuple], threads: int) -> Iterator:
             yield pending.popleft().result()
 
 
+def as_float(total, where: str) -> float:
+    """``total``, a float or an exact Fraction, correctly rounded to a finite float."""
+    if not abs(total) <= sys.float_info.max:  # nan, inf, or a Fraction beyond the range
+        raise NumericError(f"{where} is not finite")
+    return float(total)
+
+
 class Block:
     """One streamed block: ``values`` holds f(lo..hi), ``base`` is S(lo - 1).
 
     ``dtype`` is float64, or for integers int64, or object (Python ints)
-    where |f|**2 * size could leave int64.  The running sums ``run``
-    (without the base) and the sum ``total`` are computed once, on first use.
+    where |f|**2 * size could leave int64.  ``total`` is the block's sum;
+    the running sums ``run`` (without the base) are computed on first use.
     """
 
-    def __init__(self, lo: int, values: np.ndarray, base, exact: bool):
+    def __init__(self, lo: int, values: np.ndarray, base: Fraction, exact: bool):
         self.dtype = np.float64
         if exact:
             if values.dtype.kind == "f":
@@ -155,17 +138,29 @@ class Block:
             self.dtype = np.int64 if peak * peak * values.size < 2**63 else object
             values = values if self.dtype is np.int64 else values.astype(object)
         self.lo, self.hi = lo, lo + values.size - 1
-        self.values, self.base, self.exact = values, base, exact
+        self.values, self.exact = values, exact
+        self.base = self.rounded(base)
+        self.total = self.sum(values)
+
+    def rounded(self, total):
+        """An exact sum as an int for integer blocks, else correctly rounded
+        to a finite float."""
+        where = f"a sum through f({self.lo}..{self.hi})"
+        return int(total) if self.exact else as_float(total, where)
+
+    def sum(self, x: np.ndarray):
+        """Sum terms of this block: exactly for integers, with math.fsum
+        (correctly rounded) for reals."""
+        if self.exact:
+            return int(x.sum(dtype=self.dtype))
+        try:
+            return self.rounded(math.fsum(x.tolist()))
+        except (OverflowError, ValueError):  # fsum overflowed inside, or met inf - inf
+            return self.rounded(math.nan)
 
     @cached_property
     def run(self) -> np.ndarray:
         return np.cumsum(self.values, dtype=self.dtype)
-
-    @cached_property
-    def total(self):
-        if self.exact:
-            return int(self.values.sum(dtype=self.dtype))
-        return math.fsum(self.values.tolist())
 
 
 def stream(seq: ArithmeticSequence, last: int, probes, *,
@@ -176,19 +171,14 @@ def stream(seq: ArithmeticSequence, last: int, probes, *,
     ``block_size`` defaults to 2**20 or the SUMMATORIA_BLOCK_SIZE
     environment variable; ``threads`` worker threads evaluate blocks.
     """
-    exact = seq.integer_valued
-    total = 0
-    acc = NeumaierSum()
+    total = Fraction(0)
     ranges = list(sieve.iter_block_ranges(1, last, sieve.resolve_block_size(block_size)))
     for (lo, _), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
-        block = Block(lo, arr, total if exact else acc.value, exact)
+        block = Block(lo, arr, total, seq.integer_valued)
         for probe in probes:
             probe.add(block)
-        if exact:
-            total += block.total
-        else:
-            acc.add(block.total)
-    return total if exact else acc.value
+        total += Fraction(block.total)
+    return block.rounded(total)
 
 
 class Checkpoints:

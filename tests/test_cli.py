@@ -138,7 +138,7 @@ def test_capacity_error_exits_two(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("value, status", [
-    ("abc", 1), ("1e6", 1), ("0", 1), ("20000000", 2),
+    ("abc", 1), ("1e6", 1), ("0", 1), ("20000000", 2), ("1_000", 1), ("+64", 1),
 ])
 def test_bad_block_size_env_var_is_named(value, status, capsys, monkeypatch):
     monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", value)
@@ -200,6 +200,26 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "n,S\n10,-1\n"
+
+
+def test_cli_import_leaves_scipy_special_and_integrate_unloaded():
+    # compute and synth never reach ndtr or quad, so neither is imported up front.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, summatoria.cli; "
+         "print(sorted({'scipy.special', 'scipy.integrate'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_non_finite_sum_exits_two(tmp_path, capsys):
+    csv = tmp_path / "huge.csv"
+    csv.write_text("k,f\n1,1e308\n2,1e308\n")
+    status, _, err = run_cli("compute", "--function", f"file:{csv}", "--N", "2",
+                             "--checkpoints", "2", capsys=capsys)
+    assert status == 2
+    assert "f(1..2) is not finite" in err and "Traceback" not in err
 
 
 def test_explicit_flags_beat_config_values_equal_to_defaults(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from summatoria import (
     weighted_mobius_trace,
     write_trace_csv,
 )
+from summatoria.traces import stream
 
 
 def test_mertens_examples():
@@ -175,3 +177,38 @@ def test_closed_form_declared_integer_fails_loudly(fn):
     seq = sequence_from_function(fn, 10, magnitude_bound=1e19, integer_valued=True)
     with pytest.raises(NumericError, match="integer-valued"):
         summatory_trace(seq, 10, [10])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=1, max_size=300)
+       .filter(lambda v: any(x != round(x) for x in v)),
+       st.integers(1, 64))
+def test_stream_merges_block_sums_exactly(values, block_size):
+    # The merge of the fsum-rounded block sums is exact, then rounded once.
+    seq = sequence_from_values(np.array(values))
+    assert not seq.integer_valued
+    blocks = [math.fsum(values[i : i + block_size]) for i in range(0, len(values), block_size)]
+    total = stream(seq, len(values), [], block_size=block_size)
+    assert total == math.fsum(blocks)
+    if block_size == 1:
+        assert total == math.fsum(values)
+
+
+def test_stream_total_is_correctly_rounded():
+    # A compensated float running sum can return 1.0 here; the true sum rounds up.
+    seq = sequence_from_values(np.array([1.0, 2.0**-53, 2.0**-110]))
+    assert stream(seq, 3, [], block_size=1) == 1.0000000000000002
+
+
+def test_infinite_term_fails_loudly():
+    seq = sequence_from_function(lambda k: np.where(k == 5, np.inf, 1.0), 10,
+                                 magnitude_bound=math.inf)
+    with pytest.raises(NumericError, match=r"f\(4\.\.6\) is not finite"):
+        summatory_trace(seq, 10, [10], block_size=3)
+
+
+@pytest.mark.parametrize("block_size", [1, 2])
+def test_overflowing_sum_fails_loudly(block_size):
+    seq = sequence_from_values(np.array([1e308, 1e308]))
+    with pytest.raises(NumericError, match="not finite"):
+        stream(seq, 2, [], block_size=block_size)
