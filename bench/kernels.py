@@ -1,7 +1,8 @@
-"""Before/after numbers of the sieve kernel, written to BENCH_sieve.json.
+"""Before/after numbers of the package's kernels, written to BENCH_kernels.json.
 
-    PYTHONPATH=src python3 bench/sieve_kernel.py kernel
-    python3 bench/sieve_kernel.py pairs --parent DIR --workload NAME --seeds 1,2,3
+    PYTHONPATH=src python3 bench/kernels.py kernel
+    PYTHONPATH=src python3 bench/kernels.py sum
+    python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section sum]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
 at 3e7 and one ending at 1e9, best of 5 in this process, with the
@@ -9,11 +10,16 @@ reference kernel of ``tests/reference_sieve.py`` and with
 ``summatoria.sieve.sieve_block``, after checking that both give the same
 bytes; then ``mertens_trace(3e7)``, best of 3, at 1 and 2 threads with
 each kernel (the reference is swapped in for ``sieve.sieve_block``).
-The runs of the two kernels alternate.
+``sum`` times the sum of one 2**20 block of mu(k)/k and of 1/k ending at
+2**20, 10 * 2**20 and 3e7, best of 5: ``math.fsum(x.tolist())`` against
+the exact ``traces.Block`` sum rounded once, after checking both give
+the same float.  The runs of the two sides alternate.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
-replaces its own section of the JSON file and the machine record.
+replaces its own section of the JSON file and the machine record; with
+``--section sum``, ``pairs`` writes into the ``sum`` section, else into
+the sieve kernel's top-level ``perfbench_pairs``.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ import time
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-OUT = os.path.join(HERE, os.pardir, "BENCH_sieve.json")
+OUT = os.path.join(HERE, os.pardir, "BENCH_kernels.json")
 BLOCK = 1 << 20
 BLOCK_ENDS = (30_000_000, 1_000_000_000)
 TRACE_N = 30_000_000
+SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
 
 
 def best_of(k: int, fns: dict) -> dict:
@@ -88,10 +95,36 @@ def kernel_section() -> dict:
                            "reference_s": round(secs["reference"], 3),
                            "new_s": round(secs["new"], 3)})
     return {
-        "command": "PYTHONPATH=src python3 bench/sieve_kernel.py kernel",
+        "command": "PYTHONPATH=src python3 bench/kernels.py kernel",
         "block_2pow20_best_of_5": blocks,
         "mertens_trace_best_of_3": trace_rows,
     }
+
+
+def sum_section() -> dict:
+    from summatoria import sequences, traces
+
+    def exact(x, lo):
+        block = traces.Block(lo, x, 0, False)
+        return block.rounded(block.total)
+
+    rows = []
+    for hi in SUM_BLOCK_ENDS:
+        lo = hi - BLOCK + 1
+        for name, seq in (("mu(k)/k", sequences.weighted_mobius_sequence(hi)),
+                          ("1/k", sequences.sequence_from_function(
+                              lambda k: 1.0 / k, hi, magnitude_bound=1.0))):
+            x = seq.values(lo, hi)
+            runs = {"fsum": lambda: math.fsum(x.tolist()), "exact": lambda: exact(x, lo)}
+            if runs["fsum"]() != runs["exact"]():
+                raise SystemExit(f"{name}: sums differ on [{lo}, {hi}]")
+            ms = {side: 1e3 * t for side, t in best_of(5, runs).items()}
+            rows.append({"terms": name, "lo": lo, "hi": hi,
+                         "fsum_tolist_ms": round(ms["fsum"], 1),
+                         "exact_ms": round(ms["exact"], 1),
+                         "speedup": round(ms["fsum"] / ms["exact"], 2)})
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py sum",
+            "block_2pow20_best_of_5": rows}
 
 
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
@@ -143,22 +176,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("kernel")
+    sub.add_parser("sum")
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
+    pairs.add_argument("--section", choices=["sum"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
+    section = doc.setdefault("sum", {}) if "sum" in (args.command, getattr(args, "section", None)) else doc
     if args.command == "kernel":
         doc["kernel"] = kernel_section()
+    elif args.command == "sum":
+        section.update(sum_section())
     else:
-        doc.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
+        section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)
-    doc["machine"] = machine()
+    section["machine"] = machine()
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -177,6 +177,9 @@ def cmd_synth(args) -> int:
         if args.format == "json":
             _write_json(schedules.schedule_to_json_dict(schedule), out)
             return 0
+        if args.N is None:
+            raise ValueError("synth needs --N for its CSV realization (the schedule JSON "
+                             "of --format json does not)")
         seq = schedules.realize_greedy(schedule, args.N)
         out.write("k,f\n")
         for k, f in enumerate(seq.values(1, args.N), start=1):
@@ -317,6 +320,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(command, help=help_text)
         for option in ("config", *options):
             kwargs = _report_format(command, formats) if option == "format" else _OPTIONS[option]
+            if (command, option) == ("synth", "N"):  # the schedule JSON reads no N
+                kwargs = {**kwargs, "required": False}
             p.add_argument(f"--{option}", **kwargs)
     return parser
 

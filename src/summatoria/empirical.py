@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BoundError, DegenerateSampleError
 from .sequences import ArithmeticSequence
-from .traces import Block, Checkpoints, as_float, stream
+from .traces import Block, as_float, stream
 
 STANDARD_NORMAL = "standard-normal"
 UNIFORM_01 = "uniform(0,1)"
@@ -72,7 +72,7 @@ def empirical_mean(seq: ArithmeticSequence, n: int) -> float:
 class Moments:
     """Probe: mean and population variance of f over {1..n}.
 
-    The mean is S(n)/n from the stream's running sum.  Integer values keep
+    The mean is the exact S(n)/n, rounded once.  Integer values keep
     sum f**2 exactly.  Real values merge each block's (count, mean, M2)
     into the running M2 (Chan, Golub & LeVeque 1979), so a large common
     offset never cancels the spread.
@@ -80,7 +80,7 @@ class Moments:
 
     def __init__(self, n: int):
         self.n, self.exact = n, True
-        self.s = 0  # S(n) once the stream has passed n
+        self.s = 0  # exact S(n) once the stream has passed n
         self.s2 = 0  # sum f**2 (integer values) or M2 (real values)
 
     def add(self, block: Block) -> None:
@@ -90,18 +90,20 @@ class Moments:
         self.exact = block.exact
         x = block.values[:m].astype(block.dtype, copy=False)
         total = block.total if m == block.values.size else block.sum(x)
-        self.s = block.base + total
+        self.s = block.start + total
         if block.exact:
             self.s2 += block.sum(x * x)
             return
-        d = x - total / m
-        delta = total / m - block.base / k if k else 0.0
-        self.s2 += block.sum(d * d) + delta * delta * (k * m / (k + m))
+        mean = total / m
+        d = x - block.rounded(mean)
+        delta = block.rounded(mean - block.start / k) if k else 0.0
+        self.s2 += block.rounded(block.sum(d * d)) + delta * delta * (k * m / (k + m))
 
     def result(self) -> tuple[float, float]:
         n, s = self.n, self.s
+        mean = as_float(Fraction(s, n), "the mean")
         # For integers (s2*n - s*s) is exact, so the single float division rounds once.
-        return s / n, (self.s2 * n - s * s) / n / n if self.exact else self.s2 / n
+        return mean, (self.s2 * n - s * s) / n / n if self.exact else self.s2 / n
 
 
 def empirical_moments(seq: ArithmeticSequence, n: int) -> tuple[float, float]:
@@ -156,19 +158,21 @@ class LagCorrelations:
 
     Each block's sums of f(k) f(k+h) are merged exactly, with the last
     max(lags) values carried across block boundaries.  The plain sums
-    come from S at h, n and n + h.
+    come from the exact S at h, n and n + h.
     """
 
     def __init__(self, n: int, lags):
         self.n, self.lags = n, tuple(lags)
-        self.sums = Checkpoints(np.unique([n, *self.lags, *(n + h for h in self.lags)]))
-        self.products = dict.fromkeys(self.lags, Fraction(0))
+        self.points = np.unique([n, *self.lags, *(n + h for h in self.lags)])
+        self.sums = {}  # exact S(k) at the points the stream has passed
+        self.products = dict.fromkeys(self.lags, 0)
         # (min, max) of f over the window [h+1, n+h]; h = 0 is the window of f(k).
         self.ranges = {h: (math.inf, -math.inf) for h in (0, *self.lags)}
         self.tail = np.empty(0, dtype=np.int8)  # last max(lags) values; int8 widens to any dtype
 
     def add(self, block: Block) -> None:
-        self.sums.add(block)
+        hits, sums = block.sums_at(self.points)
+        self.sums.update(zip(hits.tolist(), sums))
         values = block.values.astype(block.dtype, copy=False)
         ext = np.concatenate((self.tail, values))
         start = block.lo - self.tail.size  # ext[0] is f(start)
@@ -180,20 +184,19 @@ class LagCorrelations:
             a, b = max(1, block.lo - h) - start, min(self.n, block.hi - h) - start
             if a > b:
                 continue
-            self.products[h] += Fraction(block.sum(ext[a : b + 1] * ext[a + h : b + h + 1]))
+            self.products[h] += block.sum(ext[a : b + 1] * ext[a + h : b + h + 1])
         self.tail = ext[-max(self.lags):].copy()
 
     def result(self) -> list[float]:
-        n = self.n
-        S = dict(zip(self.sums.checkpoints.tolist(), self.sums.values))
+        n, S = self.n, self.sums
         out = []
         for h in self.lags:
-            mean_xy = as_float(self.products[h], f"the sum of f(k) f(k+{h})") / n
-            # The correlation gap of a constant window is identically zero;
-            # skip the float path so the cancellation is exact.
+            # n**2 rho = n P - S(n) (S(n+h) - S(h)), exact, so rho rounds once.
+            # Real products are rounded before they are summed, so a constant
+            # window is set to zero, as it is exactly.
             constant = any(lo == hi for lo, hi in (self.ranges[0], self.ranges[h]))
-            rho = mean_xy - (float(S[n]) / n) * (float(S[n + h] - S[h]) / n)
-            out.append(0.0 if constant else rho)
+            gap = n * self.products[h] - S[n] * (S[n + h] - S[h])
+            out.append(0.0 if constant else as_float(Fraction(gap, n * n), f"rho at lag {h}"))
         return out
 
 

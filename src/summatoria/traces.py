@@ -4,20 +4,21 @@ streaming engine every statistic in the package runs on.
 ``stream`` walks f(1..last) once in blocks and hands each block, in
 block order, to a list of probes: checkpoint sums here, strided samples
 for the KS statistics, moments and lag products in ``empirical``.  It
-keeps the running base S(lo - 1) once.  ``Block.sum`` is the one rule
-for summing a block: exactly for integer values (int64, or Python ints
-where int64 could wrap), with math.fsum (correctly rounded) for reals.
-Block sums are merged exactly, as a Fraction, and a sum that is not
-finite raises NumericError.  Blocks may be evaluated on worker threads,
-but probes always see them in order, so results do not depend on the
-thread count.
+keeps the running sum S(lo - 1) once, exactly.  ``Block.sum`` is the one
+rule for summing a block, and it is exact: integers as int64 (or Python
+ints where int64 could wrap), reals through ``exact_prefix_sums``, which
+bins mantissa halves by exponent with ``np.bincount``.  So every S(n) at
+a checkpoint is the exact sum, rounded once to float: the correctly
+rounded value, whatever the block size or thread count.  A sum that is
+not finite raises NumericError.  Blocks may be evaluated on worker
+threads, but probes always see them in order, so results do not depend
+on the thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .sequences import (
 )
 
 EXACT_INTEGER = "exact-integer"
-COMPENSATED_FLOAT = "compensated-float"
+COMPENSATED_FLOAT = "compensated-float"  # a report value: float sums are now exact, rounded once
 
 
 @dataclass(frozen=True)
@@ -111,21 +112,95 @@ def _ordered_map(fn, args_iter: Iterable[tuple], threads: int) -> Iterator:
 
 
 def as_float(total, where: str) -> float:
-    """``total``, a float or an exact Fraction, correctly rounded to a finite float."""
-    if not abs(total) <= sys.float_info.max:  # nan, inf, or a Fraction beyond the range
+    """``total``, a number or an exact Fraction, correctly rounded to a finite float."""
+    try:
+        value = float(total)
+    except OverflowError:  # a Fraction or int that rounds beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
         raise NumericError(f"{where} is not finite")
-    return float(total)
+    return value
+
+
+# Bins of one bincount call in exact_prefix_sums: bounds its memory when
+# many prefixes end inside one array.
+_MAX_BINS = 1 << 16
+_LANES = 8
+_GROUP = 8
+
+
+def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
+    """The exact sum of x[:e] for each e of ``ends`` (nondecreasing), for
+    finite float64 x of at most 2**26 terms.
+
+    Each term is mant * 2**ex with 0.5 <= |mant| < 1 (``np.frexp``), and
+    mant * 2**26 splits exactly into hi = floor(mant * 2**26), an integer
+    below 2**26 in magnitude, and lo in [0, 1), a multiple of 2**-27.  Two
+    ``np.bincount`` calls sum hi and lo * 2**27 per (segment, exponent)
+    bin; every partial sum is an integer below 2**53, so the float adds
+    are exact.  The bins then fold into a few int64 columns, and those
+    into one Python int per prefix (Neal 2015, "small superaccumulator";
+    Demmel & Hida 2004).
+    """
+    if x.size > 2**26:
+        raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {x.size}")
+    mant, ex = np.frexp(x)
+    mant *= 2.0**26
+    hi = np.floor(mant)
+    lo = np.subtract(mant, hi, out=mant)
+    lo *= 2.0**27
+    e0 = int(ex.min(initial=0))
+    width = int(ex.max(initial=0)) - e0 + 1
+    # Bin of each term within its segment: exponent, then one of _LANES
+    # lanes, so that a run of equal exponents does not chain its adds.
+    ex = np.subtract(ex, e0, dtype=np.intp)
+    ex *= _LANES
+    ex[: x.size // _LANES * _LANES].reshape(-1, _LANES)[...] += np.arange(_LANES)
+    ends = np.asarray(ends, dtype=np.intp)
+    sums, carry, start = [], np.zeros((2, 1, width)), 0
+    step = max(1, _MAX_BINS // (width * _LANES))  # segments per bincount
+    for k in range(0, ends.size, step):
+        cut = ends[k : k + step]
+        idx = ex[start : cut[-1]]
+        if cut.size > 1:  # segment j holds the terms before cut[j] and from cut[j - 1]
+            offsets = np.arange(cut.size) * (width * _LANES)
+            idx = idx + np.repeat(offsets, np.diff(cut, prepend=start))
+        bins = np.stack([np.bincount(idx, w[start : cut[-1]], minlength=cut.size * width * _LANES)
+                         for w in (hi, lo)]).reshape(2, cut.size, width, _LANES).sum(axis=3)
+        bins = np.cumsum(bins, axis=1) + carry  # prefix sums: still integers below 2**53
+        carry, start = bins[:, -1:], cut[-1]
+        # Column j of a row weighs 2**(e0 + j - 53): hi lands 27 columns above
+        # lo, and _GROUP adjacent columns fold into one int64 (below 2**62).
+        cols = np.zeros((cut.size, -(-(width + 27) // _GROUP) * _GROUP), dtype=np.int64)
+        cols[:, 27 : 27 + width] = bins[0]
+        cols[:, :width] += bins[1].astype(np.int64)
+        cols = (cols.reshape(cut.size, -1, _GROUP) << np.arange(_GROUP)).sum(axis=2)
+        used = np.flatnonzero(cols.any(axis=0))
+        scales = np.array([1 << (_GROUP * g) for g in used.tolist()], dtype=object)
+        for n in (cols[:, used].astype(object) * scales).sum(axis=1).tolist():
+            sums.append(Fraction(n << (e0 - 53)) if e0 >= 53 else Fraction(n, 1 << (53 - e0)))
+    return sums
+
+
+# The running sums of a real block (``Block.run``, for the KS partial-sum
+# samples) restart from the correctly rounded S(c) at every multiple c of
+# RUN_CELL, the default block size, so they are the same at every block size.
+RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
 
 
 class Block:
-    """One streamed block: ``values`` holds f(lo..hi), ``base`` is S(lo - 1).
+    """One streamed block: ``values`` holds f(lo..hi), ``start`` is the exact
+    S(lo - 1) and ``base`` the same rounded by ``rounded``.
 
     ``dtype`` is float64, or for integers int64, or object (Python ints)
-    where |f|**2 * size could leave int64.  ``total`` is the block's sum;
-    the running sums ``run`` (without the base) are computed on first use.
+    where |f|**2 * size could leave int64.  ``total`` is the block's exact
+    sum, computed on first use unless ``sums_at`` got it along the way.
+    ``carry`` is what ``run`` of a real block needs of the block before:
+    the anchor and float cumsum of its last cell, or None where that block
+    ended a cell.
     """
 
-    def __init__(self, lo: int, values: np.ndarray, base: Fraction, exact: bool):
+    def __init__(self, lo: int, values: np.ndarray, start, exact: bool, carry=None):
         self.dtype = np.float64
         if exact:
             if values.dtype.kind == "f":
@@ -138,9 +213,8 @@ class Block:
             self.dtype = np.int64 if peak * peak * values.size < 2**63 else object
             values = values if self.dtype is np.int64 else values.astype(object)
         self.lo, self.hi = lo, lo + values.size - 1
-        self.values, self.exact = values, exact
-        self.base = self.rounded(base)
-        self.total = self.sum(values)
+        self.values, self.exact, self.carry = values, exact, carry
+        self.start, self.base = start, self.rounded(start)
 
     def rounded(self, total):
         """An exact sum as an int for integer blocks, else correctly rounded
@@ -149,49 +223,90 @@ class Block:
         return int(total) if self.exact else as_float(total, where)
 
     def sum(self, x: np.ndarray):
-        """Sum terms of this block: exactly for integers, with math.fsum
-        (correctly rounded) for reals."""
-        if self.exact:
-            return int(x.sum(dtype=self.dtype))
-        try:
-            return self.rounded(math.fsum(x.tolist()))
-        except (OverflowError, ValueError):  # fsum overflowed inside, or met inf - inf
-            return self.rounded(math.nan)
+        """The exact sum of terms of this block: an int for integers, else
+        a Fraction."""
+        return int(x.sum(dtype=self.dtype)) if self.exact else self._real_sums(x, [x.size])[0]
+
+    def _real_sums(self, x: np.ndarray, ends) -> list[Fraction]:
+        if not np.isfinite(x).all():
+            raise NumericError(f"a sum through f({self.lo}..{self.hi}) is not finite")
+        return exact_prefix_sums(x, ends)
 
     @cached_property
-    def run(self) -> np.ndarray:
+    def total(self):
+        return self.sum(self.values)
+
+    def sums_at(self, ns: np.ndarray) -> tuple[np.ndarray, list]:
+        """The n of the increasing ``ns`` that fall in this block, and the
+        exact S(n) at each; for reals one pass also yields ``total``."""
+        hits = ns[(ns >= self.lo) & (ns <= self.hi)]
+        if not hits.size:
+            return hits, []
+        if self.exact:
+            return hits, self.run(hits - self.lo).tolist()
+        *sums, total = self._real_sums(self.values, [*(hits - self.lo + 1), self.values.size])
+        self.__dict__.setdefault("total", total)  # fills the cached_property
+        return hits, [self.start + s for s in sums]
+
+    def run(self, at) -> np.ndarray:
+        """S(k) at the block positions ``at`` (a slice or index array): exact
+        for integers.  For reals, S(k) is the correctly rounded S(c) at the
+        last multiple c of RUN_CELL below k, plus the float cumsum of
+        f(c+1..k), so it is the same at every block size."""
+        return self.base + self._cumsum[at] if self.exact else self._real_run[0][at]
+
+    def next_carry(self):
+        """The ``carry`` of the block after this one."""
+        return None if self.exact or self.hi % RUN_CELL == 0 else self._real_run[1]
+
+    @cached_property
+    def _cumsum(self) -> np.ndarray:
         return np.cumsum(self.values, dtype=self.dtype)
+
+    @cached_property
+    def _real_run(self) -> tuple[np.ndarray, tuple]:
+        cells = np.arange(-(-self.lo // RUN_CELL) * RUN_CELL, self.hi, RUN_CELL)  # cell ends
+        anchor, acc = self.carry or (self.base, 0.0)
+        anchors = [anchor, *map(self.rounded, self.sums_at(cells)[1])]
+        run = self.values.astype(np.float64)
+        bounds = [0, *(cells - self.lo + 1).tolist(), run.size]
+        for anchor, a, b in zip(anchors, bounds, bounds[1:]):
+            run[a] += acc
+            part = np.cumsum(run[a:b], out=run[a:b])
+            carry, acc = (anchor, float(part[-1])), 0.0
+            part += anchor
+        return run, carry
 
 
 def stream(seq: ArithmeticSequence, last: int, probes, *,
            block_size: int | None = None, threads: int = 1):
     """Walk f(1..last) once, handing each ``Block`` to every probe's
-    ``add(block)`` in block order, and return S(last).
+    ``add(block)`` in block order, and return S(last), rounded once.
 
     ``block_size`` defaults to 2**20 or the SUMMATORIA_BLOCK_SIZE
     environment variable; ``threads`` worker threads evaluate blocks.
     """
-    total = Fraction(0)
+    total, carry = 0, None  # total is exact: an int, or a Fraction once a real block is added
     ranges = list(sieve.iter_block_ranges(1, last, sieve.resolve_block_size(block_size)))
-    for (lo, _), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
-        block = Block(lo, arr, total, seq.integer_valued)
+    for (lo, hi), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
+        block = Block(lo, arr, total, seq.integer_valued, carry)
         for probe in probes:
             probe.add(block)
-        total += Fraction(block.total)
+        total += block.total
+        carry = block.next_carry() if hi < last else None
     return block.rounded(total)
 
 
 class Checkpoints:
-    """Probe: S(n) at every checkpoint of a validated schedule."""
+    """Probe: S(n) at every checkpoint of a validated schedule, each the
+    exact sum rounded once."""
 
     def __init__(self, checkpoints: np.ndarray):
         self.checkpoints = checkpoints
         self.values = []
 
     def add(self, block: Block) -> None:
-        cps = self.checkpoints
-        hits = cps[(cps >= block.lo) & (cps <= block.hi)]
-        self.values.extend(block.base + block.run[hits - block.lo] if hits.size else ())
+        self.values.extend(map(block.rounded, block.sums_at(self.checkpoints)[1]))
 
     def trace(self, seq: ArithmeticSequence) -> SummatoryTrace:
         kind = EXACT_INTEGER if seq.integer_valued else COMPENSATED_FLOAT
@@ -212,7 +327,7 @@ class Strided:
         if first > upper:
             return
         at = slice(first - block.lo, upper - block.lo + 1, self.stride)
-        got = block.base + block.run[at] if self.sums else block.values[at]
+        got = block.run(at) if self.sums else block.values[at]
         dest = first // self.stride - 1
         self.sample[dest : dest + got.size] = got
 
@@ -255,7 +370,7 @@ def liouville_trace(N: int, checkpoints=None, *, block_size: int | None = None,
 
 def weighted_mobius_trace(N: int, checkpoints=None, *, block_size: int | None = None,
                           threads: int = 1) -> SummatoryTrace:
-    """sum_{k<=n} mu(k)/k at each checkpoint, compensated."""
+    """sum_{k<=n} mu(k)/k at each checkpoint, correctly rounded."""
     return summatory_trace(weighted_mobius_sequence(N), N, checkpoints,
                            block_size=block_size, threads=threads)
 

@@ -1,7 +1,7 @@
 """The block sieve as it was before the 44100-periodic pre-sieve and the
 arithmetic finale, kept verbatim as a differential oracle for
 ``summatoria.sieve.sieve_block`` (tests/test_sieve.py and
-bench/sieve_kernel.py)."""
+bench/kernels.py)."""
 
 from __future__ import annotations
 

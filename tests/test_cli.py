@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -81,6 +82,24 @@ def test_synth_csv_and_schedule_json(capsys):
     doc = json.loads(out)
     assert doc["perturbation"]["kind"] == "log"
     assert doc["values"] == [1.0, -1.0]
+
+
+def test_synth_schedule_json_needs_no_n(capsys):
+    status, out, _ = run_cli("synth", "--function", "synth:log", "--format", "json",
+                             capsys=capsys)
+    assert status == 0
+    assert out == run_cli("synth", "--function", "synth:log", "--N", "9",
+                          "--format", "json", capsys=capsys)[1]
+    # the bytes of the pinned README-table golden
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "15b1ea91cf1f85d5b8e0a7f3e6fbef571f03efe6cbecb67a88fb0d737a0a4a5c")
+
+
+def test_synth_csv_without_n_exits_one(capsys):
+    status, out, err = run_cli("synth", "--function", "synth:log", capsys=capsys)
+    assert status == 1
+    assert out == ""
+    assert "--N" in err
 
 
 def test_file_sequence_round_trip(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -202,6 +203,18 @@ def test_exact_moments_do_not_wrap_int64():
     seq = sequence_from_values(1e8 + k % 2)
     assert seq.integer_valued
     assert empirical_moments(seq, 10**5) == (1e8 + 0.5, 0.25)
+
+
+def test_integer_rho_rounds_once_from_exact_sums():
+    # mean_xy - mean_x * mean_y cancels to 0.0 here; the true gap is about -0.25.
+    n, h = 99995, 3
+    f = [10**8 + k % 2 for k in range(1, n + h + 1)]
+    seq = sequence_from_values(np.array(f, dtype=np.float64))
+    assert seq.integer_valued
+    p, s, c = sum(a * b for a, b in zip(f, f[h:])), sum(f[:n]), sum(f[h:])
+    exact = Fraction(n * p - s * c, n * n)
+    assert independence_estimator(seq, n, h) == float(exact)
+    assert independence_estimator(seq, n, h) == pytest.approx(-0.25, abs=1e-9)
 
 
 def test_float_variance_survives_a_large_offset():

@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,8 @@ from summatoria import (
     weighted_mobius_trace,
     write_trace_csv,
 )
-from summatoria.traces import stream
+from summatoria import traces
+from summatoria.traces import Block, Strided, exact_prefix_sums, stream
 
 
 def test_mertens_examples():
@@ -184,14 +187,11 @@ def test_closed_form_declared_integer_fails_loudly(fn):
        .filter(lambda v: any(x != round(x) for x in v)),
        st.integers(1, 64))
 def test_stream_merges_block_sums_exactly(values, block_size):
-    # The merge of the fsum-rounded block sums is exact, then rounded once.
+    # Exact block sums, merged exactly and rounded once: the correctly
+    # rounded total at every block size.
     seq = sequence_from_values(np.array(values))
     assert not seq.integer_valued
-    blocks = [math.fsum(values[i : i + block_size]) for i in range(0, len(values), block_size)]
-    total = stream(seq, len(values), [], block_size=block_size)
-    assert total == math.fsum(blocks)
-    if block_size == 1:
-        assert total == math.fsum(values)
+    assert stream(seq, len(values), [], block_size=block_size) == math.fsum(values)
 
 
 def test_stream_total_is_correctly_rounded():
@@ -212,3 +212,93 @@ def test_overflowing_sum_fails_loudly(block_size):
     seq = sequence_from_values(np.array([1e308, 1e308]))
     with pytest.raises(NumericError, match="not finite"):
         stream(seq, 2, [], block_size=block_size)
+
+
+# Terms across the whole float64 range: subnormals, signed zeros, and
+# mantissas scaled by every exponent.
+any_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+)
+
+
+def block_sum(values) -> float:
+    block = Block(1, np.array(values, dtype=np.float64), 0, False)
+    return block.rounded(block.total)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_float, min_size=1, max_size=200))
+def test_block_sum_is_correctly_rounded(values):
+    try:
+        expected = math.fsum(values)
+    except OverflowError:  # fsum overflows inside even where the exact sum fits
+        try:
+            expected = float(sum(map(Fraction, values)))
+        except OverflowError:
+            with pytest.raises(NumericError, match="not finite"):
+                block_sum(values)
+            return
+    assert block_sum(values) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_float, min_size=0, max_size=120), st.data(), st.integers(1, 4096))
+def test_exact_prefix_sums_match_fractions(values, data, max_bins):
+    # A small _MAX_BINS splits the segments over several bincount calls.
+    ends = sorted(data.draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=30)))
+    saved, traces._MAX_BINS = traces._MAX_BINS, max_bins
+    try:
+        got = exact_prefix_sums(np.array(values, dtype=np.float64), ends)
+    finally:
+        traces._MAX_BINS = saved
+    assert got == [sum(map(Fraction, values[:e]), Fraction(0)) for e in ends]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_block_sum_of_a_non_finite_term_fails_loudly(bad):
+    with pytest.raises(NumericError, match=r"a sum through f\(1\.\.3\) is not finite"):
+        block_sum([1.0, bad, 2.0])
+
+
+def test_block_sum_overflow_fails_only_at_rounding():
+    # Binning by exponent cannot overflow: an exact sum back in range is fine.
+    big = sys.float_info.max
+    assert block_sum([big, big, -big]) == big
+    with pytest.raises(NumericError, match="not finite"):
+        block_sum([1e308, 1e308])
+
+
+def test_checkpoints_inside_a_block_are_correctly_rounded():
+    # 1/k summed naively drifts; each checkpoint must be the exact sum, rounded once.
+    n = 3000
+    terms = np.array([1.0 / k for k in range(1, n + 1)])
+    exact = list(itertools.accumulate(map(Fraction, terms.tolist())))
+    cps = list(range(1, n + 1, 7))
+    seq = sequence_from_values(terms)
+    for block_size in (n, 64, 1):
+        got = summatory_trace(seq, n, cps, block_size=block_size).values.tolist()
+        assert got == [float(exact[c - 1]) for c in cps]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200)
+       .filter(lambda v: any(x != round(x) for x in v)),
+       st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, 2]))
+def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, block_size, threads):
+    # S(k) is the correctly rounded S(c) plus the float cumsum of f(c+1..k),
+    # for c the last multiple of RUN_CELL below k, at every block size.
+    exact = [Fraction(0), *itertools.accumulate(map(Fraction, values))]
+    expected = []
+    for k in range(1, len(values) + 1):
+        c = (k - 1) // cell * cell
+        expected.append(float(exact[c]) + float(np.cumsum(values[c:k])[-1]))
+    probe = Strided(len(values), len(values))
+    saved, traces.RUN_CELL = traces.RUN_CELL, cell
+    try:
+        stream(sequence_from_values(np.array(values)), len(values), [probe],
+               block_size=block_size, threads=threads)
+    finally:
+        traces.RUN_CELL = saved
+    assert probe.sample.tolist() == expected
