@@ -2,7 +2,8 @@
 
     PYTHONPATH=src python3 bench/kernels.py kernel
     PYTHONPATH=src python3 bench/kernels.py sum
-    python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section sum]
+    PYTHONPATH=src python3 bench/kernels.py ks
+    python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section sum|ks]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
 at 3e7 and one ending at 1e9, best of 5 in this process, with the
@@ -14,12 +15,18 @@ each kernel (the reference is swapped in for ``sieve.sieve_block``).
 2**20, 10 * 2**20 and 3e7, best of 5: ``math.fsum(x.tolist())`` against
 the exact ``traces.Block`` sum rounded once, after checking both give
 the same float.  The runs of the two sides alternate.
+``ks`` times ``import scipy.special`` after numpy in fresh interpreters,
+then the normal CDF of the KS samples of ``analyze mu --N 1e6`` (10**6
+points) and of ``verdict mu-over-k --N 4096000`` (13 samples, 3.04e6
+points), best of 5: ``scipy.special.ndtr`` against the package's Phi,
+and the whole KS statistic by ndtr and two step arrays against
+``ks_distance``, after checking that both give the same D.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum``, ``pairs`` writes into the ``sum`` section, else into
-the sieve kernel's top-level ``perfbench_pairs``.
+``--section sum`` or ``ks``, ``pairs`` writes into that section, else
+into the sieve kernel's top-level ``perfbench_pairs``.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ BLOCK = 1 << 20
 BLOCK_ENDS = (30_000_000, 1_000_000_000)
 TRACE_N = 30_000_000
 SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
+KS_ANALYZE_N = 1_000_000
+KS_VERDICT_N = 4_096_000
 
 
 def best_of(k: int, fns: dict) -> dict:
@@ -127,6 +136,55 @@ def sum_section() -> dict:
             "block_2pow20_best_of_5": rows}
 
 
+def scipy_import_s(k: int = 5) -> list[float]:
+    """Seconds of ``import scipy.special`` after numpy, in k fresh interpreters."""
+    code = ("import time, numpy; t = time.perf_counter(); import scipy.special; "
+            "print(time.perf_counter() - t)")
+    return sorted(float(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, check=True).stdout) for _ in range(k))
+
+
+def ks_section() -> dict:
+    from scipy.special import ndtr
+
+    from summatoria import limits, sequences, traces
+    from summatoria.empirical import _normal_cdf_sorted, empirical_cdf, ks_distance
+
+    def ks_with_ndtr(dist):
+        z = (dist.sample - dist.mean) / math.sqrt(dist.variance)
+        ref = ndtr(z)
+        hi = np.arange(1, dist.n + 1, dtype=np.float64) / dist.n
+        lo = np.arange(0, dist.n, dtype=np.float64) / dist.n
+        return float(max(np.max(np.abs(hi - ref)), np.max(np.abs(lo - ref))))
+
+    analyze = traces.Strided(KS_ANALYZE_N, limits.KS_SAMPLE_CAP, sums=False)
+    traces.stream(sequences.mobius_sequence(KS_ANALYZE_N), KS_ANALYZE_N, [analyze])
+    cps = [1000 * 2**k for k in range(13)]  # geometric(1000,2) to KS_VERDICT_N
+    verdict = [traces.Strided(n, limits.KS_SAMPLE_CAP) for n in cps]
+    traces.stream(sequences.weighted_mobius_sequence(KS_VERDICT_N), cps[-1], verdict)
+
+    rows = []
+    for name, samples in (("analyze mu --N 1e6", [analyze.sample]),
+                          ("verdict mu-over-k --N 4096000", [v.sample for v in verdict])):
+        dists = [empirical_cdf(x) for x in samples]
+        if [ks_with_ndtr(d) for d in dists] != [ks_distance(d) for d in dists]:
+            raise SystemExit(f"{name}: D differs between ndtr and ks_distance")
+        zs = [(d.sample - d.mean) / math.sqrt(d.variance) for d in dists]
+        secs = best_of(5, {
+            "ndtr": lambda: [ndtr(z) for z in zs],
+            "phi": lambda: [_normal_cdf_sorted(z) for z in zs],
+            "ks_ndtr": lambda: [ks_with_ndtr(d) for d in dists],
+            "ks_distance": lambda: [ks_distance(d) for d in dists],
+        })
+        rows.append({"samples": name, "points": sum(d.n for d in dists),
+                     **{f"{side}_s": round(t, 4) for side, t in secs.items()}})
+    imports = scipy_import_s()
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py ks",
+            "import_scipy_special_after_numpy_s": {
+                "best": round(imports[0], 3), "median": round(imports[2], 3), "runs": 5},
+            "normal_cdf_best_of_5": rows}
+
+
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", "0"]
@@ -177,22 +235,26 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("kernel")
     sub.add_parser("sum")
+    sub.add_parser("ks")
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section", choices=["sum"])
+    pairs.add_argument("--section", choices=["sum", "ks"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    section = doc.setdefault("sum", {}) if "sum" in (args.command, getattr(args, "section", None)) else doc
+    name = args.command if args.command in ("sum", "ks") else getattr(args, "section", None)
+    section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
         doc["kernel"] = kernel_section()
     elif args.command == "sum":
         section.update(sum_section())
+    elif args.command == "ks":
+        section.update(ks_section())
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

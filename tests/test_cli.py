@@ -221,15 +221,26 @@ def test_console_entry_point_runs():
     assert proc.stdout == "n,S\n10,-1\n"
 
 
-def test_cli_import_leaves_scipy_special_and_integrate_unloaded():
-    # compute and synth never reach ndtr or quad, so neither is imported up front.
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, summatoria.cli; "
-         "print(sorted({'scipy.special', 'scipy.integrate'} & set(sys.modules)))"],
-        capture_output=True, text=True,
-    )
+def test_cli_import_leaves_scipy_special_and_integrate_unloaded(tmp_path):
+    # No command imports scipy: the KS distance has its own Phi, and only the
+    # library's quadrature fallback, which no command reaches, needs scipy.
+    csv = tmp_path / "log2.csv"
+    runs = [["synth", "--function", "synth:log2", "--N", "2000", "--output", str(csv)],
+            ["compute", "--function", "mu-over-k", "--N", "1000"],
+            ["analyze", "--function", "mu", "--N", "1000", "--lag", "1"],
+            ["verdict", "--function", "mu", "--N", "1000"],
+            ["verdict", "--function", f"file:{csv}", "--N", "2000"],
+            ["selftest", "--seed", "1"]]
+    script = ("import contextlib, io, sys\n"
+              "from summatoria import cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+              f"for argv in {runs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def test_non_finite_sum_exits_two(tmp_path, capsys):

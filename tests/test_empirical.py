@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from summatoria import (
     BoundError,
@@ -21,6 +22,7 @@ from summatoria import (
     sequence_from_function,
     sequence_from_values,
 )
+from summatoria.empirical import _ERFC_CUT, _SQRT1_2, _normal_cdf_sorted
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -50,7 +52,7 @@ def test_empirical_mean_bound_error():
 def test_empirical_moments_examples():
     mean, var = empirical_moments(mobius_sequence(10), 10)
     assert mean == -0.1
-    assert var == pytest.approx(0.69, abs=1e-15)  # 7 nonzero mu values in 1..10
+    assert var == 0.69  # 7 nonzero mu values in 1..10: the exact 69/100, rounded once
     const = sequence_from_function(lambda k: np.full_like(k, 2.5), 50,
                                    name="c", magnitude_bound=2.5)
     _, var_c = empirical_moments(const, 50)
@@ -115,6 +117,67 @@ def test_ks_seeded_normal_draw_within_critical_band():
     rng = np.random.default_rng(20260810)
     sample = rng.standard_normal(10**4)
     assert ks_distance(empirical_cdf(sample)) <= 1.63 / math.sqrt(10**4)
+
+
+def _ulps(a, b):
+    # Both arrays hold floats >= 0, whose bit patterns are ordered like their values.
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_normal_cdf_within_4_ulps_of_ndtr():
+    a = np.linspace(-40.0, 40.0, 800_001)
+    assert _ulps(_normal_cdf_sorted(a), ndtr(a)).max() <= 4
+
+
+def test_normal_cdf_close_to_mpmath():
+    # Rounding a / sqrt(2) alone moves exp(-a*a/2) by about a*a/2 ulps in the tail.
+    a = np.sort(np.concatenate([np.linspace(-37.5, 8.2, 301),
+                                np.random.default_rng(3).uniform(-37.5, 8.2, 200)]))
+    exact = np.array([float(mpmath.ncdf(mpmath.mpf(float(v)))) for v in a])
+    rel = np.abs(_normal_cdf_sorted(a) - exact) / exact
+    assert np.all(rel <= 4 * np.finfo(float).eps * (1 + a * a))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normal_cdf_exact_at_branch_edges():
+    assert _normal_cdf_sorted(np.array([-np.inf, -0.0, 0.0, np.inf])).tolist() == [
+        0.0, 0.5, 0.5, 1.0]
+    assert np.isnan(_normal_cdf_sorted(np.array([0.0, np.nan]))[1])
+    # Branches change where |a / sqrt(2)| crosses sqrt(1/2), 1, 8 and the exp
+    # underflow cut-off; take a few floats on each side of each crossing.
+    near = []
+    for edge in (_SQRT1_2, 1.0, 8.0, _ERFC_CUT):
+        for v in (edge / _SQRT1_2, -edge / _SQRT1_2):
+            near.append((np.array([v]).view(np.int64) + np.arange(-3, 4)).view(np.float64))
+            x = np.abs(near[-1] * _SQRT1_2)
+            assert (x < edge).any() and (x > edge).any()
+    a = np.sort(np.concatenate(near))
+    assert _normal_cdf_sorted(a).tolist() == ndtr(a).tolist()
+    cut = -_ERFC_CUT / _SQRT1_2
+    assert _normal_cdf_sorted(np.array([np.nextafter(cut, -np.inf), cut])).tolist() == [
+        0.0, ndtr(cut)]
+    assert ndtr(cut) > 0.0
+
+
+def _ks_distance_with_ndtr(sample, standardize=True):
+    """The KS statistic by ndtr and both step arrays, as the package had it."""
+    d = empirical_cdf(sample)
+    z = (d.sample - d.mean) / math.sqrt(d.variance) if standardize else d.sample
+    ref = ndtr(z)
+    steps_hi = np.arange(1, d.n + 1, dtype=np.float64) / d.n
+    steps_lo = np.arange(0, d.n, dtype=np.float64) / d.n
+    return float(max(np.max(np.abs(steps_hi - ref)), np.max(np.abs(steps_lo - ref))))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ks_distance_bytes_match_ndtr_reference(seed):
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.integers(-1, 2, 200_000)).astype(np.float64)  # many ties
+    for sample in (walk, rng.standard_normal(50_000), rng.integers(-1, 2, 9999) * 1.0):
+        assert ks_distance(empirical_cdf(sample)) == _ks_distance_with_ndtr(sample)
+    grid = np.sort(rng.standard_normal(1000))
+    assert (ks_distance(empirical_cdf(grid), standardize=False)
+            == _ks_distance_with_ndtr(grid, standardize=False))
 
 
 def test_ks_uniform_reference_point_mass():
