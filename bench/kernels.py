@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 bench/kernels.py kernel
     PYTHONPATH=src python3 bench/kernels.py sum
     PYTHONPATH=src python3 bench/kernels.py ks
-    python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section sum|ks]
+    PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
+    python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
 at 3e7 and one ending at 1e9, best of 5 in this process, with the
@@ -21,11 +22,19 @@ points) and of ``verdict mu-over-k --N 4096000`` (13 samples, 3.04e6
 points), best of 5: ``scipy.special.ndtr`` against the package's Phi,
 and the whole KS statistic by ndtr and two step arrays against
 ``ks_distance``, after checking that both give the same D.
+``moments`` times, per 2**20 block of mu(k)/k and of 1/k ending at
+2**20, 10 * 2**20 and 3e7, best of 5: the sum of the rounded products
+f(k) f(k+3) by ``exact_prefix_sums`` against the exact ``Block.dot`` of
+the split values, with the once-per-block ``Block.split`` timed on its
+own; then ``analyze --N 1e6 --threads 2`` of mu, mu-over-k and harmonic
+in DIR (the parent checkout) and here, best of 5 with the two sides
+alternating, with each run's peak RSS and whether the two sides'
+reports are the same bytes.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum`` or ``ks``, ``pairs`` writes into that section, else
+``--section sum``, ``ks`` or ``moments``, ``pairs`` writes into that section, else
 into the sieve kernel's top-level ``perfbench_pairs``.
 """
 
@@ -51,6 +60,8 @@ TRACE_N = 30_000_000
 SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
 KS_ANALYZE_N = 1_000_000
 KS_VERDICT_N = 4_096_000
+MOMENTS_LAG = 3
+ANALYZE_N = 1_000_000
 
 
 def best_of(k: int, fns: dict) -> dict:
@@ -185,6 +196,61 @@ def ks_section() -> dict:
             "normal_cdf_best_of_5": rows}
 
 
+def moments_section(parent: str) -> dict:
+    # The analyze runs come first: a child's ru_maxrss starts from the peak
+    # RSS of this process at the fork, which stays small until then.
+    sides = {"parent": os.path.abspath(parent),
+             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    analyze = []
+    for function in ("mu", "mu-over-k", "harmonic"):
+        argv = [sys.executable, "-m", "summatoria.cli", "analyze", "--function", function,
+                "--N", str(ANALYZE_N), "--threads", "2"]
+        secs, rss, out = {side: [] for side in sides}, {side: [] for side in sides}, {}
+        for i in range(5):
+            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+                start = time.perf_counter()
+                proc = subprocess.Popen(argv, cwd=sides[side], stdout=subprocess.PIPE,
+                                        env=dict(os.environ, PYTHONPATH="src"))
+                out[side] = proc.stdout.read()
+                proc.stdout.close()
+                _, status, usage = os.wait4(proc.pid, 0)
+                secs[side].append(time.perf_counter() - start)
+                rss[side].append(usage.ru_maxrss / 1024)
+                if status:
+                    raise SystemExit(f"analyze {function} failed in {sides[side]}")
+        analyze.append({"function": function, "N": ANALYZE_N, "threads": 2,
+                        "same_bytes": out["parent"] == out["change"],
+                        **{f"{side}_best_s": round(min(secs[side]), 3) for side in sides},
+                        **{f"{side}_median_s": round(statistics.median(secs[side]), 3)
+                           for side in sides},
+                        **{f"{side}_peak_rss_mb": round(max(rss[side]), 1) for side in sides}})
+
+    from summatoria import sequences, traces
+
+    rows = []
+    for hi in SUM_BLOCK_ENDS:
+        lo = hi - BLOCK + 1
+        for name, seq in (("mu(k)/k", sequences.weighted_mobius_sequence(hi + MOMENTS_LAG)),
+                          ("1/k", sequences.sequence_from_function(
+                              lambda k: 1.0 / k, hi + MOMENTS_LAG, magnitude_bound=1.0))):
+            x = seq.values(lo, hi + MOMENTS_LAG)
+            block = traces.Block(lo, x, 0, False)
+            split = block.split()
+            runs = {
+                "rounded": lambda: traces.exact_prefix_sums(x[:BLOCK] * x[MOMENTS_LAG:], [BLOCK]),
+                "split": block.split,
+                "dot": lambda: block.dot(split[:, :BLOCK], split[:, MOMENTS_LAG:]),
+            }
+            ms = {side: 1e3 * t for side, t in best_of(5, runs).items()}
+            rows.append({"terms": name, "lag": MOMENTS_LAG, "lo": lo, "hi": hi,
+                         "rounded_product_ms": round(ms["rounded"], 1),
+                         "split_ms": round(ms["split"], 1),
+                         "exact_dot_ms": round(ms["dot"], 1)})
+
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py moments --parent DIR",
+            "block_2pow20_best_of_5": rows, "analyze_best_of_5": analyze}
+
+
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", "0"]
@@ -236,18 +302,20 @@ def main(argv=None) -> int:
     sub.add_parser("kernel")
     sub.add_parser("sum")
     sub.add_parser("ks")
+    sub.add_parser("moments").add_argument("--parent", required=True)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section", choices=["sum", "ks"])
+    pairs.add_argument("--section", choices=["sum", "ks", "moments"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    name = args.command if args.command in ("sum", "ks") else getattr(args, "section", None)
+    sections = ("sum", "ks", "moments")
+    name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
         doc["kernel"] = kernel_section()
@@ -255,6 +323,8 @@ def main(argv=None) -> int:
         section.update(sum_section())
     elif args.command == "ks":
         section.update(ks_section())
+    elif args.command == "moments":
+        section.update(moments_section(args.parent))
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import schedules, sequences, sieve, traces
-from .empirical import KS_CRITICAL_1PCT, LagCorrelations, Moments, empirical_cdf, ks_distance
+from .empirical import KS_CRITICAL_1PCT, LagCorrelations, empirical_cdf, ks_distance
 from .errors import BoundError, CapacityError, DegenerateSampleError, NumericError
 from .limits import KS_SAMPLE_CAP, full_verdict, verdict_to_json_dict
 from .sequences import ArithmeticSequence
@@ -92,12 +92,14 @@ def _load_file_sequence(path: str) -> ArithmeticSequence:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def resolve_function(function_id: str, N: int) -> ArithmeticSequence:
-    """Map a function id to a sequence bounded by N."""
+def resolve_function(function_id: str, N: int, need: str | None = None) -> ArithmeticSequence:
+    """Map a function id to a sequence bounded by N; ``need`` names that
+    bound where it is not the N given on the command line."""
     if function_id.startswith("file:"):
         seq = _load_file_sequence(function_id[len("file:"):])
         if seq.bound < N:
-            raise ValueError(f"{function_id} holds {seq.bound} values, fewer than N={N}")
+            raise ValueError(f"{function_id} holds {seq.bound} values, "
+                             f"fewer than {need or f'N={N}'}")
         return seq
     if function_id not in _SEQUENCES:
         raise ValueError(f"unknown function id {function_id!r}; expected one of "
@@ -141,19 +143,17 @@ def cmd_compute(args) -> int:
 
 def cmd_analyze(args) -> int:
     N, lags = args.N, args.lag
-    seq = resolve_function(args.function, N + max(lags))
-    moments = Moments(N)
+    seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
     values = traces.Strided(N, KS_SAMPLE_CAP, sums=False)
-    correlations = LagCorrelations(N, lags)
-    traces.stream(seq, N + max(lags), [moments, values, correlations],
-                  threads=args.threads)
-    mean, variance = moments.result()
+    correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
+    traces.stream(seq, N + max(lags), [values, correlations], threads=args.threads)
+    mean, (variance, *rhos) = correlations.mean(), correlations.result()
     dist = empirical_cdf(values.sample)
     try:
         ks_normal = ks_distance(dist)
     except DegenerateSampleError:
         ks_normal = float("nan")
-    rho = list(zip(lags, correlations.result()))
+    rho = list(zip(lags, rhos))
 
     with _open_output(args.output) as out:
         if args.format == "json":

@@ -4,8 +4,9 @@ Restricting a sequence to {1..n} and weighting every point by 1/n turns
 it into a random variable; these helpers compute its mean, population
 variance, empirical CDF, Kolmogorov-Smirnov distance to a reference law,
 and a lagged correlation that quantifies asymptotic independence.  The
-moments and lag correlations are probes of ``traces.stream``, so
-``analyze`` gets all of them from one pass, summed by ``Block.sum``.
+lag correlations are a probe of ``traces.stream``, exact sums of
+products (``Block.dot``) rounded once, and the variance is their lag 0,
+so ``analyze`` gets all of them from one pass.
 """
 
 from __future__ import annotations
@@ -69,51 +70,13 @@ def empirical_mean(seq: ArithmeticSequence, n: int) -> float:
     return stream(seq, n, []) / n
 
 
-class Moments:
-    """Probe: mean and population variance of f over {1..n}.
-
-    The mean is the exact S(n)/n, rounded once.  Integer values keep
-    sum f**2 exactly.  Real values merge each block's (count, mean, M2)
-    into the running M2 (Chan, Golub & LeVeque 1979), so a large common
-    offset never cancels the spread.
-    """
-
-    def __init__(self, n: int):
-        self.n, self.exact = n, True
-        self.s = 0  # exact S(n) once the stream has passed n
-        self.s2 = 0  # sum f**2 (integer values) or M2 (real values)
-
-    def add(self, block: Block) -> None:
-        m, k = min(block.hi, self.n) - block.lo + 1, block.lo - 1  # new and seen counts
-        if m <= 0:
-            return
-        self.exact = block.exact
-        x = block.values[:m].astype(block.dtype, copy=False)
-        total = block.total if m == block.values.size else block.sum(x)
-        self.s = block.start + total
-        if block.exact:
-            self.s2 += block.sum(x * x)
-            return
-        mean = total / m
-        d = x - block.rounded(mean)
-        delta = block.rounded(mean - block.start / k) if k else 0.0
-        self.s2 += block.rounded(block.sum(d * d)) + delta * delta * (k * m / (k + m))
-
-    def result(self) -> tuple[float, float]:
-        n, s = self.n, self.s
-        mean = as_float(Fraction(s, n), "the mean")
-        if not self.exact:
-            return mean, self.s2 / n
-        # n**2 var = n sum f**2 - S(n)**2 is exact for integers, so var rounds once.
-        return mean, as_float(Fraction(self.s2 * n - s * s, n * n), "the variance")
-
-
 def empirical_moments(seq: ArithmeticSequence, n: int) -> tuple[float, float]:
-    """(mean, population variance) of f over {1..n} in one streaming pass."""
+    """(mean, population variance) of f over {1..n} in one streaming pass:
+    the variance is rho(n, 0) of ``LagCorrelations``."""
     _check_range(seq, n)
-    probe = Moments(n)
+    probe = LagCorrelations(n, [0])
     stream(seq, n, [probe])
-    return probe.result()
+    return probe.mean(), probe.result()[0]
 
 
 # Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) in the
@@ -240,51 +203,43 @@ def ks_distance(
 
 
 class LagCorrelations:
-    """Probe: rho(n, h) of ``independence_estimator`` for each lag; the
-    stream must reach n + max(lags).
+    """Probe: rho(n, h) of ``independence_estimator`` for each lag h >= 0,
+    and the mean S(n)/n; the stream must reach n + max(lags).  rho(n, 0)
+    is the population variance.
 
-    Each block's sums of f(k) f(k+h) are merged exactly, with the last
-    max(lags) values carried across block boundaries.  The plain sums
-    come from the exact S at h, n and n + h.
+    Each block's exact sums of f(k) f(k+h) (``Block.dot``) are merged
+    exactly, with the last max(lags) values carried across block
+    boundaries.  The plain sums come from the exact S at h, n and n + h.
     """
 
     def __init__(self, n: int, lags):
         self.n, self.lags = n, tuple(lags)
         self.points = np.unique([n, *self.lags, *(n + h for h in self.lags)])
-        self.sums = {}  # exact S(k) at the points the stream has passed
+        self.sums = {0: 0}  # exact S(k) at the points the stream has passed
         self.products = dict.fromkeys(self.lags, 0)
-        # (min, max) of f over the window [h+1, n+h]; h = 0 is the window of f(k).
-        self.ranges = {h: (math.inf, -math.inf) for h in (0, *self.lags)}
-        self.tail = np.empty(0, dtype=np.int8)  # last max(lags) values; int8 widens to any dtype
+        self.tail = None  # the last max(lags) values, as Block.split gives them
 
     def add(self, block: Block) -> None:
         hits, sums = block.sums_at(self.points)
         self.sums.update(zip(hits.tolist(), sums))
-        values = block.values.astype(block.dtype, copy=False)
-        ext = np.concatenate((self.tail, values))
-        start = block.lo - self.tail.size  # ext[0] is f(start)
-        for h, (lo, hi) in self.ranges.items():
-            a, b = max(block.lo, h + 1) - start, min(block.hi, self.n + h) - start
-            if a <= b:
-                self.ranges[h] = (min(lo, ext[a : b + 1].min()), max(hi, ext[a : b + 1].max()))
-        for h in self.lags:
+        ext = block.split(self.tail)
+        start = block.hi + 1 - ext.shape[-1]  # ext[..., 0] holds f(start)
+        for h in self.products:  # each lag once, though it may be listed twice
             a, b = max(1, block.lo - h) - start, min(self.n, block.hi - h) - start
-            if a > b:
-                continue
-            self.products[h] += block.sum(ext[a : b + 1] * ext[a + h : b + h + 1])
-        self.tail = ext[-max(self.lags):].copy()
+            if a <= b:
+                self.products[h] += block.dot(ext[..., a : b + 1], ext[..., a + h : b + h + 1])
+        self.tail = ext[..., max(0, ext.shape[-1] - max(self.lags)) :].copy()
+
+    def mean(self) -> float:
+        """S(n)/n, rounded once."""
+        return as_float(Fraction(self.sums[self.n], self.n), "the mean")
 
     def result(self) -> list[float]:
+        """rho(n, h) for each lag, rounded once from the exact
+        n**2 rho = n P - S(n) (S(n+h) - S(h)), P the sum of f(k) f(k+h)."""
         n, S = self.n, self.sums
-        out = []
-        for h in self.lags:
-            # n**2 rho = n P - S(n) (S(n+h) - S(h)), exact, so rho rounds once.
-            # Real products are rounded before they are summed, so a constant
-            # window is set to zero, as it is exactly.
-            constant = any(lo == hi for lo, hi in (self.ranges[0], self.ranges[h]))
-            gap = n * self.products[h] - S[n] * (S[n + h] - S[h])
-            out.append(0.0 if constant else as_float(Fraction(gap, n * n), f"rho at lag {h}"))
-        return out
+        return [as_float(Fraction(n * self.products[h] - S[n] * (S[n + h] - S[h]), n * n),
+                         f"rho at lag {h}" if h else "the variance") for h in self.lags]
 
 
 def independence_estimator(seq: ArithmeticSequence, n: int, h: int) -> float:

@@ -3,16 +3,17 @@ streaming engine every statistic in the package runs on.
 
 ``stream`` walks f(1..last) once in blocks and hands each block, in
 block order, to a list of probes: checkpoint sums here, strided samples
-for the KS statistics, moments and lag products in ``empirical``.  It
-keeps the running sum S(lo - 1) once, exactly.  ``Block.sum`` is the one
-rule for summing a block, and it is exact: integers as int64 (or Python
-ints where int64 could wrap), reals through ``exact_prefix_sums``, which
-bins mantissa halves by exponent with ``np.bincount``.  So every S(n) at
-a checkpoint is the exact sum, rounded once to float: the correctly
-rounded value, whatever the block size or thread count.  A sum that is
-not finite raises NumericError.  Blocks may be evaluated on worker
-threads, but probes always see them in order, so results do not depend
-on the thread count.
+for the KS statistics, and lag products (lag 0 gives the variance) in
+``empirical``.  It keeps the running sum S(lo - 1) once, exactly.  A
+``Block`` has one exact rule for sums and one for sums of products:
+integers as int64 (or Python ints where int64 could wrap), reals through
+``exact_prefix_sums``, which bins mantissa halves by exponent with
+``np.bincount``; a product of reals enters it as Dekker's exact
+two-product of the mantissas.  So every S(n) at a checkpoint is the
+exact sum, rounded once to float: the correctly rounded value, whatever
+the block size or thread count.  A sum that is not finite raises
+NumericError.  Blocks may be evaluated on worker threads, but probes
+always see them in order, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -142,9 +143,14 @@ def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
     into one Python int per prefix (Neal 2015, "small superaccumulator";
     Demmel & Hida 2004).
     """
-    if x.size > 2**26:
-        raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {x.size}")
-    mant, ex = np.frexp(x)
+    return _binned_sums(*np.frexp(x), ends)
+
+
+def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> list[Fraction]:
+    """``exact_prefix_sums`` of the terms mant * 2**ex, for mant a multiple
+    of 2**-53 below 1 in magnitude, as ``np.frexp`` gives; overwrites mant."""
+    if mant.size > 2**26:
+        raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {mant.size}")
     mant *= 2.0**26
     hi = np.floor(mant)
     lo = np.subtract(mant, hi, out=mant)
@@ -155,7 +161,7 @@ def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
     # lanes, so that a run of equal exponents does not chain its adds.
     ex = np.subtract(ex, e0, dtype=np.intp)
     ex *= _LANES
-    ex[: x.size // _LANES * _LANES].reshape(-1, _LANES)[...] += np.arange(_LANES)
+    ex[: mant.size // _LANES * _LANES].reshape(-1, _LANES)[...] += np.arange(_LANES)
     ends = np.asarray(ends, dtype=np.intp)
     sums, carry, start = [], np.zeros((2, 1, width)), 0
     step = max(1, _MAX_BINS // (width * _LANES))  # segments per bincount
@@ -186,6 +192,10 @@ def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
 # samples) restart from the correctly rounded S(c) at every multiple c of
 # RUN_CELL, the default block size, so they are the same at every block size.
 RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
+# Veltkamp's splitting factor 2**27 + 1: it cuts a float64 mantissa into
+# two halves of at most 26 bits, whose products are exact (Dekker 1971).
+_VELTKAMP = 134217729.0
+_DOT_CHUNK = 1 << 16  # pairs per pass of Block.dot
 
 
 class Block:
@@ -193,8 +203,9 @@ class Block:
     S(lo - 1) and ``base`` the same rounded by ``rounded``.
 
     ``dtype`` is float64, or for integers int64, or object (Python ints)
-    where |f|**2 * size could leave int64.  ``total`` is the block's exact
-    sum, computed on first use unless ``sums_at`` got it along the way.
+    where |f|**2 * size could leave int64; real values must be finite.
+    ``total`` is the block's exact sum, computed on first use unless
+    ``sums_at`` got it along the way.
     ``carry`` is what ``run`` of a real block needs of the block before:
     the anchor and float cumsum of its last cell, or None where that block
     ended a cell.
@@ -212,6 +223,8 @@ class Block:
             peak = max(int(values.max()), -int(values.min()))
             self.dtype = np.int64 if peak * peak * values.size < 2**63 else object
             values = values if self.dtype is np.int64 else values.astype(object)
+        elif not np.isfinite(values).all():
+            raise NumericError(f"a sum through f({lo}..{lo + values.size - 1}) is not finite")
         self.lo, self.hi = lo, lo + values.size - 1
         self.values, self.exact, self.carry = values, exact, carry
         self.start, self.base = start, self.rounded(start)
@@ -222,19 +235,47 @@ class Block:
         where = f"a sum through f({self.lo}..{self.hi})"
         return int(total) if self.exact else as_float(total, where)
 
-    def sum(self, x: np.ndarray):
-        """The exact sum of terms of this block: an int for integers, else
-        a Fraction."""
-        return int(x.sum(dtype=self.dtype)) if self.exact else self._real_sums(x, [x.size])[0]
-
-    def _real_sums(self, x: np.ndarray, ends) -> list[Fraction]:
-        if not np.isfinite(x).all():
-            raise NumericError(f"a sum through f({self.lo}..{self.hi}) is not finite")
-        return exact_prefix_sums(x, ends)
-
     @cached_property
     def total(self):
-        return self.sum(self.values)
+        """The block's exact sum: an int for integers, else a Fraction."""
+        if self.exact:
+            return int(self.values.sum(dtype=self.dtype))
+        return exact_prefix_sums(self.values, [self.values.size])[0]
+
+    def split(self, head: np.ndarray | None = None) -> np.ndarray:
+        """The block's values, after ``head`` (values of earlier blocks from
+        ``split``) if given, in the form ``dot`` takes: integers as an
+        integer array, reals as rows (mantissa, its high and low halves,
+        exponent)."""
+        if self.exact:
+            x = self.values.astype(self.dtype, copy=False)
+            return x if head is None else np.concatenate((head, x))
+        head = np.empty((4, 0)) if head is None else head
+        out = np.empty((4, head.shape[1] + self.values.size))
+        out[:, : head.shape[1]] = head
+        mant, hi, lo, ex = out[:, head.shape[1] :]
+        mant[...], ex[...] = np.frexp(self.values)
+        np.multiply(mant, _VELTKAMP, out=hi)  # Veltkamp's split: hi keeps the top 26 bits
+        hi -= hi - mant
+        np.subtract(mant, hi, out=lo)
+        return out
+
+    def dot(self, x: np.ndarray, y: np.ndarray):
+        """The exact sum of x * y over x and y from ``split``: an int for
+        integers, else a Fraction.  Each product of mantissas is exactly
+        p + e, p rounded (Dekker's two-product), so p and e join the
+        binned sum with the exponents of x and y added back; no product is
+        ever formed as a float that could underflow or overflow."""
+        if self.exact:
+            return int((x * y).sum())  # dtype object if either side is
+        total = Fraction(0)
+        for k in range(0, x.shape[1], _DOT_CHUNK):  # chunks keep the temporaries in cache
+            (xm, xh, xl, xe), (ym, yh, yl, ye) = x[:, k : k + _DOT_CHUNK], y[:, k : k + _DOT_CHUNK]
+            p = xm * ym
+            mant, ex = np.frexp(np.concatenate((p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)))
+            ex += np.tile((xe + ye).astype(ex.dtype), 2)
+            total += _binned_sums(mant, ex, [mant.size])[0]
+        return total
 
     def sums_at(self, ns: np.ndarray) -> tuple[np.ndarray, list]:
         """The n of the increasing ``ns`` that fall in this block, and the
@@ -244,7 +285,7 @@ class Block:
             return hits, []
         if self.exact:
             return hits, self.run(hits - self.lo).tolist()
-        *sums, total = self._real_sums(self.values, [*(hits - self.lo + 1), self.values.size])
+        *sums, total = exact_prefix_sums(self.values, [*(hits - self.lo + 1), self.values.size])
         self.__dict__.setdefault("total", total)  # fills the cached_property
         return hits, [self.start + s for s in sums]
 

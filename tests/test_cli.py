@@ -344,3 +344,16 @@ def test_malformed_file_sequences(tmp_path, capsys, body, status):
         assert str(path) in err
     else:
         assert out == "n,S\n2,1\n"
+
+
+def test_analyze_of_a_short_file_names_the_bound_it_needs(tmp_path, capsys):
+    path = tmp_path / "seq.csv"
+    path.write_text("k,f\n" + "".join(f"{k},{k % 3}\n" for k in range(1, 6)))
+    status, out, err = run_cli("analyze", "--function", f"file:{path}", "--N", "5",
+                               "--lag", "1", capsys=capsys)
+    assert (status, out) == (1, "")
+    assert "holds 5 values, fewer than N + max lag = 6" in err
+    assert "N=6" not in err
+    status, out, err = run_cli("compute", "--function", f"file:{path}", "--N", "6",
+                               capsys=capsys)
+    assert status == 1 and "holds 5 values, fewer than N=6" in err

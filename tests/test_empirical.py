@@ -22,6 +22,7 @@ from summatoria import (
     sequence_from_function,
     sequence_from_values,
 )
+from summatoria import cli
 from summatoria.empirical import _ERFC_CUT, _SQRT1_2, _normal_cdf_sorted
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -281,11 +282,30 @@ def test_integer_rho_rounds_once_from_exact_sums():
 
 
 def test_float_variance_survives_a_large_offset():
-    # E[f^2] - mean^2 cancels to 0.0 here; merged (count, mean, M2) does not.
+    # E[f^2] - mean^2 in floats cancels to 0.0 here; n sum f^2 - S(n)^2, exact
+    # from exact products and rounded once, does not.
     k = np.arange(1, 10**5 + 1)
     seq = sequence_from_values(1e8 + 0.5 * (k % 2))
     assert not seq.integer_valued
     assert empirical_moments(seq, 10**5) == (1e8 + 0.25, 0.0625)
+
+
+def test_integer_lag_products_across_blocks_of_different_dtypes(monkeypatch):
+    # Block 1 needs Python ints, block 2 fits int64: f(2) f(3) = 2**64.
+    f = [2**52, 2**52, 2**12, 2**12]
+    seq = sequence_from_values(np.array(f, dtype=np.float64))
+    n, h = 3, 1
+    p, s, c = sum(a * b for a, b in zip(f[:n], f[h:])), sum(f[:n]), sum(f[h:])
+    monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", "2")
+    assert independence_estimator(seq, n, h) == float(Fraction(n * p - s * c, n * n))
+
+
+def test_a_repeated_lag_counts_once(capsys):
+    assert cli.main(["analyze", "--function", "mu", "--N", "100", "--lag", "1,1,2",
+                     "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    rho = [float(row.rsplit(",", 1)[1]) for row in rows]
+    assert rho[0] == rho[1] == independence_estimator(mobius_sequence(102), 100, 1)
 
 
 def test_moments_and_lags_stream_exactly_across_blocks(monkeypatch):

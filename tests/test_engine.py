@@ -124,6 +124,31 @@ def test_float_sums_are_correctly_rounded_at_every_checkpoint(function, N, block
             == cli_bytes(*verdict, "--threads", 1))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    function=st.sampled_from(["mu-over-k", "harmonic"]),
+    N=st.integers(min_value=80, max_value=5000),
+    block_size=st.integers(min_value=1, max_value=64),
+    threads=st.sampled_from([1, 2]),
+    lags=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+)
+def test_real_analyze_is_exact_at_every_blocking(function, N, block_size, threads, lags):
+    # Mean, variance and every rho: the exact rational value, rounded once.
+    f = [Fraction((mobius_oracle(k) if function == "mu-over-k" else 1) / k)
+         for k in range(1, N + max(lags) + 1)]
+    S = [Fraction(0), *itertools.accumulate(f)]
+
+    def gap(h):  # n**2 rho(n, h); h = 0 gives n**2 times the variance
+        return N * sum(a * b for a, b in zip(f[:N], f[h:])) - S[N] * (S[N + h] - S[h])
+    argv = ("analyze", "--function", function, "--N", N, "--lag", ",".join(map(str, lags)))
+    out = cli_bytes(*argv, "--threads", threads, block_size=block_size)
+    assert out == cli_bytes(*argv, "--threads", 1)
+    doc = json.loads(out)
+    assert doc["mean"] == float(S[N] / N)
+    assert doc["variance"] == float(gap(0) / N**2)
+    assert [r["rho"] for r in doc["independence"]] == [float(gap(h) / N**2) for h in lags]
+
+
 def test_analyze_ks_sample_keeps_its_stride_across_blocks(monkeypatch):
     # With 1000 sample points over N = 5000, the sample is f(5), f(10), ...
     monkeypatch.setattr(cli, "KS_SAMPLE_CAP", 1000)

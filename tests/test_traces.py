@@ -1,8 +1,10 @@
 import io
 import itertools
 import math
+import os
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from summatoria import (
     write_trace_csv,
 )
 from summatoria import traces
+from summatoria.empirical import empirical_moments, independence_estimator
+from summatoria.sieve import BLOCK_SIZE_ENV_VAR
 from summatoria.traces import Block, Strided, exact_prefix_sums, stream
 
 
@@ -268,6 +272,55 @@ def test_block_sum_overflow_fails_only_at_rounding():
     assert block_sum([big, big, -big]) == big
     with pytest.raises(NumericError, match="not finite"):
         block_sum([1e308, 1e308])
+
+
+def block_dot(x, y):
+    # One block holding x then y: dot of the split halves.
+    block = Block(1, np.array([*x, *y], dtype=np.float64), 0, False)
+    split = block.split()
+    return block.dot(split[:, : len(x)], split[:, len(x) :])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(any_float, any_float), max_size=100))
+def test_block_dot_is_exact(pairs):
+    # Subnormals, signed zeros, products that underflow or pass DBL_MAX.
+    x, y = [a for a, _ in pairs], [b for _, b in pairs]
+    assert block_dot(x, y) == sum((Fraction(a) * Fraction(b) for a, b in pairs), Fraction(0))
+
+
+def test_block_dot_of_extreme_products():
+    tiny, big = 5e-324, sys.float_info.max
+    assert block_dot([tiny, -tiny], [tiny, 0.5]) == Fraction(tiny) ** 2 - Fraction(tiny) / 2
+    assert block_dot([big, big], [big, -big]) == 0
+    assert block_dot([big], [2.0]) == 2 * Fraction(big)
+    chunk = traces._DOT_CHUNK + 3  # more pairs than one pass takes
+    k = np.arange(chunk) - 1000
+    assert block_dot(k * 2.0**-1000, k[::-1] * 2.0**-900) == Fraction(int(k @ k[::-1]), 2**1900)
+
+
+@pytest.mark.parametrize("n", [3, 8, 40])
+def test_squares_that_underflow_give_the_exact_variance_and_rho(n):
+    # f(k) near 1e-160: f(k)**2 is subnormal as a float, not as a Fraction.
+    h = 1
+    for seed in range(10):
+        F = [Fraction(v) for v in 1e-160 * np.random.default_rng(seed).uniform(0.5, 2, n + h)]
+        S = [Fraction(0), *itertools.accumulate(F)]
+        gap = [n * sum(a * b for a, b in zip(F[:n], F[d:])) - S[n] * (S[n + d] - S[d])
+               for d in (0, h)]
+        seq = sequence_from_values(np.array(F, dtype=np.float64))
+        for block_size in (n + h, 2):
+            with mock.patch.dict(os.environ, {BLOCK_SIZE_ENV_VAR: str(block_size)}):
+                got = (*empirical_moments(seq, n), independence_estimator(seq, n, h))
+            assert got == (float(S[n] / n), float(gap[0] / n**2), float(gap[1] / n**2))
+
+
+def test_variance_beyond_the_float_range_fails_loudly():
+    seq = sequence_from_values(np.array([1e200, -1e200, 1e200]))
+    with pytest.raises(NumericError, match="the variance is not finite"):
+        empirical_moments(seq, 2)
+    with pytest.raises(NumericError, match="rho at lag 1 is not finite"):
+        independence_estimator(seq, 2, 1)
 
 
 def test_checkpoints_inside_a_block_are_correctly_rounded():
