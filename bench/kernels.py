@@ -4,6 +4,7 @@
     PYTHONPATH=src python3 bench/kernels.py sum
     PYTHONPATH=src python3 bench/kernels.py ks
     PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
+    PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
@@ -30,12 +31,23 @@ own; then ``analyze --N 1e6 --threads 2`` of mu, mu-over-k and harmonic
 in DIR (the parent checkout) and here, best of 5 with the two sides
 alternating, with each run's peak RSS and whether the two sides'
 reports are the same bytes.
+``sublinear`` runs ``compute --function mu|lambda`` on the schedules of
+``SUBLINEAR_RUNS`` in fresh processes at 1 thread, best of 3 (of 1 for
+the 10**9 stream), with each run's peak RSS: as the CLI picks its path,
+and forced to stream (``sublinear.table_limit`` replaced by the last
+checkpoint), after checking both give the same bytes; the dense schedules
+also run in DIR (the parent checkout), best of 5 alternating with here.
+It then fits the constants of ``sublinear``'s cost model in this process:
+stream and table seconds per entry at 2**24, and ``sublinear.from_table``
+on slices of a 2**24 table for checkpoints 10**9..10**11 and geometric
+schedules, by least squares of the relative error with no negative
+constant.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum``, ``ks`` or ``moments``, ``pairs`` writes into that section, else
-into the sieve kernel's top-level ``perfbench_pairs``.
+``--section sum``, ``ks``, ``moments`` or ``sublinear``, ``pairs`` writes into
+that section, else into the sieve kernel's top-level ``perfbench_pairs``.
 """
 
 from __future__ import annotations
@@ -62,6 +74,18 @@ KS_ANALYZE_N = 1_000_000
 KS_VERDICT_N = 4_096_000
 MOMENTS_LAG = 3
 ANALYZE_N = 1_000_000
+# perfbench's sieve-stream schedule, with four checkpoints inside blocks
+SIEVE_STREAM = ("10,100,1000,10000,100000,1000000,10000000,"
+                "12345678,17654321,23456789,29999999,30000000")
+# (function, N, checkpoints); streaming past the sieve bound is not possible
+SUBLINEAR_RUNS = [
+    ("mu", 30_000_000, SIEVE_STREAM), ("lambda", 30_000_000, SIEVE_STREAM),
+    ("mu", 10**8, "geometric(10,2)"), ("mu", 10**9, "geometric(10,2)"),
+    ("mu", 10**6, "geometric(1,1.0001)"), ("mu-over-k", 10**6, "geometric(1,1.0001)"),
+    ("mu", 10**10, "10000000000"), ("lambda", 10**10, "10000000000"),
+    ("mu", 10**11, "100000000000"), ("lambda", 10**11, "100000000000"),
+]
+FIT_TABLE = 1 << 24
 
 
 def best_of(k: int, fns: dict) -> dict:
@@ -251,6 +275,110 @@ def moments_section(parent: str) -> dict:
             "block_2pow20_best_of_5": rows, "analyze_best_of_5": analyze}
 
 
+def child(argv: list[str], cwd: str, code: str = "") -> tuple[float, float, bytes]:
+    """Seconds, peak RSS (MB) and stdout of ``compute`` run in a fresh
+    interpreter; ``code`` runs first in that interpreter."""
+    prog = f"import sys\n{code}\nfrom summatoria import cli\nsys.exit(cli.main(sys.argv[1:]))"
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", prog, *argv], cwd=cwd,
+                            stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH="src"))
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    if status:
+        raise SystemExit(f"{argv} failed in {cwd}")
+    return time.perf_counter() - start, usage.ru_maxrss / 1024, out
+
+
+def sublinear_section(parent: str) -> dict:
+    here = os.path.abspath(os.path.join(HERE, os.pardir))
+    force_stream = ("from summatoria import sublinear; "
+                    "sublinear.table_limit = lambda cps: int(cps[-1])")
+    runs = []
+    for function, N, cps in SUBLINEAR_RUNS:  # children first: see moments_section
+        argv = ["compute", "--function", function, "--N", str(N), "--checkpoints", cps,
+                "--threads", "1"]
+        sides = {"picked": (here, "")}
+        if N <= 10**9:
+            sides["stream"] = (here, force_stream)
+        if cps.startswith("geometric(1,"):
+            sides["parent"] = (os.path.abspath(parent), "")
+        k = 1 if N == 10**9 else 5 if "parent" in sides else 3
+        secs, rss, out = {s: [] for s in sides}, {s: [] for s in sides}, {}
+        for i in range(k):
+            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                t, r, out[side] = child(argv, *sides[side])
+                secs[side].append(t)
+                rss[side].append(r)
+        if len(set(out.values())) != 1:
+            raise SystemExit(f"{argv}: the paths give different bytes")
+        row = {"function": function, "N": N, "checkpoints": cps, "runs": k}
+        for side in sides:
+            row[f"{side}_best_s"] = round(min(secs[side]), 3)
+            row[f"{side}_peak_rss_mb"] = round(max(rss[side]), 1)
+        runs.append(row)
+        print(json.dumps(row), flush=True)
+
+    from summatoria import cli, sublinear
+
+    for row in runs:
+        if row["function"] in ("mu", "lambda"):
+            cps = cli.parse_checkpoints(row["checkpoints"], row["N"])
+            row["table_limit"] = sublinear.table_limit(cps)
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR",
+            "compute_threads_1": runs, "fit": sublinear_fit()}
+
+
+def sublinear_fit() -> dict:
+    from summatoria import sequences, sublinear, traces
+
+    seq = sequences.mobius_sequence(FIT_TABLE)
+    probes = {"stream": lambda: traces.Checkpoints(np.array([FIT_TABLE])),
+              "table": lambda: sublinear.Table(FIT_TABLE)}
+    per_entry = {name: t / FIT_TABLE for name, t in best_of(3, {
+        name: lambda make=make: traces.stream(seq, FIT_TABLE, [make()])
+        for name, make in probes.items()}).items()}
+    table = sublinear.Table(FIT_TABLE)
+    traces.stream(seq, FIT_TABLE, [table])
+    schedules = {"1e9": [10**9], "1e10": [10**10], "1e11": [10**11],
+                 "geometric(10,2) to 1e9": traces.geometric_checkpoints(10**9).tolist(),
+                 "geometric(10,2) to 1e11": traces.geometric_checkpoints(10**11).tolist(),
+                 "sieve-stream": [int(c) for c in SIEVE_STREAM.split(",")],
+                 "geometric(1,1.01) to 3e7": traces.geometric_checkpoints(
+                     30_000_000, 1, 1.01).tolist(),
+                 "geometric(1,1.05) to 1e9": traces.geometric_checkpoints(10**9, 1, 1.05).tolist()}
+    fits = []
+    for name, xs in schedules.items():
+        for L in (1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24):
+            if L * L < xs[-1] or L >= xs[-1]:
+                continue
+            part = table.values[: L + 1]
+            secs = best_of(3 if xs[-1] <= 10**10 else 1,
+                           {"r": lambda: sublinear.from_table(part, lambda x: 1, xs)})["r"]
+            above = [x for x in xs if x > L]
+            fits.append({"checkpoints": name, "L": L, "recursion_s": round(secs, 4),
+                         "features": [sum(above) / math.sqrt(L), sum(above) / L]})
+    A = np.array([f["features"] for f in fits])
+    y = np.array([f["recursion_s"] for f in fits])
+    # Least squares of the relative error, over the subsets of the two
+    # features whose fitted constants are all nonnegative.
+    candidates = []
+    for mask in range(1, 4):
+        cols = [j for j in range(2) if mask >> j & 1]
+        coef = np.zeros(2)
+        coef[cols] = np.linalg.lstsq(A[:, cols] / y[:, None], np.ones(len(y)), rcond=None)[0]
+        if (coef >= 0).all():
+            candidates.append((float(np.sum((A @ coef / y - 1) ** 2)), mask, coef))
+    coef = min(candidates)[2]
+    for f in fits:
+        f["predicted_s"] = round(float(np.dot(f.pop("features"), coef)), 4)
+    return {"stream_s_per_entry": per_entry["stream"], "table_s_per_entry": per_entry["table"],
+            "element_s": coef[0], "value_s": coef[1],
+            "recursion_runs": fits,
+            "in_use": {k: getattr(sublinear, k) for k in
+                       ("STREAM_S", "TABLE_S", "ELEMENT_S", "VALUE_S")}}
+
+
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", "0"]
@@ -303,18 +431,19 @@ def main(argv=None) -> int:
     sub.add_parser("sum")
     sub.add_parser("ks")
     sub.add_parser("moments").add_argument("--parent", required=True)
+    sub.add_parser("sublinear").add_argument("--parent", required=True)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section", choices=["sum", "ks", "moments"])
+    pairs.add_argument("--section", choices=["sum", "ks", "moments", "sublinear"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments")
+    sections = ("sum", "ks", "moments", "sublinear")
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
@@ -325,6 +454,8 @@ def main(argv=None) -> int:
         section.update(ks_section())
     elif args.command == "moments":
         section.update(moments_section(args.parent))
+    elif args.command == "sublinear":
+        section.update(sublinear_section(args.parent))
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

@@ -4,7 +4,8 @@ Five subcommands: ``compute`` (summatory trace CSV), ``analyze``
 (value-distribution summary plus lagged-correlation table), ``synth``
 (greedy schedule realization as CSV, or the schedule itself as JSON),
 ``verdict`` (full limit-law evidence report as JSON), and ``selftest``
-(oracle-vs-sieve, identity, deviation and KS-calibration suites).
+(oracle-vs-sieve, identity, deviation, sieve-vs-sublinear and KS-calibration
+suites).
 
 Each subcommand accepts only the options it reads (``_SUBCOMMANDS``), plus
 ``--config FILE``: a JSON object whose keys become flags placed before the
@@ -230,6 +231,16 @@ def _selftest_suites(seed: int):
                 return False
         return True
 
+    def sieve_vs_sublinear():
+        from . import sublinear  # only this suite and sums of mu and lambda need it
+
+        xs = [999, 65537, 2**20 - 1, 2**20 + 1, 1234567, 2 * 10**6]
+        blk = sieve.sieve_block(1, xs[-1])
+        at = np.subtract(xs, 1)
+        return all(sublinear.sums(make(xs[-1]), xs, 2048) == np.cumsum(f)[at].tolist()
+                   for make, f in ((sequences.mobius_sequence, blk.mu),
+                                   (sequences.liouville_sequence, blk.lam)))
+
     def ks_calibration():
         rng = np.random.default_rng(seed)
         critical = KS_CRITICAL_1PCT / math.sqrt(10**4)
@@ -241,6 +252,7 @@ def _selftest_suites(seed: int):
     yield "mobius-divisor-identity", divisor_identity
     yield "trace-additivity", trace_additivity
     yield "greedy-deviation-bound", greedy_deviation
+    yield "sieve-vs-sublinear", sieve_vs_sublinear
     yield "ks-calibration", ks_calibration
 
 

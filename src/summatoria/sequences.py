@@ -17,13 +17,20 @@ import numpy as np
 from . import sieve
 from .errors import BoundError
 
+# The largest x whose S(x) ``sublinear`` computes for a sequence with a
+# hyperbola rule; M(10**11) peaks at 76 MB (BENCH_kernels.json, ``sublinear``).
+SUBLINEAR_BOUND = 10**11
+
+
 @dataclass(frozen=True)
 class ArithmeticSequence:
     """A function f on {1, ..., bound} with a declared magnitude bound.
 
     ``values(lo, hi)`` returns f(lo..hi) as a 1-D array; repeated calls
     return identical values.  ``integer_valued`` selects exact integer
-    accumulation in the trace engine.
+    accumulation in the trace engine.  ``hyperbola``, where given, is G
+    with sum_{d<=x} S(x // d) = G(x) for the sums S of f, which
+    ``sublinear`` follows past ``bound`` up to its own bound.
     """
 
     name: str
@@ -31,6 +38,7 @@ class ArithmeticSequence:
     magnitude_bound: float
     integer_valued: bool
     _block_fn: Callable[[int, int], np.ndarray] = field(repr=False, compare=False)
+    hyperbola: Callable[[int], int] | None = field(default=None, repr=False, compare=False)
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         if lo < 1 or hi < lo:
@@ -54,24 +62,33 @@ def _spot_check_magnitude(seq: ArithmeticSequence, samples: int = 32) -> None:
         )
 
 
-def _sieved(name: str, bound: int, integer_valued: bool, pick) -> ArithmeticSequence:
-    # pick maps a SieveBlock to the sequence's values on it.
+def _sieved(name: str, bound: int, integer_valued: bool, pick,
+            hyperbola=None) -> ArithmeticSequence:
+    # pick maps a SieveBlock to the sequence's values on it.  Values stop
+    # at the sieve bound; sums with a hyperbola rule go on to its bound.
+    limit = SUBLINEAR_BOUND if hyperbola else sieve.GLOBAL_SIEVE_BOUND
+    if bound > limit:
+        raise BoundError(f"{name} is available up to {limit}, not to {bound}")
+    bound = min(bound, sieve.GLOBAL_SIEVE_BOUND)
     primes = sieve.primes_up_to(math.isqrt(bound))
 
     def block(lo: int, hi: int) -> np.ndarray:
         return pick(sieve.sieve_block(lo, hi, primes=primes))
 
-    return ArithmeticSequence(name, bound, 1.0, integer_valued, block)
+    return ArithmeticSequence(name, bound, 1.0, integer_valued, block, hyperbola)
 
 
 def mobius_sequence(bound: int) -> ArithmeticSequence:
-    """mu(k) for k <= bound, sieve-backed."""
-    return _sieved("mu", bound, True, lambda blk: blk.mu)
+    """mu(k) for k <= bound, sieve-backed up to 10**9; its sums M(x)
+    reach SUBLINEAR_BOUND through sum_{d<=x} M(x // d) = 1."""
+    return _sieved("mu", bound, True, lambda blk: blk.mu, lambda x: 1)
 
 
 def liouville_sequence(bound: int) -> ArithmeticSequence:
-    """lambda(k) for k <= bound, sieve-backed."""
-    return _sieved("lambda", bound, True, lambda blk: blk.lam)
+    """lambda(k) for k <= bound, sieve-backed up to 10**9; its sums L(x)
+    reach SUBLINEAR_BOUND through sum_{d<=x} L(x // d) = isqrt(x), the
+    count of squares up to x."""
+    return _sieved("lambda", bound, True, lambda blk: blk.lam, math.isqrt)
 
 
 def weighted_mobius_sequence(bound: int) -> ArithmeticSequence:

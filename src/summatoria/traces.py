@@ -30,8 +30,9 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from . import sieve
-from .errors import NumericError
+from .errors import BoundError, NumericError
 from .sequences import (
+    SUBLINEAR_BOUND,
     ArithmeticSequence,
     liouville_sequence,
     mobius_sequence,
@@ -112,10 +113,11 @@ def _ordered_map(fn, args_iter: Iterable[tuple], threads: int) -> Iterator:
             yield pending.popleft().result()
 
 
-def as_float(total, where: str) -> float:
-    """``total``, a number or an exact Fraction, correctly rounded to a finite float."""
+def as_float(total, where: str, scale: int = 1) -> float:
+    """``total / scale``, for a number or an exact Fraction total and an int
+    scale, correctly rounded to a finite float (int true division is)."""
     try:
-        value = float(total)
+        value = float(total) if scale == 1 else total / scale
     except OverflowError:  # a Fraction or int that rounds beyond the float range
         value = math.inf
     if not math.isfinite(value):
@@ -128,6 +130,10 @@ def as_float(total, where: str) -> float:
 _MAX_BINS = 1 << 16
 _LANES = 8
 _GROUP = 8
+
+
+def _fraction(num: int, exp: int) -> Fraction:
+    return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
 
 
 def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
@@ -143,12 +149,14 @@ def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
     into one Python int per prefix (Neal 2015, "small superaccumulator";
     Demmel & Hida 2004).
     """
-    return _binned_sums(*np.frexp(x), ends)
+    nums, exp = _binned_sums(*np.frexp(x), ends)
+    return [_fraction(n, exp) for n in nums]
 
 
-def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> list[Fraction]:
+def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int]:
     """``exact_prefix_sums`` of the terms mant * 2**ex, for mant a multiple
-    of 2**-53 below 1 in magnitude, as ``np.frexp`` gives; overwrites mant."""
+    of 2**-53 below 1 in magnitude, as ``np.frexp`` gives, as integers n
+    with the one exponent e of n * 2**e; overwrites mant."""
     if mant.size > 2**26:
         raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {mant.size}")
     mant *= 2.0**26
@@ -183,9 +191,8 @@ def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> list[Fraction]:
         cols = (cols.reshape(cut.size, -1, _GROUP) << np.arange(_GROUP)).sum(axis=2)
         used = np.flatnonzero(cols.any(axis=0))
         scales = np.array([1 << (_GROUP * g) for g in used.tolist()], dtype=object)
-        for n in (cols[:, used].astype(object) * scales).sum(axis=1).tolist():
-            sums.append(Fraction(n << (e0 - 53)) if e0 >= 53 else Fraction(n, 1 << (53 - e0)))
-    return sums
+        sums += (cols[:, used].astype(object) * scales).sum(axis=1).tolist()
+    return sums, e0 - 53
 
 
 # The running sums of a real block (``Block.run``, for the KS partial-sum
@@ -274,20 +281,30 @@ class Block:
             p = xm * ym
             mant, ex = np.frexp(np.concatenate((p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)))
             ex += np.tile((xe + ye).astype(ex.dtype), 2)
-            total += _binned_sums(mant, ex, [mant.size])[0]
+            (num,), exp = _binned_sums(mant, ex, [mant.size])
+            total += _fraction(num, exp)
         return total
 
-    def sums_at(self, ns: np.ndarray) -> tuple[np.ndarray, list]:
-        """The n of the increasing ``ns`` that fall in this block, and the
-        exact S(n) at each; for reals one pass also yields ``total``."""
+    def sums_at(self, ns: np.ndarray, *, rounded: bool = False) -> tuple[np.ndarray, list]:
+        """The n of the increasing ``ns`` that fall in this block, and S(n)
+        at each: exact, or with ``rounded`` as ``rounded`` gives it.  For
+        reals one pass also yields ``total``, and every S(n) is an integer
+        over one power of two, so rounding it needs no Fraction."""
         hits = ns[(ns >= self.lo) & (ns <= self.hi)]
         if not hits.size:
             return hits, []
         if self.exact:
             return hits, self.run(hits - self.lo).tolist()
-        *sums, total = exact_prefix_sums(self.values, [*(hits - self.lo + 1), self.values.size])
-        self.__dict__.setdefault("total", total)  # fills the cached_property
-        return hits, [self.start + s for s in sums]
+        nums, exp = _binned_sums(*np.frexp(self.values), [*(hits - self.lo + 1), self.values.size])
+        self.__dict__.setdefault("total", _fraction(nums.pop(), exp))  # fills the cached_property
+        start = Fraction(self.start)
+        shift = max(-exp, start.denominator.bit_length() - 1)  # S(n) = nums[i] / 2**shift
+        base = start.numerator << (shift + 1 - start.denominator.bit_length())
+        nums = [base + (n << (shift + exp)) for n in nums]
+        if rounded:
+            where = f"a sum through f({self.lo}..{self.hi})"
+            return hits, [as_float(n, where, 1 << shift) for n in nums]
+        return hits, [Fraction(n, 1 << shift) for n in nums]
 
     def run(self, at) -> np.ndarray:
         """S(k) at the block positions ``at`` (a slice or index array): exact
@@ -308,7 +325,7 @@ class Block:
     def _real_run(self) -> tuple[np.ndarray, tuple]:
         cells = np.arange(-(-self.lo // RUN_CELL) * RUN_CELL, self.hi, RUN_CELL)  # cell ends
         anchor, acc = self.carry or (self.base, 0.0)
-        anchors = [anchor, *map(self.rounded, self.sums_at(cells)[1])]
+        anchors = [anchor, *self.sums_at(cells, rounded=True)[1]]
         run = self.values.astype(np.float64)
         bounds = [0, *(cells - self.lo + 1).tolist(), run.size]
         for anchor, a, b in zip(anchors, bounds, bounds[1:]):
@@ -327,6 +344,8 @@ def stream(seq: ArithmeticSequence, last: int, probes, *,
     ``block_size`` defaults to 2**20 or the SUMMATORIA_BLOCK_SIZE
     environment variable; ``threads`` worker threads evaluate blocks.
     """
+    if last > seq.bound:  # before any block, not when the stream gets there
+        raise BoundError(f"index {last} exceeds the sequence bound {seq.bound}")
     total, carry = 0, None  # total is exact: an int, or a Fraction once a real block is added
     ranges = list(sieve.iter_block_ranges(1, last, sieve.resolve_block_size(block_size)))
     for (lo, hi), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
@@ -347,7 +366,7 @@ class Checkpoints:
         self.values = []
 
     def add(self, block: Block) -> None:
-        self.values.extend(map(block.rounded, block.sums_at(self.checkpoints)[1]))
+        self.values.extend(block.sums_at(self.checkpoints, rounded=True)[1])
 
     def trace(self, seq: ArithmeticSequence) -> SummatoryTrace:
         kind = EXACT_INTEGER if seq.integer_valued else COMPENSATED_FLOAT
@@ -381,17 +400,29 @@ def summatory_trace(
     block_size: int | None = None,
     threads: int = 1,
 ) -> SummatoryTrace:
-    """Stream a sequence once and record S(n) at every checkpoint.
+    """S(n) at every checkpoint: streamed once, or for a sequence with a
+    hyperbola rule, from a streamed table of S(1..L) and that rule above
+    it, where ``sublinear.table_limit`` finds that cheaper.
 
     Checkpoints must not exceed N and default to geometric ratio 2 from
-    10.  ``block_size`` and ``threads`` are as for ``stream``; neither
-    changes the result.
+    10.  ``block_size`` and ``threads`` are as for ``stream``, but the
+    table streams on one thread; neither changes the result, and neither
+    does the choice of L.
     """
-    if N > seq.bound:
-        raise ValueError(f"N={N} exceeds the sequence bound {seq.bound}")
+    reach = SUBLINEAR_BOUND if seq.hyperbola else seq.bound
+    if N > reach:
+        raise BoundError(f"N={N} exceeds the sequence bound {reach}")
     probe = Checkpoints(validate_checkpoints(checkpoints, N))
-    stream(seq, int(probe.checkpoints[-1]), [probe],
-           block_size=block_size, threads=threads)
+    last = int(probe.checkpoints[-1])
+    if seq.hyperbola:
+        from . import sublinear  # only sums of mu and lambda need it
+
+        limit = sublinear.table_limit(probe.checkpoints)
+        if limit < last:
+            probe.values = sublinear.sums(seq, probe.checkpoints.tolist(), limit,
+                                          block_size=block_size)
+            return probe.trace(seq)
+    stream(seq, last, [probe], block_size=block_size, threads=threads)
     return probe.trace(seq)
 
 

@@ -22,6 +22,7 @@ from summatoria import (
     geometric_checkpoints,
     independence_estimator,
     ks_distance,
+    liouville_trace,
     log2_indicator_schedule,
     log_coin_schedule,
     mean_rate_fit,
@@ -224,3 +225,13 @@ def test_criterion_11_independence_estimator_against_double_pass():
     assert independence_estimator(const, n, 1) == 0.0
     _report(11, "rho(1e4, h) for mu matches the double-pass oracle to 1e-12; "
                 "constant sequences give exactly 0")
+
+
+def test_criterion_12_published_mertens_and_liouville_past_the_sieve():
+    # OEIS A084237 (M(10**k)) and A090410 (L(10**k)).
+    t0 = time.perf_counter()
+    x = [10**9, 10**10, 10**11]
+    assert mertens_trace(10**11, x).values.tolist() == [-222, -33722, -87856]
+    assert liouville_trace(10**11, x).values.tolist() == [-25216, -116026, -342224]
+    elapsed = time.perf_counter() - t0
+    _report(12, f"M and L at 1e9, 1e10, 1e11 equal the published values ({elapsed:.1f}s)")

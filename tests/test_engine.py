@@ -8,6 +8,10 @@ became exact and rho began to round once: the two ``analyze mu`` rows, the
 row moved again when the integer variance began to round once.  Each value
 that moved has 0 ulps of error against an oracle sharing no code with the
 package (exact prefix sums for S, exact fractions for rho and the variance).
+The ``selftest`` row moved when the sieve-vs-sublinear suite was added: its
+report gained that suite's line and counts six suites.  The M(10**11) and
+L(10**11) rows came with the sublinear path; they hold the published values
+(OEIS A084237, A090410).
 """
 
 import contextlib
@@ -35,6 +39,10 @@ README_TABLE = {
         "fd68eae2fb3ac15966a6f268814314c76599008702be55fd0123e04c62b716a2",
     "compute --function mu --N 1000000 --checkpoints 1000000":
         "40bfeb3330f56ba762008d02113860c26cb0ffcc382d9e47827a456e4efaf6ce",
+    "compute --function mu --N 100000000000 --checkpoints 100000000000":
+        "ea3a530a79d0b84be187c29107009cbd4dacc069b59f0535918f0a5eb14b3d64",
+    "compute --function lambda --N 100000000000 --checkpoints 100000000000":
+        "f806a6167a88127963db1d9c93d7bf943b960e51bfb0668260d40ac4deb236a8",
     "compute --function lambda --N 10 --checkpoints 2,10":
         "6709c36e49e3891bd375afdd142bcfb7056979ac844bf5bc827f91199e33e113",
     "compute --function mu-over-k --N 3 --checkpoints 3":
@@ -58,7 +66,7 @@ README_TABLE = {
     "verdict --function synth:log --N 1000000":
         "77ff8be2e11029e03538bf064dd6c08af2c76bd0adfff49fa382b926b20d37d6",
     "selftest --seed 20260810":
-        "6f556fdd0bfd4c054620ca028c44ac9a6018f441dc74e536c074dd68bb9cfbb5",
+        "caa9730d3d25dd3e7887c8821a900a32b679d19f3f1f1dc7ac49d1491b53a45d",
 }
 
 
