@@ -5,6 +5,7 @@
     PYTHONPATH=src python3 bench/kernels.py ks
     PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
     PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR
+    PYTHONPATH=src python3 bench/kernels.py synth --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
@@ -42,17 +43,27 @@ stream and table seconds per entry at 2**24, and ``sublinear.from_table``
 on slices of a 2**24 table for checkpoints 10**9..10**11 and geometric
 schedules, by least squares of the relative error with no negative
 constant.
+``synth`` runs ``synth --function synth:log2 --N 1e6`` in fresh processes
+in DIR (the parent checkout) and here, best of 5 alternating, with each
+run's peak RSS, after checking both give the same bytes; then the
+tracemalloc peak of ``schedules.realize_greedy`` at that N in each
+checkout; then, in this process, the CSV rows of that realization written
+to os.devnull one f-string and one write per row against
+``cli.csv_rows`` in blocks of ``cli._CSV_ROWS`` rows, best of 5, after
+checking both give the same text.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum``, ``ks``, ``moments`` or ``sublinear``, ``pairs`` writes into
+``--section sum``, ``ks``, ``moments``, ``sublinear`` or ``synth``, ``pairs`` writes into
 that section, else into the sieve kernel's top-level ``perfbench_pairs``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import math
 import os
@@ -86,6 +97,7 @@ SUBLINEAR_RUNS = [
     ("mu", 10**11, "100000000000"), ("lambda", 10**11, "100000000000"),
 ]
 FIT_TABLE = 1 << 24
+SYNTH_N = 1_000_000
 
 
 def best_of(k: int, fns: dict) -> dict:
@@ -276,7 +288,7 @@ def moments_section(parent: str) -> dict:
 
 
 def child(argv: list[str], cwd: str, code: str = "") -> tuple[float, float, bytes]:
-    """Seconds, peak RSS (MB) and stdout of ``compute`` run in a fresh
+    """Seconds, peak RSS (MB) and stdout of a CLI call run in a fresh
     interpreter; ``code`` runs first in that interpreter."""
     prog = f"import sys\n{code}\nfrom summatoria import cli\nsys.exit(cli.main(sys.argv[1:]))"
     start = time.perf_counter()
@@ -379,6 +391,67 @@ def sublinear_fit() -> dict:
                        ("STREAM_S", "TABLE_S", "ELEMENT_S", "VALUE_S")}}
 
 
+def rows_one_at_a_time(values, out) -> None:
+    """The synth writer before ``cli.csv_rows``: one f-string and one write per row."""
+    for k, f in enumerate(values, start=1):
+        out.write(f"{k},{format(float(f), '.17g')}\n")
+
+
+def synth_section(parent: str) -> dict:
+    sides = {"parent": os.path.abspath(parent),
+             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    argv = ["synth", "--function", "synth:log2", "--N", str(SYNTH_N)]
+    secs, rss, out = {side: [] for side in sides}, {side: [] for side in sides}, {}
+    for i in range(5):  # children first: see moments_section
+        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+            t, r, out[side] = child(argv, sides[side])
+            secs[side].append(t)
+            rss[side].append(r)
+    if out["parent"] != out["change"]:
+        raise SystemExit(f"{argv}: parent and change give different bytes")
+    peak = ("import tracemalloc\nfrom summatoria import schedules\ntracemalloc.start()\n"
+            f"schedules.realize_greedy(schedules.log2_indicator_schedule(), {SYNTH_N})\n"
+            "print(tracemalloc.get_traced_memory()[1])")
+    realize_mb = {side: int(subprocess.run(
+        [sys.executable, "-c", peak], cwd=root, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH="src")).stdout) / 1e6 for side, root in sides.items()}
+
+    from summatoria import cli, schedules
+
+    values = schedules.realize_greedy(schedules.log2_indicator_schedule(), SYNTH_N).values(
+        1, SYNTH_N)
+
+    def blocks(out):
+        for lo in range(1, SYNTH_N + 1, cli._CSV_ROWS):
+            out.write(cli.csv_rows(lo, values[lo - 1 : lo - 1 + cli._CSV_ROWS]))
+
+    writers = {"row_at_a_time": lambda out: rows_one_at_a_time(values, out), "blocks": blocks}
+    texts = {}
+    for name, write in writers.items():
+        buf = io.StringIO()
+        write(buf)
+        texts[name] = buf.getvalue()
+    if "k,f\n" + texts["blocks"] != out["change"].decode("ascii") or len(set(texts.values())) != 1:
+        raise SystemExit("the two writers give different text")
+    with open(os.devnull, "w", encoding="utf-8", newline="\n") as null:
+        writer_s = best_of(5, {name: lambda w=w: w(null) for name, w in writers.items()})
+    return {
+        "command": "PYTHONPATH=src python3 bench/kernels.py synth --parent DIR",
+        "cli_best_of_5": {"argv": argv, "sha256": hashlib.sha256(out["change"]).hexdigest(),
+                          **{f"{side}_best_s": round(min(secs[side]), 3) for side in sides},
+                          **{f"{side}_median_s": round(statistics.median(secs[side]), 3)
+                             for side in sides},
+                          **{f"{side}_peak_rss_mb": round(max(rss[side]), 1) for side in sides}},
+        "realize_greedy_tracemalloc_peak_mb": {side: round(mb, 1)
+                                               for side, mb in realize_mb.items()},
+        "writer_to_devnull_best_of_5": {
+            "rows": SYNTH_N,
+            **{f"{name}_s": round(t, 4) for name, t in writer_s.items()},
+            **{f"{name}_ns_per_row": round(1e9 * t / SYNTH_N, 1)
+               for name, t in writer_s.items()}},
+    }
+
+
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", "0"]
@@ -432,18 +505,19 @@ def main(argv=None) -> int:
     sub.add_parser("ks")
     sub.add_parser("moments").add_argument("--parent", required=True)
     sub.add_parser("sublinear").add_argument("--parent", required=True)
+    sub.add_parser("synth").add_argument("--parent", required=True)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section", choices=["sum", "ks", "moments", "sublinear"])
+    pairs.add_argument("--section", choices=["sum", "ks", "moments", "sublinear", "synth"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments", "sublinear")
+    sections = ("sum", "ks", "moments", "sublinear", "synth")
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
@@ -456,6 +530,8 @@ def main(argv=None) -> int:
         section.update(moments_section(args.parent))
     elif args.command == "sublinear":
         section.update(sublinear_section(args.parent))
+    elif args.command == "synth":
+        section.update(synth_section(args.parent))
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

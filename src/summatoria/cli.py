@@ -169,6 +169,30 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+_CSV_ROWS = 1 << 16  # rows of one write of synth's CSV
+
+
+def csv_rows(lo: int, values: np.ndarray) -> str:
+    """The CSV rows ``k,f`` for k = lo, lo + 1, ... and f in ``values``, with
+    f written as ``format(f, '.17g')``.  Each distinct value is formatted
+    once; the rows are built as a byte matrix, padded with NUL bytes, which
+    ASCII text never holds, so dropping them leaves the text."""
+    keys, which = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
+                            return_inverse=True)  # bit patterns: -0.0 keeps its "-0"
+    labels = [f",{format(float(v), '.17g')}\n".encode("ascii") for v in keys.view(np.float64)]
+    table = np.zeros((len(labels), max(map(len, labels))), dtype=np.uint8)
+    for row, label in zip(table, labels):
+        row[: len(label)] = np.frombuffer(label, dtype=np.uint8)
+    k = np.arange(lo, lo + len(values), dtype=np.int64)
+    width = len(str(lo + len(values) - 1))
+    mat = np.empty((len(values), width + table.shape[1]), dtype=np.uint8)
+    for col in range(width):
+        power = 10 ** (width - 1 - col)
+        mat[:, col] = np.where(k >= power, k // power % 10 + 48, 0)  # 48 is "0"
+    mat[:, width:] = table[which]
+    return mat[mat != 0].tobytes().decode("ascii")
+
+
 def cmd_synth(args) -> int:
     if args.function not in _SCHEDULES:
         raise ValueError(f"unknown synthetic schedule {args.function!r}; "
@@ -181,10 +205,10 @@ def cmd_synth(args) -> int:
         if args.N is None:
             raise ValueError("synth needs --N for its CSV realization (the schedule JSON "
                              "of --format json does not)")
-        seq = schedules.realize_greedy(schedule, args.N)
+        values = schedules.realize_greedy(schedule, args.N).values(1, args.N)
         out.write("k,f\n")
-        for k, f in enumerate(seq.values(1, args.N), start=1):
-            out.write(f"{k},{format(float(f), '.17g')}\n")
+        for lo in range(1, args.N + 1, _CSV_ROWS):
+            out.write(csv_rows(lo, values[lo - 1 : lo - 1 + _CSV_ROWS]))
     return 0
 
 

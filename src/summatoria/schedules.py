@@ -184,24 +184,31 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     n = np.arange(1, N + 1, dtype=np.float64)
     eps1 = np.asarray(s.perturbations[0](n), dtype=np.float64)
     p1_exact = s.base_probs[0] + eps1
-    # Split products keep tiny perturbations at full precision in the target.
-    raw = n * s.base_probs[0] + n * eps1
     clamped = np.clip(p1_exact, 0.0, 1.0)
-    target = np.where(p1_exact == clamped, raw, n * clamped)
-    rounded = np.floor(target + 0.5)
+    # Clamping happens only below n_min; there the target is n * clamped.
+    at = np.flatnonzero(p1_exact != clamped)
+    target_at = n[at] * clamped[at]
+    del p1_exact, clamped
+    # Split products keep tiny perturbations at full precision in the target;
+    # the buffers are reused, and every float is the same as with fresh ones.
+    target = n * eps1
+    del eps1
+    target += np.multiply(n, s.base_probs[0], out=n)
+    del n
+    target[at] = target_at
+    target += 0.5
+    rounded = np.floor(target, out=target)
 
     steps = np.diff(rounded, prepend=0.0)
-    if rounded[0] <= 1.0 and steps.min() >= 0.0 and steps.max() <= 1.0:
-        counts = rounded
-    else:
+    if not (rounded[0] <= 1.0 and steps.min() >= 0.0 and steps.max() <= 1.0):
         counts = np.empty(N, dtype=np.float64)
         c = 0.0
         for i in range(N):
             if c < rounded[i]:
                 c += 1.0
             counts[i] = c
-    took_first = np.diff(counts, prepend=0.0) > 0.0
-    vals = np.where(took_first, s.values[0], s.values[1])
+        steps = np.diff(counts, prepend=0.0)
+    vals = np.where(steps > 0.0, s.values[0], s.values[1])
     return sequence_from_values(vals, name=f"synth:{s.kind}")
 
 

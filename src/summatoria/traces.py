@@ -76,22 +76,37 @@ def validate_checkpoints(checkpoints, N: int | None = None) -> np.ndarray:
     return cps
 
 
+# Products of one np.multiply.accumulate call in geometric_checkpoints.
+_GEOMETRIC_CHUNK = 1 << 16
+
+
 def geometric_checkpoints(N: int, start: int = 10, ratio: float = 2.0) -> np.ndarray:
-    """Geometric checkpoint schedule start, start*ratio, ... capped at N."""
-    if ratio <= 1.0:
+    """Geometric checkpoint schedule start, start*ratio, ... capped at N:
+    the distinct round(x) <= N of x_0 = start, x_{j+1} = x_j * ratio, each
+    x formed by one float product, as a loop would."""
+    if not ratio > 1.0:
         raise ValueError(f"geometric ratio must exceed 1, got {ratio}")
     if start < 1:
         raise ValueError(f"geometric start must be positive, got {start}")
     if start > N:
         raise ValueError(f"geometric start {start} exceeds N={N}")
-    out = []
-    x = float(start)
-    while round(x) <= N:
-        n = int(round(x))
-        if not out or n > out[-1]:
-            out.append(n)
-        x *= ratio
-    return np.asarray(out, dtype=np.int64)
+    limit = float(N) if float(N) <= N else math.nextafter(float(N), 0.0)
+    factors = np.full(_GEOMETRIC_CHUNK, ratio, dtype=np.float64)  # ratio may be an int
+    factors[0] = float(start)
+    parts, last = [], 0.0
+    with np.errstate(over="ignore"):  # an x past the float range is inf > N
+        while True:
+            xs = np.multiply.accumulate(factors)  # sequential: x_{j+1} = x_j * ratio
+            rounded = np.rint(xs)  # half to even, as round() is
+            below = rounded[: np.searchsorted(rounded, limit, side="right")]
+            parts.append(below[below > np.append(last, below[:-1])])  # new values
+            if below.size < xs.size:
+                break
+            last, factors[0] = below[-1], xs[-1] * ratio
+    out = np.concatenate(parts)
+    if out.size and out[-1] >= 2.0**63:
+        raise ValueError(f"geometric checkpoints reach {out[-1]:.0f}, beyond int64")
+    return out.astype(np.int64)
 
 
 def _ordered_map(fn, args_iter: Iterable[tuple], threads: int) -> Iterator:

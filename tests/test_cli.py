@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from summatoria import cli, sieve
@@ -100,6 +101,42 @@ def test_synth_csv_without_n_exits_one(capsys):
     assert status == 1
     assert out == ""
     assert "--N" in err
+
+
+def rows_one_at_a_time(values, lo=1):
+    """The row-at-a-time synth writer that ``cli.csv_rows`` replaced."""
+    return "".join(f"{k},{format(float(f), '.17g')}\n" for k, f in enumerate(values, start=lo))
+
+
+@pytest.mark.parametrize("function", ["synth:log", "synth:log2"])
+@pytest.mark.parametrize("N", [1, 9, 10, 99, 100, 65535, 65536, 65537, 99999, 100001])
+def test_synth_csv_bytes_match_the_row_writer(function, N, tmp_path, capsys):
+    # N covers the 2**16-row chunks and the changes of digit count; synth:log
+    # writes labels 1 and -1, of different lengths
+    expected = "k,f\n" + rows_one_at_a_time(
+        cli.schedules.realize_greedy(cli._SCHEDULES[function](), N).values(1, N))
+    status, out, _ = run_cli("synth", "--function", function, "--N", str(N), capsys=capsys)
+    assert status == 0
+    assert out == expected
+    path = tmp_path / "synth.csv"
+    status, out, _ = run_cli("synth", "--function", function, "--N", str(N),
+                             "--output", str(path), capsys=capsys)
+    assert (status, out) == (0, "")
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+def test_csv_rows_keys_values_on_their_bits():
+    values = np.array([0.0, -0.0, 0.1, -2.5, -0.0, 0.1, 1e300, 5e-324])
+    for lo in (1, 7, 99_995):
+        assert cli.csv_rows(lo, values) == rows_one_at_a_time(values, lo)
+    assert cli.csv_rows(1, values[:2]) == "1,0\n2,-0\n"
+
+
+def test_overflowing_geometric_ratio_stops_the_schedule(capsys):
+    # 10 * 1e308 is inf, beyond N: the schedule is [10], not a traceback
+    status, out, err = run_cli("compute", "--function", "mu", "--N", "100",
+                               "--checkpoints", f"geometric(10,1{'0' * 308})", capsys=capsys)
+    assert (status, out, err) == (0, "n,S\n10,-1\n", "")
 
 
 def test_file_sequence_round_trip(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -145,6 +146,43 @@ def test_geometric_checkpoints():
         geometric_checkpoints(5, start=10)
     fractional = geometric_checkpoints(50, start=10, ratio=1.5)
     assert fractional.tolist() == [10, 15, 22, 34, 51][:4]
+
+
+def geometric_loop(N, start, ratio):
+    """The one-product-per-step loop that ``geometric_checkpoints`` replaced,
+    which raised OverflowError at round(inf) where this one stops."""
+    out, x = [], float(start)
+    while math.isfinite(x) and round(x) <= N:
+        if not out or round(x) > out[-1]:
+            out.append(round(x))
+        x *= ratio
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(1, 10**6), start_fraction=st.floats(0.0, 1.0),
+       ratio=st.one_of(st.floats(1.001, 1.1), st.floats(1.1, 1e3),
+                       st.sampled_from([1.5, 2.0, 10.0, 1e150, 1e308, 2, 3, 10**200])),
+       chunk=st.sampled_from([1, 2, 3, 7, 1 << 16]))
+def test_geometric_checkpoints_match_the_loop(N, start_fraction, ratio, chunk):
+    # small chunks put chunk ends everywhere, and give chunks with no new value
+    start = max(1, int(start_fraction * N))
+    with mock.patch.object(traces, "_GEOMETRIC_CHUNK", chunk), warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning escapes
+        got = geometric_checkpoints(N, start, ratio)
+    assert got.dtype == np.int64
+    assert got.tolist() == geometric_loop(N, start, ratio)
+
+
+def test_geometric_checkpoints_edges():
+    assert geometric_checkpoints(100, start=10, ratio=1e308).tolist() == [10]
+    # N beyond 2**53: round(x) <= N compares exactly
+    big = 2**53 + 1
+    assert geometric_checkpoints(big, start=big, ratio=2.0).tolist() == [2**53]
+    with pytest.raises(ValueError):
+        geometric_checkpoints(100, ratio=math.nan)
+    with pytest.raises(ValueError, match="int64"):
+        geometric_checkpoints(10**30, start=10**19, ratio=2.0)
 
 
 def test_csv_format_exact_and_float():
