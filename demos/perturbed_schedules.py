@@ -1,8 +1,8 @@
 """Two-valued schedules with vanishing perturbations, realized greedily.
 
-A schedule prescribes probabilities p_i(n) = p_i0 + eps_i(n) for a fixed
-value set.  Its expected summatory value is n * (sum a_i p_i0) plus a
-vanishing correction.  The greedy realization emits a deterministic
+A schedule gives the first of two values a1, a2 the probability
+p1(n) = p1 + eps1(n) and the second the complement.  Its expected
+summatory value is n * (a1 p1 + a2 (1 - p1)) plus a vanishing correction.  The greedy realization emits a deterministic
 sequence whose running proportions track the schedule, so the realized
 summatory values stay within one quantization step of the expected ones.
 """

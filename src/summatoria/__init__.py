@@ -1,7 +1,7 @@
 """Summatory arithmetic functions at scale, with empirical limit-law
 diagnostics: segmented sieves for mu and lambda, checkpointed traces,
 empirical distribution statistics, remainder-class fits, and perturbed
-finite-valued schedules with deterministic realizations."""
+two-valued schedules with deterministic realizations."""
 
 from .empirical import (
     EmpiricalDistribution,
@@ -33,7 +33,6 @@ from .schedules import (
     log2_indicator_schedule,
     log_coin_schedule,
     realize_greedy,
-    schedule_from_json_dict,
     schedule_mean,
     schedule_summatory,
     schedule_to_json_dict,

@@ -134,9 +134,9 @@ def cmd_compute(args) -> int:
         if args.format == "csv":
             traces.write_trace_csv(trace, out)
         else:
-            exact = trace.accumulation_kind == traces.EXACT_INTEGER
+            exact = trace.values.dtype != np.float64  # int64, or object past int64
             _write_json({"function": seq.name, "N": args.N,
-                         "accumulation_kind": trace.accumulation_kind,
+                         "accumulation_kind": "exact-integer" if exact else "compensated-float",
                          "trace": [{"n": int(n), "S": int(v) if exact else float(v)}
                                    for n, v in zip(trace.checkpoints, trace.values)]}, out)
     return 0
@@ -249,7 +249,7 @@ def _selftest_suites(seed: int):
                   schedules.fair_coin_schedule()):
             N = 10**4
             seq = schedules.realize_greedy(s, N)
-            counts = np.cumsum(seq.values(1, N) == s.values[0])
+            counts = np.cumsum(seq.values(1, N) == s.a1)
             n = np.arange(1, N + 1, dtype=np.float64)
             if np.max(np.abs(counts - n * s.probabilities(n)[0])) > 1.0:
                 return False

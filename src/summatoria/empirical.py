@@ -2,7 +2,7 @@
 
 Restricting a sequence to {1..n} and weighting every point by 1/n turns
 it into a random variable; these helpers compute its mean, population
-variance, empirical CDF, Kolmogorov-Smirnov distance to a reference law,
+variance, empirical CDF, Kolmogorov-Smirnov distance to the normal law,
 and a lagged correlation that quantifies asymptotic independence.  The
 lag correlations are a probe of ``traces.stream``, exact sums of
 products (``Block.dot``) rounded once, and the variance is their lag 0,
@@ -21,26 +21,18 @@ from .errors import BoundError, DegenerateSampleError
 from .sequences import ArithmeticSequence
 from .traces import Block, as_float, stream
 
-STANDARD_NORMAL = "standard-normal"
-UNIFORM_01 = "uniform(0,1)"
-
 # 1% critical coefficient for the one-sample KS statistic: D ~ c / sqrt(n).
 KS_CRITICAL_1PCT = 1.63
 
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """A sorted sample with its empirical CDF and population moments."""
+    """A sorted sample (its empirical CDF) with its population moments."""
 
     sample: np.ndarray
     n: int
     mean: float
     variance: float
-
-    def cdf(self, x) -> np.ndarray | float:
-        """Right-continuous empirical CDF: fraction of the sample <= x."""
-        out = np.searchsorted(self.sample, x, side="right") / self.n
-        return float(out) if np.isscalar(x) else out
 
 
 def empirical_cdf(values) -> EmpiricalDistribution:
@@ -163,35 +155,25 @@ def _normal_cdf_sorted(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def ks_distance(
-    dist: EmpiricalDistribution,
-    reference: str = STANDARD_NORMAL,
-    *,
-    standardize: bool = True,
-) -> float:
-    """Kolmogorov-Smirnov distance between a sample and a reference law.
+def ks_distance(dist: EmpiricalDistribution, *, standardize: bool = True) -> float:
+    """Kolmogorov-Smirnov distance between a sample and the standard
+    normal law.
 
-    For the standard-normal reference the sample is first standardized by
-    its own mean and standard deviation (disable with standardize=False
-    when the sample is already on the reference scale).  The uniform(0,1)
-    reference compares raw values.  The supremum accounts for both sides
-    of each jump of the empirical CDF.
+    The sample is first standardized by its own mean and standard
+    deviation (disable with standardize=False when the sample is already
+    on the reference scale).  The supremum accounts for both sides of
+    each jump of the empirical CDF.
     """
-    if reference == STANDARD_NORMAL:
-        if standardize:
-            if dist.variance <= 0.0:
-                raise DegenerateSampleError(
-                    "sample variance is zero; cannot standardize for the normal reference"
-                )
-            z = dist.sample - dist.mean
-            z /= math.sqrt(dist.variance)  # increasing, so z stays sorted
-        else:
-            z = dist.sample
-        ref = _normal_cdf_sorted(z)
-    elif reference == UNIFORM_01:
-        ref = np.clip(dist.sample, 0.0, 1.0)
+    if standardize:
+        if dist.variance <= 0.0:
+            raise DegenerateSampleError(
+                "sample variance is zero; cannot standardize for the normal reference"
+            )
+        z = dist.sample - dist.mean
+        z /= math.sqrt(dist.variance)  # increasing, so z stays sorted
     else:
-        raise ValueError(f"unknown reference law {reference!r}")
+        z = dist.sample
+    ref = _normal_cdf_sorted(z)
 
     steps = np.arange(dist.n + 1) / dist.n
     # The sup of |step - ref| over both sides of each jump, without abs:

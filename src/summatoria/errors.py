@@ -14,4 +14,4 @@ class DegenerateSampleError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A numerical subroutine (quadrature, fit) failed to reach its tolerance."""
+    """A sum or residual is not finite, or an integer-valued sequence is not."""

@@ -178,49 +178,20 @@ def euler_maclaurin_gap(
     N: int,
     checkpoints=None,
     *,
-    antiderivative: Callable[[float], float] | None = None,
+    antiderivative: Callable[[float], float],
 ) -> RemainderFit:
     """Classify r(n) = sum_{k<=n} f(k) - integral_1^n f(t) dt.
 
     For a bounded elementary summand this gap is O(1) but generally not
     o(1), which is exactly what separates such sums from the decaying
-    residuals the limit conditions require.  The integral uses the given
-    antiderivative when available, otherwise adaptive quadrature piecewise
-    between checkpoints (absolute error per piece <= 1e-10).
+    residuals the limit conditions require.  The integral is
+    antiderivative(n) - antiderivative(1).
     """
     cps = validate_checkpoints(checkpoints, N)
     seq = sequence_from_function(fn, N, name="elementary", magnitude_bound=math.inf)
     trace = summatory_trace(seq, N, cps)
-
-    integrals = np.empty(cps.size, dtype=np.float64)
-    if antiderivative is not None:
-        base = antiderivative(1.0)
-        for j, n in enumerate(cps):
-            integrals[j] = antiderivative(float(n)) - base
-    else:
-        try:
-            from scipy.integrate import quad  # slow to import; no CLI command gets here
-        except ImportError as exc:
-            raise ImportError("euler_maclaurin_gap without an antiderivative needs scipy: "
-                              "install the extra summatoria[quad]") from exc
-
-        scalar_fn = lambda t: float(np.asarray(fn(np.array([t])))[0])
-        running = 0.0
-        prev = 1.0
-        for j, n in enumerate(cps):
-            piece = quad(scalar_fn, prev, float(n), epsabs=1e-12, epsrel=1e-12,
-                         limit=200, full_output=1)
-            if len(piece) > 3:
-                raise NumericError(f"quadrature failed on [{prev}, {int(n)}]: {piece[3]}")
-            value, abserr = piece[0], piece[1]
-            if abserr > 1e-10:
-                raise NumericError(
-                    f"quadrature error {abserr:.3e} on [{prev}, {int(n)}] exceeds 1e-10"
-                )
-            running += value
-            integrals[j] = running
-            prev = float(n)
-
+    base = antiderivative(1.0)
+    integrals = np.array([antiderivative(float(n)) - base for n in cps], dtype=np.float64)
     r = trace.values.astype(np.float64) - integrals
     return fit_remainders(cps, r)
 

@@ -108,11 +108,14 @@ def sequence_from_function(
     """Wrap a vectorized closed-form expression f(k).
 
     ``fn`` receives a float64 array of indices and must return an array of
-    the same shape.  The declared magnitude bound is spot-checked on
-    log-spaced indices.
+    the same shape, so ``bound`` is at most 2**53, up to which float64
+    holds every integer.  The declared magnitude bound is spot-checked on log-spaced
+    indices.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
+    if bound > 2**53:
+        raise ValueError(f"bound {bound} exceeds 2**53, past which float64 indices skip integers")
 
     def block(lo: int, hi: int) -> np.ndarray:
         k = np.arange(lo, hi + 1, dtype=np.float64)

@@ -214,12 +214,3 @@ def sieve_block(lo: int, hi: int, *, primes: np.ndarray | None = None) -> SieveB
     mu.flags.writeable = False
     lam.flags.writeable = False
     return SieveBlock(lo=lo, hi=hi, mu=mu, lam=lam)
-
-
-def iter_block_ranges(lo: int, hi: int, block_size: int):
-    """Yield consecutive (start, end) pairs covering [lo, hi]."""
-    start = lo
-    while start <= hi:
-        end = min(start + block_size - 1, hi)
-        yield start, end
-        start = end + 1

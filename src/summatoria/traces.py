@@ -39,17 +39,14 @@ from .sequences import (
     weighted_mobius_sequence,
 )
 
-EXACT_INTEGER = "exact-integer"
-COMPENSATED_FLOAT = "compensated-float"  # a report value: float sums are now exact, rounded once
-
 
 @dataclass(frozen=True)
 class SummatoryTrace:
-    """Values of S(n) at strictly increasing checkpoints."""
+    """Values of S(n) at strictly increasing checkpoints: exact integers as
+    int64 (object past int64), other sums as float64."""
 
     checkpoints: np.ndarray
     values: np.ndarray
-    accumulation_kind: str
     name: str = ""
 
     def __post_init__(self):
@@ -66,7 +63,10 @@ def validate_checkpoints(checkpoints, N: int | None = None) -> np.ndarray:
     stands for the default schedule, geometric ratio 2 from 10 up to N."""
     if checkpoints is None:
         checkpoints = geometric_checkpoints(N)
-    cps = np.asarray(checkpoints, dtype=np.int64)
+    try:
+        cps = np.asarray(checkpoints, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("checkpoints must lie inside the int64 range") from None
     if cps.ndim != 1 or cps.size == 0:
         raise ValueError("checkpoint schedule must be a nonempty 1-D sequence")
     if cps[0] < 1 or np.any(np.diff(cps) <= 0):
@@ -362,13 +362,15 @@ def stream(seq: ArithmeticSequence, last: int, probes, *,
     if last > seq.bound:  # before any block, not when the stream gets there
         raise BoundError(f"index {last} exceeds the sequence bound {seq.bound}")
     total, carry = 0, None  # total is exact: an int, or a Fraction once a real block is added
-    ranges = list(sieve.iter_block_ranges(1, last, sieve.resolve_block_size(block_size)))
-    for (lo, hi), arr in zip(ranges, _ordered_map(seq.values, ranges, threads)):
+    size = sieve.resolve_block_size(block_size)
+    starts = range(1, last + 1, size)
+    ranges = ((lo, min(lo + size - 1, last)) for lo in starts)
+    for lo, arr in zip(starts, _ordered_map(seq.values, ranges, threads)):
         block = Block(lo, arr, total, seq.integer_valued, carry)
         for probe in probes:
             probe.add(block)
         total += block.total
-        carry = block.next_carry() if hi < last else None
+        carry = block.next_carry() if block.hi < last else None
     return block.rounded(total)
 
 
@@ -384,8 +386,10 @@ class Checkpoints:
         self.values.extend(block.sums_at(self.checkpoints, rounded=True)[1])
 
     def trace(self, seq: ArithmeticSequence) -> SummatoryTrace:
-        kind = EXACT_INTEGER if seq.integer_valued else COMPENSATED_FLOAT
-        return SummatoryTrace(self.checkpoints, np.asarray(self.values), kind, seq.name)
+        values = np.asarray(self.values)
+        if seq.integer_valued and values.dtype != np.int64:  # ints past int64 may become floats
+            values = np.array(self.values, dtype=object)
+        return SummatoryTrace(self.checkpoints, values, seq.name)
 
 
 class Strided:
@@ -465,7 +469,7 @@ def weighted_mobius_trace(N: int, checkpoints=None, *, block_size: int | None = 
 def write_trace_csv(trace: SummatoryTrace, out: TextIO) -> None:
     """Write a trace as CSV with header ``n,S`` and LF line endings: exact
     integers without exponent, floats with 17 significant digits."""
-    exact = trace.accumulation_kind == EXACT_INTEGER
+    exact = trace.values.dtype != np.float64  # int64, or object past int64
     out.write("n,S\n")
     for n, v in zip(trace.checkpoints, trace.values):
         out.write(f"{int(n)},{int(v) if exact else format(float(v), '.17g')}\n")

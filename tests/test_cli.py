@@ -52,6 +52,20 @@ def test_compute_thread_count_does_not_change_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (("--function", "mu", "--N", "100", "--checkpoints", "10,100"),
+     "a0058f694bb018573d9bd4d72100afcc463e7afb25631f9a2331e21879e07b13"),
+    (("--function", "mu-over-k", "--N", "3", "--checkpoints", "3"),
+     "e4b5dd958d35ff924f645c59cc9942e2aea609f317a86f7b8933ca4384273f93"),
+])
+def test_compute_json_bytes_are_pinned(argv, digest, capsys):
+    # an integer and a real trace: "accumulation_kind" reads exact-integer
+    # and compensated-float
+    status, out, _ = run_cli("compute", *argv, "--format", "json", capsys=capsys)
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verdict_log2_example(capsys):
     status, out, _ = run_cli("verdict", "--function", "synth:log2",
                              "--N", "1000000", "--checkpoints", "geometric(10,2)",
@@ -185,6 +199,17 @@ def test_validation_errors_exit_one(capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--function", "mu", "--N", "100", "--checkpoints", "10,100000000000000000000"), "int64"),
+    (("--function", "harmonic", "--N", "100000000000000000000", "--checkpoints", "10"), "2**53"),
+    (("--function", "harmonic", "--N", "10000000000000000000", "--checkpoints", "10"), "2**53"),
+])
+def test_indices_past_int64_or_exact_floats_exit_one(argv, message, capsys):
+    status, out, err = run_cli("compute", *argv, capsys=capsys)
+    assert (status, out) == (1, "")
+    assert message in err
+
+
 def test_capacity_error_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", str(1 << 30))
     status, _, err = run_cli("compute", "--function", "mu", "--N", "100",
@@ -259,8 +284,8 @@ def test_console_entry_point_runs():
 
 
 def test_cli_import_leaves_scipy_special_and_integrate_unloaded(tmp_path):
-    # No command imports scipy: the KS distance has its own Phi, and only the
-    # library's quadrature fallback, which no command reaches, needs scipy.
+    # No command imports scipy: the KS distance has its own Phi, and scipy is
+    # only an oracle of the tests.
     csv = tmp_path / "log2.csv"
     runs = [["synth", "--function", "synth:log2", "--N", "2000", "--output", str(csv)],
             ["compute", "--function", "mu-over-k", "--N", "1000"],

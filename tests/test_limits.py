@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -33,11 +32,10 @@ from summatoria import (
 CPS_1E7 = geometric_checkpoints(10**7, start=100, ratio=2)
 
 
-def _trace(checkpoints, values, kind="compensated-float", name="t"):
+def _trace(checkpoints, values, name="t"):
     return SummatoryTrace(
         checkpoints=np.asarray(checkpoints, dtype=np.int64),
         values=np.asarray(values),
-        accumulation_kind=kind,
         name=name,
     )
 
@@ -160,20 +158,6 @@ def test_euler_maclaurin_gap_inverse_square():
                               antiderivative=lambda t: -1.0 / t)
     assert fit.classification == BOUNDED
     assert fit.remainders[-1] == pytest.approx(math.pi**2 / 6 - 1, abs=1e-3)
-
-
-def test_euler_maclaurin_quadrature_path_matches_antiderivative():
-    cps = geometric_checkpoints(2000)
-    with_closed = euler_maclaurin_gap(lambda k: 1.0 / k, 2000, cps,
-                                      antiderivative=math.log)
-    with_quad = euler_maclaurin_gap(lambda k: 1.0 / k, 2000, cps)
-    assert np.allclose(with_closed.remainders, with_quad.remainders, atol=1e-9)
-
-
-def test_euler_maclaurin_quadrature_without_scipy_names_the_extra(monkeypatch):
-    monkeypatch.setitem(sys.modules, "scipy.integrate", None)  # import now raises
-    with pytest.raises(ImportError, match=r"summatoria\[quad\]"):
-        euler_maclaurin_gap(lambda k: 1.0 / k, 100, geometric_checkpoints(100))
 
 
 def test_full_verdict_harmonic_bounded():

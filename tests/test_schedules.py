@@ -10,7 +10,6 @@ from summatoria import (
     log2_indicator_schedule,
     log_coin_schedule,
     realize_greedy,
-    schedule_from_json_dict,
     schedule_mean,
     schedule_summatory,
     schedule_to_json_dict,
@@ -81,15 +80,11 @@ def test_small_n_clamping_and_n_min():
 def test_schedule_validation_rejects_bad_inputs():
     zeros = lambda n: np.zeros_like(np.asarray(n, dtype=np.float64))
     with pytest.raises(ValueError):
-        TwoPointSchedule((1.0, 1.0), (0.5, 0.5), (zeros, zeros))  # duplicate values
+        TwoPointSchedule(1.0, 1.0, 0.5, zeros)  # duplicate values
     with pytest.raises(ValueError):
-        TwoPointSchedule((1.0, -1.0), (0.7, 0.7), (zeros, zeros))  # sum > 1
+        TwoPointSchedule(1.0, -1.0, -0.1, zeros)  # negative prob
     with pytest.raises(ValueError):
-        TwoPointSchedule((1.0, -1.0), (-0.1, 1.1), (zeros, zeros))  # negative prob
-    with pytest.raises(ValueError):
-        # perturbations do not cancel
-        TwoPointSchedule((1.0, 0.0, -1.0), (0.3, 0.4, 0.3),
-                         (lambda n: 0.01 + 0 * n, zeros, zeros))
+        TwoPointSchedule(1.0, -1.0, 1.1, zeros)  # second prob negative
     with pytest.raises(ValueError):
         # violates the o(1/n) decay contract
         two_value_schedule(1.0, -1.0, 0.5, lambda n: 0.1 + 0.0 * n)
@@ -110,20 +105,11 @@ def test_degenerate_schedule_realizes_constant():
     assert np.all(seq.values(1, 50) == 3.0)
 
 
-def test_realize_rejects_many_valued_schedules():
-    zeros = lambda n: np.zeros_like(np.asarray(n, dtype=np.float64))
-    s = TwoPointSchedule((1.0, 0.0, -1.0), (0.25, 0.5, 0.25), (zeros, zeros, zeros))
-    with pytest.raises(ValueError):
-        realize_greedy(s, 10)
-    # expected-value paths still work for any arity
-    assert schedule_mean(s, 10) == 0.0
-
-
 def test_greedy_counts_track_proportional_target():
     for s in (log_coin_schedule(), log2_indicator_schedule(), fair_coin_schedule()):
         N = 10**4
         seq = realize_greedy(s, N)
-        counts = np.cumsum(seq.values(1, N) == s.values[0])
+        counts = np.cumsum(seq.values(1, N) == s.a1)
         n = np.arange(1, N + 1, dtype=np.float64)
         target = n * s.probabilities(n)[0]
         assert np.max(np.abs(counts - target)) <= 1.0
@@ -133,7 +119,7 @@ def test_realized_summatory_tracks_schedule_summatory():
     for s in (log_coin_schedule(), log2_indicator_schedule()):
         N = 10**4
         seq = realize_greedy(s, N)
-        gap_bound = abs(s.values[0] - s.values[1])
+        gap_bound = abs(s.a1 - s.a2)
         running = np.cumsum(seq.values(1, N))
         n = np.arange(1, N + 1)
         assert np.max(np.abs(running - schedule_summatory(s, n))) <= gap_bound
@@ -148,6 +134,17 @@ def test_greedy_deviation_bound_for_constant_probability(p, N):
     counts = np.cumsum(seq.values(1, N) == 1.0)
     n = np.arange(1, N + 1, dtype=np.float64)
     assert np.max(np.abs(counts - n * p)) <= 1.0
+
+
+def test_greedy_fallback_when_the_rounded_target_steps_down():
+    # n p_1(n) + 1/2 = n**-1 + 1/2 rounds to 1, 1, then 0 from n = 3, so the
+    # closed form does not apply and the step-by-step rule runs.
+    s = two_value_schedule(1.0, -1.0, 0.0, lambda n: 1 / n**2)
+    N = 50
+    counts = np.cumsum(realize_greedy(s, N).values(1, N) == 1.0)
+    assert counts.tolist() == [1] * N
+    n = np.arange(1, N + 1, dtype=np.float64)
+    assert np.max(np.abs(counts - n * s.probabilities(n)[0])) == pytest.approx(0.98)
 
 
 def test_greedy_fallback_loop_matches_closed_form():
@@ -174,11 +171,6 @@ def test_schedule_json_round_trip():
         doc = schedule_to_json_dict(s)
         assert set(doc) == {"values", "base_probs", "perturbation"}
         assert set(doc["perturbation"]) == {"kind", "n_min"}
-        back = schedule_from_json_dict(doc)
-        assert back.values == s.values
-        assert back.kind == s.kind
-        n = np.arange(1, 50, dtype=np.float64)
-        assert np.array_equal(back.probabilities(n), s.probabilities(n))
 
 
 def test_custom_schedule_is_not_serializable():

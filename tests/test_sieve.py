@@ -17,7 +17,6 @@ from summatoria.sieve import (
     GLOBAL_SIEVE_BOUND,
     MAX_BLOCK_SIZE,
     ORACLE_BOUND,
-    iter_block_ranges,
 )
 
 from reference_sieve import reference_sieve_block
@@ -143,14 +142,6 @@ def test_sieve_agrees_with_oracle_at_random_points(n):
     blk = sieve_block(n, n)
     assert int(blk.mu[0]) == mobius_oracle(n)
     assert int(blk.lam[0]) == liouville_oracle(n)
-
-
-def test_iter_block_ranges_cover_exactly():
-    ranges = list(iter_block_ranges(1, 103, 10))
-    assert ranges[0] == (1, 10)
-    assert ranges[-1] == (101, 103)
-    covered = [k for lo, hi in ranges for k in range(lo, hi + 1)]
-    assert covered == list(range(1, 104))
 
 
 # The kernel against the pre-tile kernel kept in tests/reference_sieve.py,
