@@ -6,14 +6,15 @@
     PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
     PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR
     PYTHONPATH=src python3 bench/kernels.py synth --parent DIR
+    PYTHONPATH=src python3 bench/kernels.py stream
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
 at 3e7 and one ending at 1e9, best of 5 in this process, with the
 reference kernel of ``tests/reference_sieve.py`` and with
 ``summatoria.sieve.sieve_block``, after checking that both give the same
-bytes; then ``mertens_trace(3e7)``, best of 3, at 1 and 2 threads with
-each kernel (the reference is swapped in for ``sieve.sieve_block``).
+bytes; then ``mertens_trace(3e7)``, best of 3, with each kernel (the
+reference is swapped in for ``sieve.sieve_block``).
 ``sum`` times the sum of one 2**20 block of mu(k)/k and of 1/k ending at
 2**20, 10 * 2**20 and 3e7, best of 5: ``math.fsum(x.tolist())`` against
 the exact ``traces.Block`` sum rounded once, after checking both give
@@ -51,12 +52,20 @@ checkout; then, in this process, the CSV rows of that realization written
 to os.devnull one f-string and one write per row against
 ``cli.csv_rows`` in blocks of ``cli._CSV_ROWS`` rows, best of 5, after
 checking both give the same text.
+``stream`` runs ``compute --function F --N 10 * 2**20`` for F = mu, mu-over-k,
+harmonic and a ``file:`` CSV of ``synth:log2`` at that N, in fresh processes,
+best of 5 with the two sides alternating, with each run's peak RSS:
+``traces.stream`` as it is (every block inline), and with each next block
+evaluated one ahead on a background thread (``AHEAD``), after checking both
+give the same bytes.  mu is forced to stream (``sublinear.table_limit``
+replaced by the last checkpoint).
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum``, ``ks``, ``moments``, ``sublinear`` or ``synth``, ``pairs`` writes into
-that section, else into the sieve kernel's top-level ``perfbench_pairs``.
+``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth`` or
+``stream``, ``pairs`` writes into that section, else into the sieve
+kernel's top-level ``perfbench_pairs``.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -98,6 +108,7 @@ SUBLINEAR_RUNS = [
 ]
 FIT_TABLE = 1 << 24
 SYNTH_N = 1_000_000
+STREAM_N = 10 * BLOCK
 
 
 def best_of(k: int, fns: dict) -> dict:
@@ -132,24 +143,21 @@ def kernel_section() -> dict:
                        "new_ns_per_entry": round(1e6 * ms["new"] / BLOCK, 1),
                        "speedup": round(ms["reference"] / ms["new"], 2)})
 
-    def trace_with(kernel, threads):
+    def trace_with(kernel):
         def run():
             sieve.sieve_block = kernel
             try:
-                return traces.mertens_trace(TRACE_N, threads=threads).values.tolist()
+                return traces.mertens_trace(TRACE_N).values.tolist()
             finally:
                 sieve.sieve_block = kernels["new"]
         return run
 
-    trace_rows = []
-    for threads in (1, 2):
-        runs = {name: trace_with(k, threads) for name, k in kernels.items()}
-        if runs["reference"]() != runs["new"]():
-            raise SystemExit(f"mertens_trace values differ at {threads} threads")
-        secs = best_of(3, runs)
-        trace_rows.append({"N": TRACE_N, "threads": threads,
-                           "reference_s": round(secs["reference"], 3),
-                           "new_s": round(secs["new"], 3)})
+    runs = {name: trace_with(k) for name, k in kernels.items()}
+    if runs["reference"]() != runs["new"]():
+        raise SystemExit("mertens_trace values differ")
+    secs = best_of(3, runs)
+    trace_rows = [{"N": TRACE_N, "reference_s": round(secs["reference"], 3),
+                   "new_s": round(secs["new"], 3)}]
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py kernel",
         "block_2pow20_best_of_5": blocks,
@@ -452,6 +460,74 @@ def synth_section(parent: str) -> dict:
     }
 
 
+# The worker side of ``stream``: ``traces.stream`` unchanged, over a
+# sequence whose next block is evaluated on one background thread while the
+# probes work on the current one.
+AHEAD = """
+from concurrent.futures import ThreadPoolExecutor
+from summatoria import sieve, traces
+
+inline = traces.stream
+
+
+class Ahead:
+    def __init__(self, seq, last, size, pool):
+        self.seq, self.last, self.size, self.pool = seq, last, size, pool
+        self.pending = pool.submit(seq.values, 1, min(size, last))
+
+    def __getattr__(self, name):
+        return getattr(self.seq, name)
+
+    def values(self, lo, hi):
+        arr = self.pending.result()
+        if hi < self.last:
+            self.pending = self.pool.submit(self.seq.values, hi + 1,
+                                            min(hi + self.size, self.last))
+        return arr
+
+
+def ahead(seq, last, probes, *, block_size=None):
+    size = block_size or sieve.DEFAULT_BLOCK_SIZE
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return inline(Ahead(seq, last, size, pool), last, probes, block_size=block_size)
+
+
+traces.stream = ahead
+"""
+
+
+def stream_section() -> dict:
+    here = os.path.abspath(os.path.join(HERE, os.pardir))
+    modes = {"inline": "", "worker": AHEAD}
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:  # children first: see moments_section
+        csv = os.path.join(tmp, "synth_log2.csv")
+        child(["synth", "--function", "synth:log2", "--N", str(STREAM_N), "--output", csv], here)
+        # (function id, the id whose values it holds)
+        for function, source in (("mu", "mu"), ("mu-over-k", "mu-over-k"),
+                                 ("harmonic", "harmonic"), (f"file:{csv}", "synth:log2")):
+            argv = ["compute", "--function", function, "--N", str(STREAM_N)]
+            secs, rss, out = {m: [] for m in modes}, {m: [] for m in modes}, {}
+            for i in range(5):
+                for mode in list(modes)[:: 1 if i % 2 == 0 else -1]:
+                    code = ("from summatoria import sublinear\n"
+                            "sublinear.table_limit = lambda cps: int(cps[-1])\n" + modes[mode])
+                    t, r, out[mode] = child(argv, here, code)
+                    secs[mode].append(t)
+                    rss[mode].append(r)
+            if out["inline"] != out["worker"]:
+                raise SystemExit(f"{argv}: inline and worker give different bytes")
+            row = {"function": function.replace(tmp + os.sep, ""), "values_of": source,
+                   "N": STREAM_N,
+                   **{f"{m}_best_s": round(min(secs[m]), 3) for m in modes},
+                   **{f"{m}_median_s": round(statistics.median(secs[m]), 3) for m in modes},
+                   **{f"{m}_peak_rss_mb": round(max(rss[m]), 1) for m in modes}}
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py stream",
+            "compute_best_of_5": rows}
+
+
 def run_perfbench(root: str, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", "0"]
@@ -506,18 +582,20 @@ def main(argv=None) -> int:
     sub.add_parser("moments").add_argument("--parent", required=True)
     sub.add_parser("sublinear").add_argument("--parent", required=True)
     sub.add_parser("synth").add_argument("--parent", required=True)
+    sub.add_parser("stream")
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section", choices=["sum", "ks", "moments", "sublinear", "synth"])
+    pairs.add_argument("--section",
+                       choices=["sum", "ks", "moments", "sublinear", "synth", "stream"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments", "sublinear", "synth")
+    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream")
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
@@ -532,6 +610,8 @@ def main(argv=None) -> int:
         section.update(sublinear_section(args.parent))
     elif args.command == "synth":
         section.update(synth_section(args.parent))
+    elif args.command == "stream":
+        section.update(stream_section())
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

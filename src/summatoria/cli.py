@@ -129,7 +129,7 @@ def _write_json(doc: dict, out) -> None:
 def cmd_compute(args) -> int:
     seq = resolve_function(args.function, args.N)
     cps = parse_checkpoints(args.checkpoints, args.N)
-    trace = traces.summatory_trace(seq, args.N, cps, threads=args.threads)
+    trace = traces.summatory_trace(seq, args.N, cps)
     with _open_output(args.output) as out:
         if args.format == "csv":
             traces.write_trace_csv(trace, out)
@@ -147,7 +147,7 @@ def cmd_analyze(args) -> int:
     seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
     values = traces.Strided(N, KS_SAMPLE_CAP, sums=False)
     correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
-    traces.stream(seq, N + max(lags), [values, correlations], threads=args.threads)
+    traces.stream(seq, N + max(lags), [values, correlations])
     mean, (variance, *rhos) = correlations.mean(), correlations.result()
     dist = empirical_cdf(values.sample)
     try:
@@ -215,7 +215,7 @@ def cmd_synth(args) -> int:
 def cmd_verdict(args) -> int:
     seq = resolve_function(args.function, args.N)
     cps = parse_checkpoints(args.checkpoints, args.N)
-    verdict = full_verdict(seq, args.N, cps, threads=args.threads)
+    verdict = full_verdict(seq, args.N, cps)
     with _open_output(args.output) as out:
         _write_json(verdict_to_json_dict(verdict), out)
     return 0
@@ -327,7 +327,9 @@ _OPTIONS = {
                         help="'geometric(start,ratio)' or comma list; default geometric(10,2)"),
     "lag": dict(type=_lags, default=DEFAULT_LAGS,
                 help="comma list of lags for the independence table; default 1,2,5,10"),
-    "threads": dict(type=_positive_int, default=1, help="sieve worker threads"),
+    "threads": dict(type=_positive_int, default=1,
+                    help="accepted for compatibility and ignored: every stream runs "
+                         "on one thread"),
     "output": dict(help="output path (default: stdout)"),
     "seed": dict(type=int, default=0, help="seed for KS calibration draws only; never "
                                            "affects number-theoretic output"),

@@ -202,7 +202,6 @@ def full_verdict(
     checkpoints=None,
     *,
     block_size: int | None = None,
-    threads: int = 1,
 ) -> LimitVerdict:
     """Assemble the whole evidence report for one sequence.
 
@@ -217,7 +216,7 @@ def full_verdict(
     cps = validate_checkpoints(checkpoints, N)
     samples = [Strided(int(n), KS_SAMPLE_CAP) for n in cps]
     probe = Checkpoints(cps)
-    stream(seq, int(cps[-1]), [probe, *samples], block_size=block_size, threads=threads)
+    stream(seq, int(cps[-1]), [probe, *samples], block_size=block_size)
     trace = probe.trace(seq)
 
     est = estimate_limit_mean(trace)

@@ -110,11 +110,16 @@ def two_value_schedule(
                             _first_valid_n(p1_base, eps1))
 
 
+_SCAN_CHUNK = 1 << 16  # n per eps1 call of _first_valid_n
+
+
 def _first_valid_n(p1_base: float, eps1, scan_limit: int = 10**6) -> int:
-    for n in range(1, scan_limit + 1):
-        p = p1_base + float(np.asarray(eps1(np.asarray([float(n)])))[0])
-        if 0.0 <= p <= 1.0:
-            return n
+    for lo in range(1, scan_limit + 1, _SCAN_CHUNK):
+        n = np.arange(lo, min(lo + _SCAN_CHUNK, scan_limit + 1), dtype=np.float64)
+        p = p1_base + np.asarray(eps1(n), dtype=np.float64)
+        inside = np.flatnonzero((p >= 0.0) & (p <= 1.0))
+        if inside.size:
+            return lo + int(inside[0])
     raise ValueError("perturbed probability never enters [0, 1]")
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,27 +30,8 @@ GLOBAL_SIEVE_BOUND = 1_000_000_000
 DEFAULT_BLOCK_SIZE = 1 << 20
 MAX_BLOCK_SIZE = 1 << 24
 
-BLOCK_SIZE_ENV_VAR = "SUMMATORIA_BLOCK_SIZE"
-
 _TILE_PRIMES = (2, 3, 5, 7)
 _TILE_PERIOD = math.prod(p * p for p in _TILE_PRIMES)  # 44100
-
-
-def resolve_block_size(block_size: int | None = None) -> int:
-    """Pick the sieve block size: explicit argument, else the
-    SUMMATORIA_BLOCK_SIZE environment variable, else the built-in default."""
-    name = "block size"
-    if block_size is None:
-        name = BLOCK_SIZE_ENV_VAR
-        text = os.environ.get(name, str(DEFAULT_BLOCK_SIZE))
-        if not text.strip().isdecimal():  # the rule of --N: no sign, underscore or exponent
-            raise ValueError(f"{name} must be a positive integer, got {text!r}")
-        block_size = int(text)
-    if block_size < 1:
-        raise ValueError(f"{name} must be positive, got {block_size}")
-    if block_size > MAX_BLOCK_SIZE:
-        raise CapacityError(f"{name} {block_size} exceeds the {MAX_BLOCK_SIZE}-entry budget")
-    return block_size
 
 
 @dataclass(frozen=True)

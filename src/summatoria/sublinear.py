@@ -81,8 +81,7 @@ def table_limit(checkpoints: np.ndarray) -> int:
 
 def sums(seq, xs, limit: int, *, block_size: int | None = None) -> list[int]:
     """S(x) for each x of xs, from a table of S(0..limit) that ``stream``
-    fills on one thread (a second one made 10**11 slower) and
-    ``seq.hyperbola`` above it; every x must be at most limit**2."""
+    fills and ``seq.hyperbola`` above it; every x must be at most limit**2."""
     table = Table(limit)
     traces.stream(seq, limit, [table], block_size=block_size)
     return from_table(table.values, seq.hyperbola, xs)

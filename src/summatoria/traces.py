@@ -11,26 +11,21 @@ integers as int64 (or Python ints where int64 could wrap), reals through
 ``np.bincount``; a product of reals enters it as Dekker's exact
 two-product of the mantissas.  So every S(n) at a checkpoint is the
 exact sum, rounded once to float: the correctly rounded value, whatever
-the block size or thread count.  A sum that is not finite raises
-NumericError.  Blocks may be evaluated on worker threads, but probes
-always see them in order, so results do not depend on the thread count.
+the block size.  A sum that is not finite raises NumericError.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from . import sieve
-from .errors import BoundError, NumericError
+from .errors import BoundError, CapacityError, NumericError
 from .sequences import (
     SUBLINEAR_BOUND,
     ArithmeticSequence,
@@ -76,8 +71,10 @@ def validate_checkpoints(checkpoints, N: int | None = None) -> np.ndarray:
     return cps
 
 
-# Products of one np.multiply.accumulate call in geometric_checkpoints.
+# Products of one np.multiply.accumulate call in geometric_checkpoints, and
+# the most one schedule may need (2**24 products take about 0.13 s).
 _GEOMETRIC_CHUNK = 1 << 16
+_GEOMETRIC_BUDGET = 1 << 24
 
 
 def geometric_checkpoints(N: int, start: int = 10, ratio: float = 2.0) -> np.ndarray:
@@ -90,6 +87,10 @@ def geometric_checkpoints(N: int, start: int = 10, ratio: float = 2.0) -> np.nda
         raise ValueError(f"geometric start must be positive, got {start}")
     if start > N:
         raise ValueError(f"geometric start {start} exceeds N={N}")
+    products = math.ceil(math.log(N / start) / math.log(ratio))
+    if products > _GEOMETRIC_BUDGET:
+        raise CapacityError(f"geometric({start},{ratio}) needs {products} products to reach "
+                            f"N={N}, beyond the budget of {_GEOMETRIC_BUDGET}")
     limit = float(N) if float(N) <= N else math.nextafter(float(N), 0.0)
     factors = np.full(_GEOMETRIC_CHUNK, ratio, dtype=np.float64)  # ratio may be an int
     factors[0] = float(start)
@@ -107,25 +108,6 @@ def geometric_checkpoints(N: int, start: int = 10, ratio: float = 2.0) -> np.nda
     if out.size and out[-1] >= 2.0**63:
         raise ValueError(f"geometric checkpoints reach {out[-1]:.0f}, beyond int64")
     return out.astype(np.int64)
-
-
-def _ordered_map(fn, args_iter: Iterable[tuple], threads: int) -> Iterator:
-    """Apply fn over args in order, optionally with a bounded thread pool.
-
-    Results are yielded strictly in input order with at most threads + 1
-    blocks in flight, keeping memory bounded for long streams.
-    """
-    if threads <= 1:
-        yield from itertools.starmap(fn, args_iter)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for args in args_iter:
-            pending.append(pool.submit(fn, *args))
-            if len(pending) > threads + 1:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
 
 
 def as_float(total, where: str, scale: int = 1) -> float:
@@ -351,22 +333,23 @@ class Block:
         return run, carry
 
 
-def stream(seq: ArithmeticSequence, last: int, probes, *,
-           block_size: int | None = None, threads: int = 1):
+def stream(seq: ArithmeticSequence, last: int, probes, *, block_size: int | None = None):
     """Walk f(1..last) once, handing each ``Block`` to every probe's
     ``add(block)`` in block order, and return S(last), rounded once.
 
-    ``block_size`` defaults to 2**20 or the SUMMATORIA_BLOCK_SIZE
-    environment variable; ``threads`` worker threads evaluate blocks.
+    ``block_size`` defaults to ``sieve.DEFAULT_BLOCK_SIZE``.
     """
     if last > seq.bound:  # before any block, not when the stream gets there
         raise BoundError(f"index {last} exceeds the sequence bound {seq.bound}")
+    size = sieve.DEFAULT_BLOCK_SIZE if block_size is None else block_size
+    if size < 1:
+        raise ValueError(f"block size must be positive, got {size}")
+    if size > sieve.MAX_BLOCK_SIZE:
+        raise CapacityError(f"block size {size} exceeds the {sieve.MAX_BLOCK_SIZE}-entry budget")
     total, carry = 0, None  # total is exact: an int, or a Fraction once a real block is added
-    size = sieve.resolve_block_size(block_size)
-    starts = range(1, last + 1, size)
-    ranges = ((lo, min(lo + size - 1, last)) for lo in starts)
-    for lo, arr in zip(starts, _ordered_map(seq.values, ranges, threads)):
-        block = Block(lo, arr, total, seq.integer_valued, carry)
+    for lo in range(1, last + 1, size):
+        block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total,
+                      seq.integer_valued, carry)
         for probe in probes:
             probe.add(block)
         total += block.total
@@ -417,16 +400,14 @@ def summatory_trace(
     checkpoints=None,
     *,
     block_size: int | None = None,
-    threads: int = 1,
 ) -> SummatoryTrace:
     """S(n) at every checkpoint: streamed once, or for a sequence with a
     hyperbola rule, from a streamed table of S(1..L) and that rule above
     it, where ``sublinear.table_limit`` finds that cheaper.
 
     Checkpoints must not exceed N and default to geometric ratio 2 from
-    10.  ``block_size`` and ``threads`` are as for ``stream``, but the
-    table streams on one thread; neither changes the result, and neither
-    does the choice of L.
+    10.  ``block_size`` is as for ``stream``; neither it nor the choice of
+    L changes the result.
     """
     reach = SUBLINEAR_BOUND if seq.hyperbola else seq.bound
     if N > reach:
@@ -441,29 +422,24 @@ def summatory_trace(
             probe.values = sublinear.sums(seq, probe.checkpoints.tolist(), limit,
                                           block_size=block_size)
             return probe.trace(seq)
-    stream(seq, last, [probe], block_size=block_size, threads=threads)
+    stream(seq, last, [probe], block_size=block_size)
     return probe.trace(seq)
 
 
-def mertens_trace(N: int, checkpoints=None, *, block_size: int | None = None,
-                  threads: int = 1) -> SummatoryTrace:
+def mertens_trace(N: int, checkpoints=None, *, block_size: int | None = None) -> SummatoryTrace:
     """M(n) = sum_{k<=n} mu(k) at each checkpoint, exactly."""
-    return summatory_trace(mobius_sequence(N), N, checkpoints,
-                           block_size=block_size, threads=threads)
+    return summatory_trace(mobius_sequence(N), N, checkpoints, block_size=block_size)
 
 
-def liouville_trace(N: int, checkpoints=None, *, block_size: int | None = None,
-                    threads: int = 1) -> SummatoryTrace:
+def liouville_trace(N: int, checkpoints=None, *, block_size: int | None = None) -> SummatoryTrace:
     """L(n) = sum_{k<=n} lambda(k) at each checkpoint, exactly."""
-    return summatory_trace(liouville_sequence(N), N, checkpoints,
-                           block_size=block_size, threads=threads)
+    return summatory_trace(liouville_sequence(N), N, checkpoints, block_size=block_size)
 
 
-def weighted_mobius_trace(N: int, checkpoints=None, *, block_size: int | None = None,
-                          threads: int = 1) -> SummatoryTrace:
+def weighted_mobius_trace(N: int, checkpoints=None, *,
+                          block_size: int | None = None) -> SummatoryTrace:
     """sum_{k<=n} mu(k)/k at each checkpoint, correctly rounded."""
-    return summatory_trace(weighted_mobius_sequence(N), N, checkpoints,
-                           block_size=block_size, threads=threads)
+    return summatory_trace(weighted_mobius_sequence(N), N, checkpoints, block_size=block_size)
 
 
 def write_trace_csv(trace: SummatoryTrace, out: TextIO) -> None:

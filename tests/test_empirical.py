@@ -22,7 +22,7 @@ from summatoria import (
     sequence_from_function,
     sequence_from_values,
 )
-from summatoria import cli
+from summatoria import cli, sieve
 from summatoria.empirical import _ERFC_CUT, _SQRT1_2, _normal_cdf_sorted
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -289,7 +289,7 @@ def test_integer_lag_products_across_blocks_of_different_dtypes(monkeypatch):
     seq = sequence_from_values(np.array(f, dtype=np.float64))
     n, h = 3, 1
     p, s, c = sum(a * b for a, b in zip(f[:n], f[h:])), sum(f[:n]), sum(f[h:])
-    monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", "2")
+    monkeypatch.setattr(sieve, "DEFAULT_BLOCK_SIZE", 2)
     assert independence_estimator(seq, n, h) == float(Fraction(n * p - s * c, n * n))
 
 
@@ -305,5 +305,5 @@ def test_moments_and_lags_stream_exactly_across_blocks(monkeypatch):
     values = np.random.default_rng(7).integers(-9, 10, 300).astype(np.float64)
     seq = sequence_from_values(values)
     expected = (empirical_moments(seq, 290), independence_estimator(seq, 290, 7))
-    monkeypatch.setenv("SUMMATORIA_BLOCK_SIZE", "4")
+    monkeypatch.setattr(sieve, "DEFAULT_BLOCK_SIZE", 4)
     assert (empirical_moments(seq, 290), independence_estimator(seq, 290, 7)) == expected

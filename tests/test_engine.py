@@ -19,7 +19,6 @@ import hashlib
 import io
 import itertools
 import json
-import os
 from fractions import Fraction
 from unittest import mock
 
@@ -28,8 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summatoria import cli, mobius_oracle, mobius_sequence, sequence_from_values
-from summatoria.sieve import BLOCK_SIZE_ENV_VAR
+from summatoria import cli, mobius_oracle, mobius_sequence, sequence_from_values, sieve
 from summatoria.traces import Strided, stream
 
 README_TABLE = {
@@ -74,10 +72,8 @@ def cli_bytes(*argv, block_size=None) -> bytes:
     """stdout of one in-process CLI run, at the default block size or the
     given one."""
     buf = io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(buf):
-        os.environ.pop(BLOCK_SIZE_ENV_VAR, None)
-        if block_size is not None:
-            os.environ[BLOCK_SIZE_ENV_VAR] = str(block_size)
+    default = sieve.DEFAULT_BLOCK_SIZE if block_size is None else block_size
+    with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", default), contextlib.redirect_stdout(buf):
         assert cli.main([str(a) for a in argv]) == 0
     return buf.getvalue().encode()
 
@@ -177,13 +173,14 @@ class Recorder:
         self.seen.append((block.lo, block.hi, block.base, block.values.tolist()))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_stream_feeds_each_block_once_in_order(threads):
-    vals = np.arange(1.0, 24.0)
+@pytest.mark.parametrize("denominator", [1, 2])  # an integer sequence, and a real one
+def test_stream_feeds_each_block_once_in_order(denominator):
+    vals = np.arange(1.0, 24.0) / denominator
     probes = [Recorder(), Recorder()]
-    total = stream(sequence_from_values(vals), 23, probes, block_size=5, threads=threads)
-    assert total == 276
-    expected = [(lo, min(lo + 4, 23), (lo - 1) * lo // 2, list(range(lo, min(lo + 4, 23) + 1)))
+    total = stream(sequence_from_values(vals), 23, probes, block_size=5)
+    assert total == 276 / denominator
+    expected = [(lo, min(lo + 4, 23), (lo - 1) * lo / 2 / denominator,
+                 [k / denominator for k in range(lo, min(lo + 4, 23) + 1)])
                 for lo in range(1, 24, 5)]
     assert probes[0].seen == probes[1].seen == expected
 

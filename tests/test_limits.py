@@ -206,8 +206,8 @@ def test_full_verdict_deterministic_reports():
 
 def test_full_verdict_thread_count_does_not_change_report():
     seq = mobius_sequence(10**5)
-    a = verdict_to_json_dict(full_verdict(seq, 10**5, block_size=8192, threads=1))
-    b = verdict_to_json_dict(full_verdict(seq, 10**5, block_size=8192, threads=4))
+    a = verdict_to_json_dict(full_verdict(seq, 10**5))
+    b = verdict_to_json_dict(full_verdict(seq, 10**5, block_size=8192))
     assert json.dumps(a) == json.dumps(b)
 
 

@@ -77,6 +77,20 @@ def test_small_n_clamping_and_n_min():
     assert s2.probabilities(1)[0, 0] == 1.0
 
 
+def test_n_min_is_found_with_few_eps1_calls():
+    calls = []
+
+    def eps(n):  # 1 + eps1(n) > 1 until n = 70000, past the first chunk
+        calls.append(np.size(n))
+        return np.where(n < 70000, 1.0 / np.asarray(n, dtype=np.float64) ** 2, 0.0)
+
+    assert two_value_schedule(1.0, -1.0, 1.0, eps).n_min == 70000
+    calls.clear()
+    with pytest.raises(ValueError, match="never enters"):
+        two_value_schedule(1.0, -1.0, 1.0, lambda n: calls.append(n) or 1.0 / n**2)
+    assert len(calls) <= 16
+
+
 def test_schedule_validation_rejects_bad_inputs():
     zeros = lambda n: np.zeros_like(np.asarray(n, dtype=np.float64))
     with pytest.raises(ValueError):

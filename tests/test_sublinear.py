@@ -71,7 +71,7 @@ def test_sieve_and_sublinear_agree_at_1e8(name):
     seq, x = SEQUENCES[name](10**8), 10**8
     assert sublinear.table_limit(np.array([x])) < x
     streamed = Checkpoints(np.array([x]))
-    stream(seq, x, [streamed], threads=2)
+    stream(seq, x, [streamed])
     assert summatory_trace(seq, x, [x]).values.tolist() == streamed.values
 
 

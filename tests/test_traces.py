@@ -1,7 +1,6 @@
 import io
 import itertools
 import math
-import os
 import sys
 import warnings
 from fractions import Fraction
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summatoria import (
+    CapacityError,
     NumericError,
     geometric_checkpoints,
     liouville_trace,
@@ -25,9 +25,8 @@ from summatoria import (
     weighted_mobius_trace,
     write_trace_csv,
 )
-from summatoria import traces
+from summatoria import sieve, traces
 from summatoria.empirical import empirical_moments, independence_estimator
-from summatoria.sieve import BLOCK_SIZE_ENV_VAR
 from summatoria.traces import Block, Strided, exact_prefix_sums, stream
 
 
@@ -106,12 +105,12 @@ def test_weighted_trace_stable_across_block_splits():
 
 
 def test_threaded_trace_is_identical():
+    # Blocks of 4096 stream mu(k)/k, 49 blocks against one.
     cps = geometric_checkpoints(200_000)
-    base = weighted_mobius_trace(200_000, cps, block_size=4096, threads=1)
-    for threads in (2, 4):
-        other = weighted_mobius_trace(200_000, cps, block_size=4096, threads=threads)
-        assert np.array_equal(base.values, other.values)
-    exact = mertens_trace(200_000, cps, block_size=4096, threads=3)
+    base = weighted_mobius_trace(200_000, cps)
+    other = weighted_mobius_trace(200_000, cps, block_size=4096)
+    assert np.array_equal(base.values, other.values)
+    exact = mertens_trace(200_000, cps, block_size=4096)
     assert np.array_equal(exact.values, mertens_trace(200_000, cps).values)
 
 
@@ -257,6 +256,15 @@ def test_infinite_term_fails_loudly():
         summatory_trace(seq, 10, [10], block_size=3)
 
 
+@pytest.mark.parametrize("block_size, error", [(0, ValueError), (-1, ValueError),
+                                               (sieve.MAX_BLOCK_SIZE + 1, CapacityError)])
+def test_block_size_outside_the_budget_is_refused(block_size, error):
+    # A closed form has no sieve_block width check to fall back on.
+    seq = sequence_from_function(lambda k: 1.0 / k, 10, magnitude_bound=1.0)
+    with pytest.raises(error, match="block size"):
+        summatory_trace(seq, 10, [10], block_size=block_size)
+
+
 @pytest.mark.parametrize("block_size", [1, 2])
 def test_overflowing_sum_fails_loudly(block_size):
     seq = sequence_from_values(np.array([1e308, 1e308]))
@@ -356,7 +364,7 @@ def test_squares_that_underflow_give_the_exact_variance_and_rho(n):
                for d in (0, h)]
         seq = sequence_from_values(np.array(F, dtype=np.float64))
         for block_size in (n + h, 2):
-            with mock.patch.dict(os.environ, {BLOCK_SIZE_ENV_VAR: str(block_size)}):
+            with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", block_size):
                 got = (*empirical_moments(seq, n), independence_estimator(seq, n, h))
             assert got == (float(S[n] / n), float(gap[0] / n**2), float(gap[1] / n**2))
 
@@ -384,8 +392,8 @@ def test_checkpoints_inside_a_block_are_correctly_rounded():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=200)
        .filter(lambda v: any(x != round(x) for x in v)),
-       st.integers(1, 40), st.integers(1, 40), st.sampled_from([1, 2]))
-def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, block_size, threads):
+       st.integers(1, 40), st.integers(1, 40))
+def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, block_size):
     # S(k) is the correctly rounded S(c) plus the float cumsum of f(c+1..k),
     # for c the last multiple of RUN_CELL below k, at every block size.
     exact = [Fraction(0), *itertools.accumulate(map(Fraction, values))]
@@ -397,7 +405,7 @@ def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, bl
     saved, traces.RUN_CELL = traces.RUN_CELL, cell
     try:
         stream(sequence_from_values(np.array(values)), len(values), [probe],
-               block_size=block_size, threads=threads)
+               block_size=block_size)
     finally:
         traces.RUN_CELL = saved
     assert probe.sample.tolist() == expected
