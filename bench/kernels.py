@@ -13,12 +13,19 @@ Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
 at 3e7 and one ending at 1e9, best of 5 in this process, with the
 reference kernel of ``tests/reference_sieve.py`` and with
 ``summatoria.sieve.sieve_block``, after checking that both give the same
-bytes; then ``mertens_trace(3e7)``, best of 3, with each kernel (the
-reference is swapped in for ``sieve.sieve_block``).
-``sum`` times the sum of one 2**20 block of mu(k)/k and of 1/k ending at
-2**20, 10 * 2**20 and 3e7, best of 5: ``math.fsum(x.tolist())`` against
-the exact ``traces.Block`` sum rounded once, after checking both give
-the same float.  The runs of the two sides alternate.
+bytes; then ``mertens_trace(3e7)`` forced to stream
+(``sublinear.table_limit`` replaced by the last checkpoint), best of 3,
+with each kernel (the reference is swapped in for ``sieve.sieve_block``).
+``sum`` times the exact sum of one 2**20 block, best and median of 7,
+by the level-peeling front (``traces._peeled_sums``, with its own
+binning of a rest) against exponent binning alone (``_binned_sums``),
+after checking that both give the same Fraction: mu(k)/k and 1/k ending
+at 2**20, 10 * 2**20 and 3e7, a standard normal sample, exp(-k/1000) and
+a tiled 1e300/subnormal mix.  Then the microseconds per ``Block.sums_at``
+call at block sizes 1 and 64 over mu(k)/k, k <= 4096, with every k a
+checkpoint, best and median of 5, with each kernel behind ``sums_at``,
+after checking both give the same sums.  The runs of the two sides
+alternate.
 ``ks`` times ``import scipy.special`` after numpy in fresh interpreters,
 then the normal CDF of the KS samples of ``analyze mu --N 1e6`` (10**6
 points) and of ``verdict mu-over-k --N 4096000`` (13 samples, 3.04e6
@@ -91,6 +98,7 @@ BLOCK = 1 << 20
 BLOCK_ENDS = (30_000_000, 1_000_000_000)
 TRACE_N = 30_000_000
 SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
+CALLS_N = 1 << 12
 KS_ANALYZE_N = 1_000_000
 KS_VERDICT_N = 4_096_000
 MOMENTS_LAG = 3
@@ -111,8 +119,8 @@ SYNTH_N = 1_000_000
 STREAM_N = 10 * BLOCK
 
 
-def best_of(k: int, fns: dict) -> dict:
-    """{name: least time of k runs}; the runs of the functions alternate,
+def times_of(k: int, fns: dict) -> dict:
+    """{name: the times of k runs}; the runs of the functions alternate,
     so that each sees the same phases of a machine whose speed drifts."""
     times = {name: [] for name in fns}
     for _ in range(k):
@@ -120,13 +128,20 @@ def best_of(k: int, fns: dict) -> dict:
             start = time.perf_counter()
             fn()
             times[name].append(time.perf_counter() - start)
-    return {name: min(t) for name, t in times.items()}
+    return times
+
+
+def best_of(k: int, fns: dict) -> dict:
+    """{name: least time of k alternating runs}."""
+    return {name: min(t) for name, t in times_of(k, fns).items()}
 
 
 def kernel_section() -> dict:
     sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
+    from unittest import mock
+
     from reference_sieve import reference_sieve_block
-    from summatoria import sieve, traces
+    from summatoria import sieve, sublinear, traces
 
     kernels = {"reference": reference_sieve_block, "new": sieve.sieve_block}
     blocks = []
@@ -146,8 +161,9 @@ def kernel_section() -> dict:
     def trace_with(kernel):
         def run():
             sieve.sieve_block = kernel
-            try:
-                return traces.mertens_trace(TRACE_N).values.tolist()
+            try:  # forced to stream: no table of sublinear
+                with mock.patch.object(sublinear, "table_limit", lambda cps: int(cps[-1])):
+                    return traces.mertens_trace(TRACE_N).values.tolist()
             finally:
                 sieve.sieve_block = kernels["new"]
         return run
@@ -166,29 +182,65 @@ def kernel_section() -> dict:
 
 
 def sum_section() -> dict:
+    from unittest import mock
+
     from summatoria import sequences, traces
 
-    def exact(x, lo):
-        block = traces.Block(lo, x, 0, False)
-        return block.rounded(block.total)
+    def binned(x, ends):  # the exponent-binning kernel on its own
+        return traces._binned_sums(*np.frexp(x), ends)
 
-    rows = []
+    blocks = []
     for hi in SUM_BLOCK_ENDS:
         lo = hi - BLOCK + 1
-        for name, seq in (("mu(k)/k", sequences.weighted_mobius_sequence(hi)),
-                          ("1/k", sequences.sequence_from_function(
-                              lambda k: 1.0 / k, hi, magnitude_bound=1.0))):
-            x = seq.values(lo, hi)
-            runs = {"fsum": lambda: math.fsum(x.tolist()), "exact": lambda: exact(x, lo)}
-            if runs["fsum"]() != runs["exact"]():
-                raise SystemExit(f"{name}: sums differ on [{lo}, {hi}]")
-            ms = {side: 1e3 * t for side, t in best_of(5, runs).items()}
-            rows.append({"terms": name, "lo": lo, "hi": hi,
-                         "fsum_tolist_ms": round(ms["fsum"], 1),
-                         "exact_ms": round(ms["exact"], 1),
-                         "speedup": round(ms["fsum"] / ms["exact"], 2)})
+        blocks += [(f"mu(k)/k, k = {lo}..{hi}",
+                    sequences.weighted_mobius_sequence(hi).values(lo, hi)),
+                   (f"1/k, k = {lo}..{hi}", 1.0 / np.arange(lo, hi + 1))]
+    mix = [1e300, 5e-324, -1e300, 3.0]
+    blocks += [("standard normal, seed 1", np.random.default_rng(1).standard_normal(BLOCK)),
+               ("exp(-k/1000), k = 1..2**20", np.exp(-np.arange(1, BLOCK + 1) / 1000)),
+               (f"{mix} tiled", np.tile(mix, BLOCK // 4))]
+    rows = []
+    for name, x in blocks:
+        runs = {"peel": lambda: traces._peeled_sums(x, [BLOCK]),
+                "bin": lambda: binned(x, [BLOCK])}
+        with mock.patch.object(traces, "_binned_sums", wraps=traces._binned_sums) as spy:
+            (peel,), peel_exp = runs["peel"]()
+        (bins,), bin_exp = runs["bin"]()
+        if traces._fraction(peel, peel_exp) != traces._fraction(bins, bin_exp):
+            raise SystemExit(f"{name}: peeling and binning give different sums")
+        ms = {side: [1e3 * t for t in ts] for side, ts in times_of(7, runs).items()}
+        rows.append({"terms": name, "peeling_bins_a_rest": spy.called,
+                     **{f"{side}_best_ms": round(min(ms[side]), 1) for side in runs},
+                     **{f"{side}_median_ms": round(statistics.median(ms[side]), 1)
+                        for side in runs},
+                     "speedup": round(statistics.median(ms["bin"])
+                                      / statistics.median(ms["peel"]), 2)})
+        print(json.dumps(rows[-1]), flush=True)
+
+    # Block.sums_at at small block sizes, every k a checkpoint: its fixed cost.
+    values = sequences.weighted_mobius_sequence(CALLS_N).values(1, CALLS_N)
+    ns = np.arange(1, CALLS_N + 1)
+    calls = []
+    for size in (1, 64):
+        us, out = {"peel": [], "bin": []}, {}
+        for i in range(5):
+            for side in (["peel", "bin"] if i % 2 == 0 else ["bin", "peel"]):
+                with mock.patch.object(traces, "_peeled_sums",
+                                       traces._peeled_sums if side == "peel" else binned):
+                    built = [traces.Block(lo, values[lo - 1 : lo - 1 + size], 0, False)
+                             for lo in range(1, CALLS_N + 1, size)]
+                    start = time.perf_counter()
+                    out[side] = [block.sums_at(ns)[1] for block in built]
+                    us[side].append(1e6 * (time.perf_counter() - start) / len(built))
+        if out["peel"] != out["bin"]:
+            raise SystemExit(f"sums_at at block size {size}: peeling and binning differ")
+        calls.append({"terms": f"mu(k)/k, k = 1..{CALLS_N}", "block_size": size,
+                      **{f"{side}_best_us": round(min(us[side]), 1) for side in us},
+                      **{f"{side}_median_us": round(statistics.median(us[side]), 1)
+                         for side in us}})
+        print(json.dumps(calls[-1]), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py sum",
-            "block_2pow20_best_of_5": rows}
+            "block_2pow20_of_7": rows, "sums_at_call_of_5": calls}
 
 
 def scipy_import_s(k: int = 5) -> list[float]:

@@ -7,9 +7,9 @@ for the KS statistics, and lag products (lag 0 gives the variance) in
 ``empirical``.  It keeps the running sum S(lo - 1) once, exactly.  A
 ``Block`` has one exact rule for sums and one for sums of products:
 integers as int64 (or Python ints where int64 could wrap), reals through
-``exact_prefix_sums``, which bins mantissa halves by exponent with
-``np.bincount``; a product of reals enters it as Dekker's exact
-two-product of the mantissas.  So every S(n) at a checkpoint is the
+``exact_prefix_sums``: levels that float adds sum exactly (Rump, Ogita &
+Oishi 2008), then binning by exponent, which a product of reals enters
+as Dekker's exact two-product.  So every S(n) at a checkpoint is the
 exact sum, rounded once to float: the correctly rounded value, whatever
 the block size.  A sum that is not finite raises NumericError.
 """
@@ -135,19 +135,57 @@ def _fraction(num: int, exp: int) -> Fraction:
 
 def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
     """The exact sum of x[:e] for each e of ``ends`` (nondecreasing), for
-    finite float64 x of at most 2**26 terms.
+    finite float64 x.
 
-    Each term is mant * 2**ex with 0.5 <= |mant| < 1 (``np.frexp``), and
-    mant * 2**26 splits exactly into hi = floor(mant * 2**26), an integer
-    below 2**26 in magnitude, and lo in [0, 1), a multiple of 2**-27.  Two
-    ``np.bincount`` calls sum hi and lo * 2**27 per (segment, exponent)
-    bin; every partial sum is an integer below 2**53, so the float adds
-    are exact.  The bins then fold into a few int64 columns, and those
-    into one Python int per prefix (Neal 2015, "small superaccumulator";
-    Demmel & Hida 2004).
+    It peels x in levels (Rump, Ogita & Oishi 2008, ExtractVector): for
+    the rest r of x and sigma = 2**s >= (n + 2) * max|r|, q = (r + sigma) -
+    sigma is exact and on the grid 2**(s - 53), and r - q is within half a
+    step.  A sum of q's is a whole number of steps below 2**53, so float
+    adds (``np.add.reduceat``) are exact.  A level moves the grid down by
+    53 - log2(n + 2) bits.  What _LEVELS levels leave, and an x whose sigma
+    could overflow, go to ``_binned_sums`` (at most 2**26 terms).
     """
-    nums, exp = _binned_sums(*np.frexp(x), ends)
+    nums, exp = _peeled_sums(x, ends)
     return [_fraction(n, exp) for n in nums]
+
+
+_LEVELS, _CHUNK = 3, 1 << 15  # _peeled_sums: levels, and terms per pass (kept in cache)
+
+
+def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
+    """``exact_prefix_sums`` of x as ints n with one exponent e: n * 2**e."""
+    ends = np.asarray(ends, dtype=np.intp)
+    last = int(ends[-1]) if ends.size else 0
+    x = x[:last]
+    steps = (last + 1).bit_length()  # ceil(log2(n + 2))
+    peak = max(x.max(initial=0.0), -x.min(initial=0.0))
+    if peak >= 2.0 ** (1000 - steps):  # sigma could overflow
+        return _binned_sums(*np.frexp(x), ends)
+    # Level k peels on the grid 2**(s[k] - 53) and leaves a rest below 2**(s[k + 1] - steps).
+    s = (math.frexp(peak)[1] + steps) - (53 - steps) * np.arange(_LEVELS)
+    sigmas = np.ldexp(1.0, s).tolist()
+    bounds = np.union1d(ends, np.arange(0, last, _CHUNK))  # every end and chunk boundary
+    sums = np.zeros((_LEVELS, bounds.size))  # per level, the segment sum ending at each bound
+    r, q, depth, rest = np.empty(last), np.empty(min(last, _CHUNK)), 1, False
+    for a in range(0, last, _CHUNK):
+        i, j = bounds.searchsorted([a, min(a + _CHUNK, last)])
+        xc, rc, qc = x[a : a + _CHUNK], r[a : a + _CHUNK], q[: min(_CHUNK, last - a)]
+        for k, sigma in enumerate(sigmas):
+            np.add(xc, sigma, out=qc)
+            qc -= sigma
+            xc = np.subtract(xc, qc, out=rc)
+            sums[k, i + 1 : j + 1] = np.add.reduceat(qc, bounds[i:j] - a)
+            if not rc.any():
+                break
+        else:
+            rest = True
+        depth = max(depth, k + 1)
+    ints = np.ldexp(np.cumsum(sums[:depth], axis=1), 53 - s[:depth, None]).astype(np.int64)
+    parts = [(n[bounds.searchsorted(ends)], int(e) - 53) for n, e in zip(ints, s)]
+    if rest:  # a wide span
+        parts.append(_binned_sums(*np.frexp(r), ends))
+    exp = min(e for _, e in parts)
+    return sum(np.array(n, dtype=object) << (e - exp) for n, e in parts).tolist(), exp
 
 
 def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int]:
@@ -292,7 +330,7 @@ class Block:
             return hits, []
         if self.exact:
             return hits, self.run(hits - self.lo).tolist()
-        nums, exp = _binned_sums(*np.frexp(self.values), [*(hits - self.lo + 1), self.values.size])
+        nums, exp = _peeled_sums(self.values, [*(hits - self.lo + 1), self.values.size])
         self.__dict__.setdefault("total", _fraction(nums.pop(), exp))  # fills the cached_property
         start = Fraction(self.start)
         shift = max(-exp, start.denominator.bit_length() - 1)  # S(n) = nums[i] / 2**shift

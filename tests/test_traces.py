@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summatoria import (
@@ -312,6 +312,56 @@ def test_exact_prefix_sums_match_fractions(values, data, max_bins):
     finally:
         traces._MAX_BINS = saved
     assert got == [sum(map(Fraction, values[:e]), Fraction(0)) for e in ends]
+
+
+@st.composite
+def narrow_sums(draw):
+    # Terms whose bits all lie in [2**(top - 93), 2**top), top short of the
+    # float range, and ends that include 0, duplicates and n.
+    top = draw(st.integers(-1030, 900))
+    term = st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1),
+                     st.integers(top - 93, top - 53))
+    values = draw(st.lists(st.one_of(term, st.just(0.0)), max_size=150))
+    ends = st.one_of(st.integers(0, len(values)), st.sampled_from([0, len(values)]))
+    return values, sorted(draw(st.lists(ends, min_size=1, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(narrow_sums(), st.integers(1, 64))
+@example(([0.5, 2.0**-30, -3.0], [0, 1, 1, 3, 3]), 1)
+@example(([0.5, 2.0**-30, -3.0], [0, 1, 1, 3, 3]), 64)
+@example(([1 - 2.0**-53] * 5 + [-3 * 2.0**-51], [6]), 64)  # sigma = 4, not 8, would round
+def test_peeled_prefix_sums_match_fractions(case, chunk):
+    # A small _CHUNK cuts the segments at chunk boundaries; a narrow span
+    # is peeled in at most _LEVELS levels and never binned.
+    values, ends = case
+    with (mock.patch.object(traces, "_CHUNK", chunk),
+          mock.patch.object(traces, "_binned_sums", side_effect=AssertionError("binned"))):
+        got = exact_prefix_sums(np.array(values, dtype=np.float64), ends)
+    assert got == [sum(map(Fraction, values[:e]), Fraction(0)) for e in ends]
+
+
+def exact_prefixes(values: np.ndarray, ends) -> list[Fraction]:
+    # Fraction sums of values[:e], over one common power of two.
+    pairs = [v.as_integer_ratio() for v in values.tolist()]
+    shift = max(d for _, d in pairs).bit_length() - 1
+    acc = [0, *itertools.accumulate(n << (shift + 1 - d.bit_length()) for n, d in pairs)]
+    return [Fraction(acc[e], 1 << shift) for e in ends]
+
+
+@pytest.mark.parametrize("values, binned", [
+    (1.0 / np.arange(1, 2**20 + 1), False),  # harmonic: 73 bits of span
+    (np.exp(-np.arange(1, 2**16 + 1) / 1000), True),  # 147 bits: a rest is left
+    (np.tile([1e300, 5e-324, -1e300, 3.0], 2**14), True),  # sigma would overflow
+], ids=["harmonic", "exp", "huge"])
+def test_block_sums_peel_or_bin_and_are_exact(values, binned):
+    ns = np.array([1, 2, 3, 1000, values.size // 2, values.size - 1])
+    block = Block(1, values, 0, False)
+    with mock.patch.object(traces, "_binned_sums", wraps=traces._binned_sums) as spy:
+        _, sums = block.sums_at(ns)
+        total = Block(1, values, 0, False).total
+    assert spy.called == binned
+    assert [*sums, total] == exact_prefixes(values, [*ns, values.size])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
