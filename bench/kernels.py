@@ -7,6 +7,7 @@
     PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR
     PYTHONPATH=src python3 bench/kernels.py synth --parent DIR
     PYTHONPATH=src python3 bench/kernels.py stream
+    PYTHONPATH=src python3 bench/kernels.py samples --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
@@ -66,12 +67,17 @@ best of 5 with the two sides alternating, with each run's peak RSS:
 evaluated one ahead on a background thread (``AHEAD``), after checking both
 give the same bytes.  mu is forced to stream (``sublinear.table_limit``
 replaced by the last checkpoint).
+``samples`` runs five verdicts in fresh processes in DIR (the parent
+checkout) and here, 5 runs with the two sides alternating, and keeps the
+medians of wall time and peak RSS, after checking both give the same
+bytes: ``file:`` of a ``synth:log2`` CSV at 1e6, then ``SAMPLES_RUNS``,
+whose checkpoints share KS sample strides.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth`` or
-``stream``, ``pairs`` writes into that section, else into the sieve
+``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth``,
+``stream`` or ``samples``, ``pairs`` writes into that section, else into the sieve
 kernel's top-level ``perfbench_pairs``.
 """
 
@@ -116,6 +122,11 @@ SUBLINEAR_RUNS = [
 ]
 FIT_TABLE = 1 << 24
 SYNTH_N = 1_000_000
+# (function, N, checkpoints) of the ``samples`` verdicts, after the file: one
+SAMPLES_RUNS = [
+    ("mu-over-k", KS_VERDICT_N, "geometric(1000,2)"), ("mu-over-k", 10**7, "geometric(1000,2)"),
+    ("mu", 3 * 10**7, "geometric(1000000,1.1)"), ("mu-over-k", 3 * 10**6, "geometric(1000,1.02)"),
+]
 STREAM_N = 10 * BLOCK
 
 
@@ -267,12 +278,12 @@ def ks_section() -> dict:
     analyze = traces.Strided(KS_ANALYZE_N, limits.KS_SAMPLE_CAP, sums=False)
     traces.stream(sequences.mobius_sequence(KS_ANALYZE_N), KS_ANALYZE_N, [analyze])
     cps = [1000 * 2**k for k in range(13)]  # geometric(1000,2) to KS_VERDICT_N
-    verdict = [traces.Strided(n, limits.KS_SAMPLE_CAP) for n in cps]
-    traces.stream(sequences.weighted_mobius_sequence(KS_VERDICT_N), cps[-1], verdict)
+    verdict = traces.Strided(cps, limits.KS_SAMPLE_CAP)
+    traces.stream(sequences.weighted_mobius_sequence(KS_VERDICT_N), cps[-1], [verdict])
 
     rows = []
-    for name, samples in (("analyze mu --N 1e6", [analyze.sample]),
-                          ("verdict mu-over-k --N 4096000", [v.sample for v in verdict])):
+    for name, samples in (("analyze mu --N 1e6", [analyze.sample(KS_ANALYZE_N)]),
+                          ("verdict mu-over-k --N 4096000", [verdict.sample(n) for n in cps])):
         dists = [empirical_cdf(x) for x in samples]
         if [ks_with_ndtr(d) for d in dists] != [ks_distance(d) for d in dists]:
             raise SystemExit(f"{name}: D differs between ndtr and ks_distance")
@@ -327,8 +338,8 @@ def moments_section(parent: str) -> dict:
     for hi in SUM_BLOCK_ENDS:
         lo = hi - BLOCK + 1
         for name, seq in (("mu(k)/k", sequences.weighted_mobius_sequence(hi + MOMENTS_LAG)),
-                          ("1/k", sequences.sequence_from_function(
-                              lambda k: 1.0 / k, hi + MOMENTS_LAG, magnitude_bound=1.0))):
+                          ("1/k", sequences.sequence_from_function(lambda k: 1.0 / k,
+                                                                   hi + MOMENTS_LAG))):
             x = seq.values(lo, hi + MOMENTS_LAG)
             block = traces.Block(lo, x, 0, False)
             split = block.split()
@@ -512,6 +523,36 @@ def synth_section(parent: str) -> dict:
     }
 
 
+def samples_section(parent: str) -> dict:
+    sides = {"parent": os.path.abspath(parent),
+             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "synth_log2.csv")
+        child(["synth", "--function", "synth:log2", "--N", str(SYNTH_N), "--output", csv],
+              sides["change"])
+        for argv in [["verdict", "--function", f"file:{csv}", "--N", str(SYNTH_N)],
+                     *[["verdict", "--function", f, "--N", str(N), "--checkpoints", cps]
+                       for f, N, cps in SAMPLES_RUNS]]:
+            secs, rss, out = {side: [] for side in sides}, {side: [] for side in sides}, {}
+            for i in range(5):
+                for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                    t, r, out[side] = child(argv, sides[side])
+                    secs[side].append(t)
+                    rss[side].append(r)
+            if out["parent"] != out["change"]:
+                raise SystemExit(f"{argv}: parent and change give different bytes")
+            argv[2] = argv[2].replace(csv, "synth_log2.csv")
+            rows.append({"argv": argv, "same_bytes": True,
+                         **{f"{side}_median_s": round(statistics.median(secs[side]), 3)
+                            for side in sides},
+                         **{f"{side}_median_peak_rss_mb": round(statistics.median(rss[side]), 1)
+                            for side in sides}})
+            print(json.dumps(rows[-1]), flush=True)
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py samples --parent DIR",
+            "verdict_median_of_5": rows}
+
+
 # The worker side of ``stream``: ``traces.stream`` unchanged, over a
 # sequence whose next block is evaluated on one background thread while the
 # probes work on the current one.
@@ -635,19 +676,21 @@ def main(argv=None) -> int:
     sub.add_parser("sublinear").add_argument("--parent", required=True)
     sub.add_parser("synth").add_argument("--parent", required=True)
     sub.add_parser("stream")
+    sub.add_parser("samples").add_argument("--parent", required=True)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
     pairs.add_argument("--section",
-                       choices=["sum", "ks", "moments", "sublinear", "synth", "stream"])
+                       choices=["sum", "ks", "moments", "sublinear", "synth", "stream",
+                                "samples"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream")
+    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream", "samples")
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
@@ -664,6 +707,8 @@ def main(argv=None) -> int:
         section.update(synth_section(args.parent))
     elif args.command == "stream":
         section.update(stream_section())
+    elif args.command == "samples":
+        section.update(samples_section(args.parent))
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

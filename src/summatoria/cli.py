@@ -47,8 +47,7 @@ _SEQUENCES = {
     "mu": sequences.mobius_sequence,
     "lambda": sequences.liouville_sequence,
     "mu-over-k": sequences.weighted_mobius_sequence,
-    "harmonic": lambda N: sequences.sequence_from_function(
-        lambda k: 1.0 / k, N, name="harmonic", magnitude_bound=1.0),
+    "harmonic": lambda N: sequences.sequence_from_function(lambda k: 1.0 / k, N, name="harmonic"),
     **{fid: lambda N, make=make: schedules.realize_greedy(make(), N)
        for fid, make in _SCHEDULES.items()},
 }
@@ -149,7 +148,7 @@ def cmd_analyze(args) -> int:
     correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
     traces.stream(seq, N + max(lags), [values, correlations])
     mean, (variance, *rhos) = correlations.mean(), correlations.result()
-    dist = empirical_cdf(values.sample)
+    dist = empirical_cdf(values.sample(N))
     try:
         ks_normal = ks_distance(dist)
     except DegenerateSampleError:

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .empirical import empirical_cdf, ks_distance
-from .errors import DegenerateSampleError, NumericError
+from .errors import BoundError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
 from .traces import (
     Checkpoints,
@@ -188,7 +188,7 @@ def euler_maclaurin_gap(
     antiderivative(n) - antiderivative(1).
     """
     cps = validate_checkpoints(checkpoints, N)
-    seq = sequence_from_function(fn, N, name="elementary", magnitude_bound=math.inf)
+    seq = sequence_from_function(fn, N, name="elementary")
     trace = summatory_trace(seq, N, cps)
     base = antiderivative(1.0)
     integrals = np.array([antiderivative(float(n)) - base for n in cps], dtype=np.float64)
@@ -212,11 +212,11 @@ def full_verdict(
     partial sums {S(k): k <= n_j} at every checkpoint.
     """
     if N > seq.bound:
-        raise ValueError(f"N={N} exceeds the sequence bound {seq.bound}")
+        raise BoundError(f"N={N} exceeds the sequence bound {seq.bound}")
     cps = validate_checkpoints(checkpoints, N)
-    samples = [Strided(int(n), KS_SAMPLE_CAP) for n in cps]
+    samples = Strided(cps, KS_SAMPLE_CAP)
     probe = Checkpoints(cps)
-    stream(seq, int(cps[-1]), [probe, *samples], block_size=block_size)
+    stream(seq, int(cps[-1]), [probe, samples], block_size=block_size)
     trace = probe.trace(seq)
 
     est = estimate_limit_mean(trace)
@@ -225,13 +225,13 @@ def full_verdict(
     notes = [f"mu0 drift from previous checkpoint: {est.drift:.6e}"]
     ks_trace = []
     degenerate = 0
-    for nj, sample in zip(cps, samples):
+    for nj in cps.tolist():
         try:
-            d = ks_distance(empirical_cdf(sample.sample))
+            d = ks_distance(empirical_cdf(samples.sample(nj)))
         except DegenerateSampleError:
             d = float("nan")
             degenerate += 1
-        ks_trace.append((int(nj), d))
+        ks_trace.append((nj, d))
     if degenerate:
         notes.append(f"{degenerate} checkpoint(s) had degenerate partial-sum samples")
 

@@ -24,7 +24,7 @@ SUBLINEAR_BOUND = 10**11
 
 @dataclass(frozen=True)
 class ArithmeticSequence:
-    """A function f on {1, ..., bound} with a declared magnitude bound.
+    """A function f on {1, ..., bound}.
 
     ``values(lo, hi)`` returns f(lo..hi) as a 1-D array; repeated calls
     return identical values.  ``integer_valued`` selects exact integer
@@ -35,7 +35,6 @@ class ArithmeticSequence:
 
     name: str
     bound: int
-    magnitude_bound: float
     integer_valued: bool
     _block_fn: Callable[[int, int], np.ndarray] = field(repr=False, compare=False)
     hyperbola: Callable[[int], int] | None = field(default=None, repr=False, compare=False)
@@ -46,20 +45,6 @@ class ArithmeticSequence:
         if hi > self.bound:
             raise BoundError(f"index {hi} exceeds the sequence bound {self.bound}")
         return self._block_fn(lo, hi)
-
-
-def _spot_check_magnitude(seq: ArithmeticSequence, samples: int = 32) -> None:
-    # Cheap sanity check of the declared bound on log-spaced indices.
-    idx = np.unique(
-        np.geomspace(1, seq.bound, num=min(samples, seq.bound)).astype(np.int64)
-    )
-    vals = np.concatenate([seq.values(int(k), int(k)) for k in idx])
-    worst = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if worst > seq.magnitude_bound * (1 + 1e-12):
-        raise ValueError(
-            f"sequence {seq.name!r} exceeds its declared magnitude bound: "
-            f"|f| reaches {worst} > {seq.magnitude_bound}"
-        )
 
 
 def _sieved(name: str, bound: int, integer_valued: bool, pick,
@@ -75,7 +60,7 @@ def _sieved(name: str, bound: int, integer_valued: bool, pick,
     def block(lo: int, hi: int) -> np.ndarray:
         return pick(sieve.sieve_block(lo, hi, primes=primes))
 
-    return ArithmeticSequence(name, bound, 1.0, integer_valued, block, hyperbola)
+    return ArithmeticSequence(name, bound, integer_valued, block, hyperbola)
 
 
 def mobius_sequence(bound: int) -> ArithmeticSequence:
@@ -102,15 +87,13 @@ def sequence_from_function(
     bound: int,
     *,
     name: str = "f",
-    magnitude_bound: float,
     integer_valued: bool = False,
 ) -> ArithmeticSequence:
     """Wrap a vectorized closed-form expression f(k).
 
     ``fn`` receives a float64 array of indices and must return an array of
     the same shape, so ``bound`` is at most 2**53, up to which float64
-    holds every integer.  The declared magnitude bound is spot-checked on log-spaced
-    indices.
+    holds every integer.
     """
     if bound < 1:
         raise ValueError(f"bound must be positive, got {bound}")
@@ -124,9 +107,7 @@ def sequence_from_function(
             raise ValueError("closed-form evaluator changed the block shape")
         return out
 
-    seq = ArithmeticSequence(name, bound, float(magnitude_bound), integer_valued, block)
-    _spot_check_magnitude(seq)
-    return seq
+    return ArithmeticSequence(name, bound, integer_valued, block)
 
 
 def sequence_from_values(values: np.ndarray, *, name: str = "values") -> ArithmeticSequence:
@@ -137,11 +118,10 @@ def sequence_from_values(values: np.ndarray, *, name: str = "values") -> Arithme
     if not np.all(np.isfinite(arr)):
         raise ValueError("materialized sequence contains non-finite values")
     arr.flags.writeable = False
-    peak = float(np.max(np.abs(arr)))
     # Beyond 2**53 floats skip integers and int64 block sums can wrap.
-    integer_valued = peak <= 2**53 and bool(np.all(arr == np.round(arr)))
+    integer_valued = float(np.max(np.abs(arr))) <= 2**53 and bool(np.all(arr == np.round(arr)))
 
     def block(lo: int, hi: int) -> np.ndarray:
         return arr[lo - 1 : hi]
 
-    return ArithmeticSequence(name, arr.size, peak, integer_valued, block)
+    return ArithmeticSequence(name, arr.size, integer_valued, block)

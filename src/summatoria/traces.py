@@ -230,10 +230,6 @@ def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int
     return sums, e0 - 53
 
 
-# The running sums of a real block (``Block.run``, for the KS partial-sum
-# samples) restart from the correctly rounded S(c) at every multiple c of
-# RUN_CELL, the default block size, so they are the same at every block size.
-RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
 # Veltkamp's splitting factor 2**27 + 1: it cuts a float64 mantissa into
 # two halves of at most 26 bits, whose products are exact (Dekker 1971).
 _VELTKAMP = 134217729.0
@@ -248,12 +244,9 @@ class Block:
     where |f|**2 * size could leave int64; real values must be finite.
     ``total`` is the block's exact sum, computed on first use unless
     ``sums_at`` got it along the way.
-    ``carry`` is what ``run`` of a real block needs of the block before:
-    the anchor and float cumsum of its last cell, or None where that block
-    ended a cell.
     """
 
-    def __init__(self, lo: int, values: np.ndarray, start, exact: bool, carry=None):
+    def __init__(self, lo: int, values: np.ndarray, start, exact: bool):
         self.dtype = np.float64
         if exact:
             if values.dtype.kind == "f":
@@ -268,7 +261,7 @@ class Block:
         elif not np.isfinite(values).all():
             raise NumericError(f"a sum through f({lo}..{lo + values.size - 1}) is not finite")
         self.lo, self.hi = lo, lo + values.size - 1
-        self.values, self.exact, self.carry = values, exact, carry
+        self.values, self.exact = values, exact
         self.start, self.base = start, self.rounded(start)
 
     def rounded(self, total):
@@ -342,33 +335,13 @@ class Block:
         return hits, [Fraction(n, 1 << shift) for n in nums]
 
     def run(self, at) -> np.ndarray:
-        """S(k) at the block positions ``at`` (a slice or index array): exact
-        for integers.  For reals, S(k) is the correctly rounded S(c) at the
-        last multiple c of RUN_CELL below k, plus the float cumsum of
-        f(c+1..k), so it is the same at every block size."""
-        return self.base + self._cumsum[at] if self.exact else self._real_run[0][at]
-
-    def next_carry(self):
-        """The ``carry`` of the block after this one."""
-        return None if self.exact or self.hi % RUN_CELL == 0 else self._real_run[1]
+        """Exact S(k) at the positions ``at`` (a slice or index array) of an
+        integer block."""
+        return self.base + self._cumsum[at]
 
     @cached_property
     def _cumsum(self) -> np.ndarray:
         return np.cumsum(self.values, dtype=self.dtype)
-
-    @cached_property
-    def _real_run(self) -> tuple[np.ndarray, tuple]:
-        cells = np.arange(-(-self.lo // RUN_CELL) * RUN_CELL, self.hi, RUN_CELL)  # cell ends
-        anchor, acc = self.carry or (self.base, 0.0)
-        anchors = [anchor, *self.sums_at(cells, rounded=True)[1]]
-        run = self.values.astype(np.float64)
-        bounds = [0, *(cells - self.lo + 1).tolist(), run.size]
-        for anchor, a, b in zip(anchors, bounds, bounds[1:]):
-            run[a] += acc
-            part = np.cumsum(run[a:b], out=run[a:b])
-            carry, acc = (anchor, float(part[-1])), 0.0
-            part += anchor
-        return run, carry
 
 
 def stream(seq: ArithmeticSequence, last: int, probes, *, block_size: int | None = None):
@@ -384,14 +357,12 @@ def stream(seq: ArithmeticSequence, last: int, probes, *, block_size: int | None
         raise ValueError(f"block size must be positive, got {size}")
     if size > sieve.MAX_BLOCK_SIZE:
         raise CapacityError(f"block size {size} exceeds the {sieve.MAX_BLOCK_SIZE}-entry budget")
-    total, carry = 0, None  # total is exact: an int, or a Fraction once a real block is added
+    total = 0  # exact: an int, or a Fraction once a real block is added
     for lo in range(1, last + 1, size):
-        block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total,
-                      seq.integer_valued, carry)
+        block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total, seq.integer_valued)
         for probe in probes:
             probe.add(block)
         total += block.total
-        carry = block.next_carry() if block.hi < last else None
     return block.rounded(total)
 
 
@@ -413,23 +384,69 @@ class Checkpoints:
         return SummatoryTrace(self.checkpoints, values, seq.name)
 
 
+# The cell of the real partial sums in a ``Strided`` sample, and the most
+# float64 points the arrays of one probe may hold (1 GiB).
+RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
+_SAMPLE_BUDGET = 1 << 27
+
+
 class Strided:
     """Probe: S(k), or f(k) with ``sums=False``, at k = s, 2s, ... <= n for
-    the stride s = ceil(n / cap), so at most cap points."""
+    each n of an increasing schedule ``ns`` (or one n), with the stride
+    s = ceil(n / cap), so at most cap points for each n.
 
-    def __init__(self, n: int, cap: int, *, sums: bool = True):
-        self.n, self.stride, self.sums = n, -(-n // cap), sums
-        self.sample = np.empty(n // self.stride, dtype=np.float64)
+    The sample of n is a prefix of the sample of the largest n of the same
+    stride, so each stride has one array, and ``sample(n)`` is a view of
+    it.  A real S(k) is the correctly rounded S(c) at the last multiple c
+    of RUN_CELL below k, plus the float cumsum of f(c+1..k): at the
+    default block size the block's base plus its cumsum, and the same at
+    every block size.
+    """
+
+    def __init__(self, ns, cap: int, *, sums: bool = True):
+        largest = {-(-n // cap): n for n in np.atleast_1d(ns).tolist()}  # stride -> largest n
+        points = sum(n // s for s, n in largest.items())
+        if points > _SAMPLE_BUDGET:
+            raise CapacityError(f"strided samples of {points} points exceed the budget of "
+                                f"{_SAMPLE_BUDGET} float64 points")
+        self.cap, self.sums, self.last = cap, sums, max(largest.values())
+        self._arrays = {s: np.empty(n // s, dtype=np.float64) for s, n in largest.items()}
+        self._cell = None  # the open cell's anchor S(c) and float cumsum after c
+
+    def sample(self, n: int) -> np.ndarray:
+        """S(k), or f(k), at k = s, 2s, ... <= n: a view of its stride's array."""
+        s = -(-n // self.cap)
+        return self._arrays[s][: n // s]
 
     def add(self, block: Block) -> None:
-        first = -(-block.lo // self.stride) * self.stride
-        upper = min(block.hi, self.n)
-        if first > upper:
+        if block.lo > self.last:
             return
-        at = slice(first - block.lo, upper - block.lo + 1, self.stride)
-        got = block.run(at) if self.sums else block.values[at]
-        dest = first // self.stride - 1
-        self.sample[dest : dest + got.size] = got
+        if not self.sums:
+            pick = block.values.__getitem__
+        else:
+            pick = block.run if block.exact else self._run(block).__getitem__
+        for s, out in self._arrays.items():
+            first = -(-block.lo // s) * s
+            upper = min(block.hi, out.size * s)
+            if first <= upper:
+                got = pick(slice(first - block.lo, upper - block.lo + 1, s))
+                out[first // s - 1 : upper // s] = got
+
+    def _run(self, block: Block) -> np.ndarray:
+        """S(k) at every k of a real block by the cell rule."""
+        if (block.lo - 1) % RUN_CELL == 0:
+            self._cell = (block.base, 0.0)
+        anchor, acc = self._cell
+        cells = np.arange(-(-block.lo // RUN_CELL) * RUN_CELL, block.hi, RUN_CELL)  # cell ends
+        anchors = [anchor, *block.sums_at(cells, rounded=True)[1]]
+        run = block.values.astype(np.float64)
+        bounds = [0, *(cells - block.lo + 1).tolist(), run.size]
+        for anchor, a, b in zip(anchors, bounds, bounds[1:]):
+            run[a] += acc
+            part = np.cumsum(run[a:b], out=run[a:b])
+            self._cell, acc = (anchor, float(part[-1])), 0.0
+            part += anchor
+        return run
 
 
 def summatory_trace(

@@ -218,6 +218,18 @@ def test_capacity_error_exits_two(capsys):
     assert "budget of 16777216" in err
 
 
+def test_ks_samples_beyond_their_budget_exit_two_before_any_block(capsys, monkeypatch):
+    # geometric(1000000,1.01) to 1e9 needs about 3.3e8 KS sample points.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was sieved before the sample budget was checked")
+
+    monkeypatch.setattr(sieve, "sieve_block", refuse)
+    status, out, err = run_cli("verdict", "--function", "mu", "--N", "1000000000",
+                               "--checkpoints", "geometric(1000000,1.01)", capsys=capsys)
+    assert (status, out) == (2, "")
+    assert "budget of 134217728" in err
+
+
 def test_analyze_streams_in_blocks_below_the_block_budget(capsys, monkeypatch):
     # The lag windows used to be sieved as single blocks of N entries.
     monkeypatch.setattr(sieve, "MAX_BLOCK_SIZE", 4096)

@@ -30,8 +30,7 @@ finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 def test_empirical_mean_examples():
     assert empirical_mean(mobius_sequence(10), 10) == -0.1
-    ones = sequence_from_function(lambda k: np.ones_like(k), 100,
-                                  name="one", magnitude_bound=1.0)
+    ones = sequence_from_function(lambda k: np.ones_like(k), 100, name="one")
     assert empirical_mean(ones, 7) == 1.0
     assert empirical_mean(liouville_sequence(10), 10) == 0.0
 
@@ -54,8 +53,7 @@ def test_empirical_moments_examples():
     mean, var = empirical_moments(mobius_sequence(10), 10)
     assert mean == -0.1
     assert var == 0.69  # 7 nonzero mu values in 1..10: the exact 69/100, rounded once
-    const = sequence_from_function(lambda k: np.full_like(k, 2.5), 50,
-                                   name="c", magnitude_bound=2.5)
+    const = sequence_from_function(lambda k: np.full_like(k, 2.5), 50, name="c")
     _, var_c = empirical_moments(const, 50)
     assert var_c == pytest.approx(0.0, abs=1e-12)
     mean_l, var_l = empirical_moments(liouville_sequence(10), 10)
@@ -205,8 +203,7 @@ def test_ks_invariant_under_increasing_affine_maps(scale, shift, seed):
 def test_independence_constant_is_exactly_zero():
     const = sequence_from_values(np.full(500, 0.1))
     assert independence_estimator(const, 400, 7) == 0.0
-    const2 = sequence_from_function(lambda k: np.full_like(k, -3.7), 100,
-                                    name="c", magnitude_bound=3.7)
+    const2 = sequence_from_function(lambda k: np.full_like(k, -3.7), 100, name="c")
     assert independence_estimator(const2, 50, 2) == 0.0
 
 

@@ -92,10 +92,9 @@ def test_readme_table_output_is_pinned(invocation, threads):
     function=st.sampled_from(["mu", "lambda", "synth:log2"]),
     N=st.integers(min_value=80, max_value=5000),
     block_size=st.integers(min_value=1, max_value=64),
-    threads=st.sampled_from([1, 2]),
     lags=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
 )
-def test_blocking_and_threads_do_not_change_bytes(function, N, block_size, threads, lags):
+def test_blocking_does_not_change_bytes(function, N, block_size, lags):
     lag = ",".join(map(str, lags))
     runs = [
         ("compute", "--function", function, "--N", N, "--checkpoints", "geometric(3,1.7)"),
@@ -104,8 +103,7 @@ def test_blocking_and_threads_do_not_change_bytes(function, N, block_size, threa
         ("analyze", "--function", function, "--N", N, "--lag", lag, "--format", "csv"),
     ]
     for argv in runs:
-        reference = cli_bytes(*argv, "--threads", 1)
-        assert cli_bytes(*argv, "--threads", threads, block_size=block_size) == reference
+        assert cli_bytes(*argv, block_size=block_size) == cli_bytes(*argv)
 
 
 @settings(max_examples=25, deadline=None)
@@ -113,19 +111,17 @@ def test_blocking_and_threads_do_not_change_bytes(function, N, block_size, threa
     function=st.sampled_from(["mu-over-k", "harmonic"]),
     N=st.integers(min_value=80, max_value=5000),
     block_size=st.integers(min_value=1, max_value=64),
-    threads=st.sampled_from([1, 2]),
 )
-def test_float_sums_are_correctly_rounded_at_every_checkpoint(function, N, block_size, threads):
+def test_float_sums_are_correctly_rounded_at_every_checkpoint(function, N, block_size):
     terms = [(mobius_oracle(k) if function == "mu-over-k" else 1) / k for k in range(1, N + 1)]
     exact = list(itertools.accumulate(map(Fraction, terms)))
     compute = ("compute", "--function", function, "--N", N, "--checkpoints", "geometric(1,1.05)")
     verdict = ("verdict", "--function", function, "--N", N)
-    out = cli_bytes(*compute, "--threads", threads, block_size=block_size)
+    out = cli_bytes(*compute, block_size=block_size)
     rows = [line.split(",") for line in out.decode().splitlines()[1:]]
     assert [float(s) for _, s in rows] == [float(exact[int(n) - 1]) for n, _ in rows]
-    assert out == cli_bytes(*compute, "--threads", 1)
-    assert (cli_bytes(*verdict, "--threads", threads, block_size=block_size)
-            == cli_bytes(*verdict, "--threads", 1))
+    assert out == cli_bytes(*compute)
+    assert cli_bytes(*verdict, block_size=block_size) == cli_bytes(*verdict)
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,10 +129,9 @@ def test_float_sums_are_correctly_rounded_at_every_checkpoint(function, N, block
     function=st.sampled_from(["mu-over-k", "harmonic"]),
     N=st.integers(min_value=80, max_value=5000),
     block_size=st.integers(min_value=1, max_value=64),
-    threads=st.sampled_from([1, 2]),
     lags=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
 )
-def test_real_analyze_is_exact_at_every_blocking(function, N, block_size, threads, lags):
+def test_real_analyze_is_exact_at_every_blocking(function, N, block_size, lags):
     # Mean, variance and every rho: the exact rational value, rounded once.
     f = [Fraction((mobius_oracle(k) if function == "mu-over-k" else 1) / k)
          for k in range(1, N + max(lags) + 1)]
@@ -145,8 +140,8 @@ def test_real_analyze_is_exact_at_every_blocking(function, N, block_size, thread
     def gap(h):  # n**2 rho(n, h); h = 0 gives n**2 times the variance
         return N * sum(a * b for a, b in zip(f[:N], f[h:])) - S[N] * (S[N + h] - S[h])
     argv = ("analyze", "--function", function, "--N", N, "--lag", ",".join(map(str, lags)))
-    out = cli_bytes(*argv, "--threads", threads, block_size=block_size)
-    assert out == cli_bytes(*argv, "--threads", 1)
+    out = cli_bytes(*argv, block_size=block_size)
+    assert out == cli_bytes(*argv)
     doc = json.loads(out)
     assert doc["mean"] == float(S[N] / N)
     assert doc["variance"] == float(gap(0) / N**2)
@@ -189,5 +184,5 @@ def test_strided_probe_matches_direct_slices():
     vals = np.linspace(-1.0, 1.0, 100)
     sums, values = Strided(97, 14), Strided(97, 14, sums=False)  # stride 7
     stream(sequence_from_values(vals), 100, [sums, values], block_size=9)
-    assert values.sample.tolist() == vals[6:97:7].tolist()
-    assert np.allclose(sums.sample, np.cumsum(vals)[6:97:7], rtol=0, atol=1e-12)
+    assert values.sample(97).tolist() == vals[6:97:7].tolist()
+    assert np.allclose(sums.sample(97), np.cumsum(vals)[6:97:7], rtol=0, atol=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from summatoria import (
     BOUNDED,
+    BoundError,
     DECAYING,
     GROWING,
     INCONCLUSIVE,
@@ -24,6 +25,7 @@ from summatoria import (
     realize_greedy,
     schedule_summatory,
     sequence_from_function,
+    sequence_from_values,
     vanishing_sum_verdict,
     verdict_to_json_dict,
     weighted_mobius_trace,
@@ -161,19 +163,23 @@ def test_euler_maclaurin_gap_inverse_square():
 
 
 def test_full_verdict_harmonic_bounded():
-    seq = sequence_from_function(lambda k: 1.0 / k, 10**5, name="harmonic",
-                                 magnitude_bound=1.0)
+    seq = sequence_from_function(lambda k: 1.0 / k, 10**5, name="harmonic")
     v = full_verdict(seq, 10**5)
     assert not v.conditions_met
     assert verdict_to_json_dict(v)["asymptotic_form"]["class"] == BOUNDED
+
+
+def test_full_verdict_past_the_sequence_bound_raises_bound_error():
+    seq = sequence_from_values(np.ones(10))
+    with pytest.raises(BoundError, match="N=11 exceeds the sequence bound 10"):
+        full_verdict(seq, 11)
 
 
 def test_full_verdict_constant_sequence_estimates_its_own_mean():
     # With the estimated limiting mean, S(n) - n*mu0 vanishes identically
     # for a constant summand; the S(n) -> 0 reading with the mean pinned
     # to zero rejects it instead (see the vanishing-sum tests).
-    seq = sequence_from_function(lambda k: np.ones_like(k), 10**4, name="one",
-                                 magnitude_bound=1.0)
+    seq = sequence_from_function(lambda k: np.ones_like(k), 10**4, name="one")
     v = full_verdict(seq, 10**4)
     assert v.mu0_hat == 1.0
     assert v.conditions_met

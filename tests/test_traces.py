@@ -22,6 +22,7 @@ from summatoria import (
     sequence_from_function,
     sequence_from_values,
     summatory_trace,
+    weighted_mobius_sequence,
     weighted_mobius_trace,
     write_trace_csv,
 )
@@ -226,7 +227,7 @@ def test_summatory_trace_respects_sequence_bound():
     lambda k: k / 2,  # not integers: the sum used to truncate to 25, not 27.5
 ])
 def test_closed_form_declared_integer_fails_loudly(fn):
-    seq = sequence_from_function(fn, 10, magnitude_bound=1e19, integer_valued=True)
+    seq = sequence_from_function(fn, 10, integer_valued=True)
     with pytest.raises(NumericError, match="integer-valued"):
         summatory_trace(seq, 10, [10])
 
@@ -250,8 +251,7 @@ def test_stream_total_is_correctly_rounded():
 
 
 def test_infinite_term_fails_loudly():
-    seq = sequence_from_function(lambda k: np.where(k == 5, np.inf, 1.0), 10,
-                                 magnitude_bound=math.inf)
+    seq = sequence_from_function(lambda k: np.where(k == 5, np.inf, 1.0), 10)
     with pytest.raises(NumericError, match=r"f\(4\.\.6\) is not finite"):
         summatory_trace(seq, 10, [10], block_size=3)
 
@@ -260,7 +260,7 @@ def test_infinite_term_fails_loudly():
                                                (sieve.MAX_BLOCK_SIZE + 1, CapacityError)])
 def test_block_size_outside_the_budget_is_refused(block_size, error):
     # A closed form has no sieve_block width check to fall back on.
-    seq = sequence_from_function(lambda k: 1.0 / k, 10, magnitude_bound=1.0)
+    seq = sequence_from_function(lambda k: 1.0 / k, 10)
     with pytest.raises(error, match="block size"):
         summatory_trace(seq, 10, [10], block_size=block_size)
 
@@ -458,4 +458,30 @@ def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, bl
                block_size=block_size)
     finally:
         traces.RUN_CELL = saved
-    assert probe.sample.tolist() == expected
+    assert probe.sample(len(values)).tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 600), min_size=1, max_size=8, unique=True).map(sorted),
+       st.integers(1, 400), st.integers(1, 300), st.integers(1, 200),
+       st.sampled_from(["real", "integer", "mu-over-k"]), st.booleans(), st.integers(0, 99))
+def test_one_probe_for_a_schedule_samples_as_one_probe_per_n(ns, cap, block_size, cell, kind,
+                                                             sums, seed):
+    rng = np.random.default_rng(seed)
+    values = {"real": lambda: rng.standard_normal(ns[-1]),
+              "integer": lambda: rng.integers(-3, 4, ns[-1]).astype(np.float64),
+              "mu-over-k": lambda: weighted_mobius_sequence(ns[-1]).values(1, ns[-1])}[kind]()
+    pooled = Strided(ns, cap, sums=sums)
+    alone = [Strided(n, cap, sums=sums) for n in ns]
+    with mock.patch.object(traces, "RUN_CELL", cell):
+        stream(sequence_from_values(values), ns[-1], [pooled, *alone], block_size=block_size)
+    assert [pooled.sample(n).tolist() for n in ns] == [p.sample(n).tolist()
+                                                       for p, n in zip(alone, ns)]
+    assert len(pooled._arrays) == len({-(-n // cap) for n in ns})
+
+
+def test_strided_samples_beyond_the_budget_are_refused():
+    cps = geometric_checkpoints(10**9, 10**6, 1.01)  # about 3.3e8 sample points
+    with pytest.raises(CapacityError, match="budget of 134217728"):
+        Strided(cps, 10**6)
+    Strided(geometric_checkpoints(10**9), 10**6)  # the default schedule: 76 MiB
