@@ -579,10 +579,9 @@ class Ahead:
         return arr
 
 
-def ahead(seq, last, probes, *, block_size=None):
-    size = block_size or sieve.DEFAULT_BLOCK_SIZE
+def ahead(seq, last, probes):
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return inline(Ahead(seq, last, size, pool), last, probes, block_size=block_size)
+        return inline(Ahead(seq, last, sieve.DEFAULT_BLOCK_SIZE, pool), last, probes)
 
 
 traces.stream = ahead

@@ -155,24 +155,15 @@ def _normal_cdf_sorted(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def ks_distance(dist: EmpiricalDistribution, *, standardize: bool = True) -> float:
-    """Kolmogorov-Smirnov distance between a sample and the standard
-    normal law.
-
-    The sample is first standardized by its own mean and standard
-    deviation (disable with standardize=False when the sample is already
-    on the reference scale).  The supremum accounts for both sides of
-    each jump of the empirical CDF.
-    """
-    if standardize:
-        if dist.variance <= 0.0:
-            raise DegenerateSampleError(
-                "sample variance is zero; cannot standardize for the normal reference"
-            )
-        z = dist.sample - dist.mean
-        z /= math.sqrt(dist.variance)  # increasing, so z stays sorted
-    else:
-        z = dist.sample
+def ks_distance(dist: EmpiricalDistribution) -> float:
+    """Kolmogorov-Smirnov distance between a sample, standardized by its
+    own mean and standard deviation, and the standard normal law; the
+    supremum accounts for both sides of each jump of the empirical CDF."""
+    if dist.variance <= 0.0:
+        raise DegenerateSampleError("sample variance is zero; cannot standardize "
+                                    "for the normal reference")
+    z = dist.sample - dist.mean
+    z /= math.sqrt(dist.variance)  # increasing, so z stays sorted
     ref = _normal_cdf_sorted(z)
 
     steps = np.arange(dist.n + 1) / dist.n

@@ -196,13 +196,7 @@ def euler_maclaurin_gap(
     return fit_remainders(cps, r)
 
 
-def full_verdict(
-    seq: ArithmeticSequence,
-    N: int,
-    checkpoints=None,
-    *,
-    block_size: int | None = None,
-) -> LimitVerdict:
+def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerdict:
     """Assemble the whole evidence report for one sequence.
 
     Streams the sequence once, estimates the limiting mean from the last
@@ -216,7 +210,7 @@ def full_verdict(
     cps = validate_checkpoints(checkpoints, N)
     samples = Strided(cps, KS_SAMPLE_CAP)
     probe = Checkpoints(cps)
-    stream(seq, int(cps[-1]), [probe, samples], block_size=block_size)
+    stream(seq, int(cps[-1]), [probe, samples])
     trace = probe.trace(seq)
 
     est = estimate_limit_mean(trace)

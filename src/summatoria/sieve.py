@@ -27,6 +27,8 @@ from .errors import BoundError, CapacityError
 # Trial division is a test fixture, not a production path; keep it cheap.
 ORACLE_BOUND = 10_000_000
 GLOBAL_SIEVE_BOUND = 1_000_000_000
+# Every stream walks blocks of this many entries; no caller picks another
+# size.  Tests patch it (sizes 1-8192) to show the blocking changes no byte.
 DEFAULT_BLOCK_SIZE = 1 << 20
 MAX_BLOCK_SIZE = 1 << 24
 

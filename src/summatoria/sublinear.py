@@ -79,11 +79,11 @@ def table_limit(checkpoints: np.ndarray) -> int:
     return int(L[best])
 
 
-def sums(seq, xs, limit: int, *, block_size: int | None = None) -> list[int]:
+def sums(seq, xs, limit: int) -> list[int]:
     """S(x) for each x of xs, from a table of S(0..limit) that ``stream``
     fills and ``seq.hyperbola`` above it; every x must be at most limit**2."""
     table = Table(limit)
-    traces.stream(seq, limit, [table], block_size=block_size)
+    traces.stream(seq, limit, [table])
     return from_table(table.values, seq.hyperbola, xs)
 
 

@@ -344,19 +344,14 @@ class Block:
         return np.cumsum(self.values, dtype=self.dtype)
 
 
-def stream(seq: ArithmeticSequence, last: int, probes, *, block_size: int | None = None):
-    """Walk f(1..last) once, handing each ``Block`` to every probe's
-    ``add(block)`` in block order, and return S(last), rounded once.
-
-    ``block_size`` defaults to ``sieve.DEFAULT_BLOCK_SIZE``.
+def stream(seq: ArithmeticSequence, last: int, probes):
+    """Walk f(1..last) once, in blocks of ``sieve.DEFAULT_BLOCK_SIZE``
+    entries, handing each ``Block`` to every probe's ``add(block)`` in
+    block order, and return S(last), rounded once.
     """
     if last > seq.bound:  # before any block, not when the stream gets there
         raise BoundError(f"index {last} exceeds the sequence bound {seq.bound}")
-    size = sieve.DEFAULT_BLOCK_SIZE if block_size is None else block_size
-    if size < 1:
-        raise ValueError(f"block size must be positive, got {size}")
-    if size > sieve.MAX_BLOCK_SIZE:
-        raise CapacityError(f"block size {size} exceeds the {sieve.MAX_BLOCK_SIZE}-entry budget")
+    size = sieve.DEFAULT_BLOCK_SIZE  # read per call, so the tests can patch it
     total = 0  # exact: an int, or a Fraction once a real block is added
     for lo in range(1, last + 1, size):
         block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total, seq.integer_valued)
@@ -449,20 +444,13 @@ class Strided:
         return run
 
 
-def summatory_trace(
-    seq: ArithmeticSequence,
-    N: int,
-    checkpoints=None,
-    *,
-    block_size: int | None = None,
-) -> SummatoryTrace:
+def summatory_trace(seq: ArithmeticSequence, N: int, checkpoints=None) -> SummatoryTrace:
     """S(n) at every checkpoint: streamed once, or for a sequence with a
     hyperbola rule, from a streamed table of S(1..L) and that rule above
     it, where ``sublinear.table_limit`` finds that cheaper.
 
     Checkpoints must not exceed N and default to geometric ratio 2 from
-    10.  ``block_size`` is as for ``stream``; neither it nor the choice of
-    L changes the result.
+    10.  Neither the blocking nor the choice of L changes the result.
     """
     reach = SUBLINEAR_BOUND if seq.hyperbola else seq.bound
     if N > reach:
@@ -474,27 +462,25 @@ def summatory_trace(
 
         limit = sublinear.table_limit(probe.checkpoints)
         if limit < last:
-            probe.values = sublinear.sums(seq, probe.checkpoints.tolist(), limit,
-                                          block_size=block_size)
+            probe.values = sublinear.sums(seq, probe.checkpoints.tolist(), limit)
             return probe.trace(seq)
-    stream(seq, last, [probe], block_size=block_size)
+    stream(seq, last, [probe])
     return probe.trace(seq)
 
 
-def mertens_trace(N: int, checkpoints=None, *, block_size: int | None = None) -> SummatoryTrace:
+def mertens_trace(N: int, checkpoints=None) -> SummatoryTrace:
     """M(n) = sum_{k<=n} mu(k) at each checkpoint, exactly."""
-    return summatory_trace(mobius_sequence(N), N, checkpoints, block_size=block_size)
+    return summatory_trace(mobius_sequence(N), N, checkpoints)
 
 
-def liouville_trace(N: int, checkpoints=None, *, block_size: int | None = None) -> SummatoryTrace:
+def liouville_trace(N: int, checkpoints=None) -> SummatoryTrace:
     """L(n) = sum_{k<=n} lambda(k) at each checkpoint, exactly."""
-    return summatory_trace(liouville_sequence(N), N, checkpoints, block_size=block_size)
+    return summatory_trace(liouville_sequence(N), N, checkpoints)
 
 
-def weighted_mobius_trace(N: int, checkpoints=None, *,
-                          block_size: int | None = None) -> SummatoryTrace:
+def weighted_mobius_trace(N: int, checkpoints=None) -> SummatoryTrace:
     """sum_{k<=n} mu(k)/k at each checkpoint, correctly rounded."""
-    return summatory_trace(weighted_mobius_sequence(N), N, checkpoints, block_size=block_size)
+    return summatory_trace(weighted_mobius_sequence(N), N, checkpoints)
 
 
 def write_trace_csv(trace: SummatoryTrace, out: TextIO) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from summatoria import (
     BoundError,
@@ -100,13 +100,6 @@ def test_empirical_cdf_is_valid_cdf(values):
     assert d.variance >= 0
 
 
-def test_ks_quantile_grid_is_astride_reference():
-    n = 100
-    grid = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    d = ks_distance(empirical_cdf(grid), standardize=False)
-    assert d <= 0.5 / n + 1e-6
-
-
 def test_ks_seeded_normal_draw_within_critical_band():
     rng = np.random.default_rng(20260810)
     sample = rng.standard_normal(10**4)
@@ -153,10 +146,10 @@ def test_normal_cdf_exact_at_branch_edges():
     assert ndtr(cut) > 0.0
 
 
-def _ks_distance_with_ndtr(sample, standardize=True):
+def _ks_distance_with_ndtr(sample):
     """The KS statistic by ndtr and both step arrays, as the package had it."""
     d = empirical_cdf(sample)
-    z = (d.sample - d.mean) / math.sqrt(d.variance) if standardize else d.sample
+    z = (d.sample - d.mean) / math.sqrt(d.variance)
     ref = ndtr(z)
     steps_hi = np.arange(1, d.n + 1, dtype=np.float64) / d.n
     steps_lo = np.arange(0, d.n, dtype=np.float64) / d.n
@@ -169,9 +162,6 @@ def test_ks_distance_bytes_match_ndtr_reference(seed):
     walk = np.cumsum(rng.integers(-1, 2, 200_000)).astype(np.float64)  # many ties
     for sample in (walk, rng.standard_normal(50_000), rng.integers(-1, 2, 9999) * 1.0):
         assert ks_distance(empirical_cdf(sample)) == _ks_distance_with_ndtr(sample)
-    grid = np.sort(rng.standard_normal(1000))
-    assert (ks_distance(empirical_cdf(grid), standardize=False)
-            == _ks_distance_with_ndtr(grid, standardize=False))
 
 
 def test_ks_degenerate_sample():
@@ -180,8 +170,7 @@ def test_ks_degenerate_sample():
 
 
 def test_ks_unknown_reference():
-    # the normal law is the only reference: a second argument is not taken
-    # for ``standardize``
+    # the self-standardized normal law is the only reference: no second argument
     with pytest.raises(TypeError):
         ks_distance(empirical_cdf([1.0, 2.0]), "cauchy")
 

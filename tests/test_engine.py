@@ -1,4 +1,4 @@
-"""The one streaming engine: blocking and threads change nothing but speed.
+"""The one streaming engine: the blocking changes nothing but speed.
 
 The golden hashes pin the output of every invocation in the README's
 "Reproducing the reported values" table, as recorded before the statistics
@@ -27,7 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summatoria import cli, mobius_oracle, mobius_sequence, sequence_from_values, sieve
+from summatoria import (
+    cli,
+    full_verdict,
+    mobius_oracle,
+    mobius_sequence,
+    sequence_from_values,
+    sieve,
+    sublinear,
+    summatory_trace,
+    traces,
+    weighted_mobius_sequence,
+)
 from summatoria.traces import Strided, stream
 
 README_TABLE = {
@@ -68,23 +79,23 @@ README_TABLE = {
 }
 
 
+def blocks_of(size):
+    """Stream in blocks of ``size`` entries: the one blocking seam."""
+    return mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size)
+
+
 def cli_bytes(*argv, block_size=None) -> bytes:
     """stdout of one in-process CLI run, at the default block size or the
     given one."""
     buf = io.StringIO()
-    default = sieve.DEFAULT_BLOCK_SIZE if block_size is None else block_size
-    with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", default), contextlib.redirect_stdout(buf):
+    with blocks_of(block_size or sieve.DEFAULT_BLOCK_SIZE), contextlib.redirect_stdout(buf):
         assert cli.main([str(a) for a in argv]) == 0
     return buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("invocation", sorted(README_TABLE))
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_readme_table_output_is_pinned(invocation, threads):
-    argv = invocation.split()
-    if argv[0] not in ("synth", "selftest"):
-        argv += ["--threads", threads]
-    assert hashlib.sha256(cli_bytes(*argv)).hexdigest() == README_TABLE[invocation]
+def test_readme_table_output_is_pinned(invocation):
+    assert hashlib.sha256(cli_bytes(*invocation.split())).hexdigest() == README_TABLE[invocation]
 
 
 @settings(max_examples=25, deadline=None)
@@ -172,7 +183,8 @@ class Recorder:
 def test_stream_feeds_each_block_once_in_order(denominator):
     vals = np.arange(1.0, 24.0) / denominator
     probes = [Recorder(), Recorder()]
-    total = stream(sequence_from_values(vals), 23, probes, block_size=5)
+    with blocks_of(5):
+        total = stream(sequence_from_values(vals), 23, probes)
     assert total == 276 / denominator
     expected = [(lo, min(lo + 4, 23), (lo - 1) * lo / 2 / denominator,
                  [k / denominator for k in range(lo, min(lo + 4, 23) + 1)])
@@ -183,6 +195,21 @@ def test_stream_feeds_each_block_once_in_order(denominator):
 def test_strided_probe_matches_direct_slices():
     vals = np.linspace(-1.0, 1.0, 100)
     sums, values = Strided(97, 14), Strided(97, 14, sums=False)  # stride 7
-    stream(sequence_from_values(vals), 100, [sums, values], block_size=9)
+    with blocks_of(9):
+        stream(sequence_from_values(vals), 100, [sums, values])
     assert values.sample(97).tolist() == vals[6:97:7].tolist()
     assert np.allclose(sums.sample(97), np.cumsum(vals)[6:97:7], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("run, last", [
+    (lambda: summatory_trace(weighted_mobius_sequence(100), 100, [50, 100]), 100),
+    (lambda: full_verdict(mobius_sequence(100), 100, [12, 25, 50, 100]), 100),
+    (lambda: sublinear.sums(mobius_sequence(1000), [1000], 40), 40),
+], ids=["summatory_trace", "full_verdict", "sublinear.sums"])
+def test_every_stream_reads_the_block_size_when_called(run, last):
+    # A size bound when a module or a function is defined would give one
+    # block here, and every blocking property would test nothing.
+    with blocks_of(7), mock.patch.object(traces, "Block", wraps=traces.Block) as spy:
+        run()
+    widths = [call.args[1].size for call in spy.call_args_list]
+    assert widths == [min(7, last + 1 - lo) for lo in range(1, last + 1, 7)]

@@ -30,6 +30,7 @@ from summatoria import (
     verdict_to_json_dict,
     weighted_mobius_trace,
 )
+from summatoria import sieve
 
 CPS_1E7 = geometric_checkpoints(10**7, start=100, ratio=2)
 
@@ -210,10 +211,12 @@ def test_full_verdict_deterministic_reports():
     assert a == b
 
 
-def test_full_verdict_thread_count_does_not_change_report():
+def test_full_verdict_thread_count_does_not_change_report(monkeypatch):
+    # The name predates the one-thread stream; only the blocking varies here.
     seq = mobius_sequence(10**5)
     a = verdict_to_json_dict(full_verdict(seq, 10**5))
-    b = verdict_to_json_dict(full_verdict(seq, 10**5, block_size=8192))
+    monkeypatch.setattr(sieve, "DEFAULT_BLOCK_SIZE", 8192)
+    b = verdict_to_json_dict(full_verdict(seq, 10**5))
     assert json.dumps(a) == json.dumps(b)
 
 

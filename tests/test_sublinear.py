@@ -4,6 +4,7 @@ stream, the choice of the table size, and the bounds of every path."""
 import functools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from summatoria import (
     summatory_trace,
     weighted_mobius_sequence,
 )
-from summatoria import sublinear
+from summatoria import sieve, sublinear
 from summatoria.sequences import SUBLINEAR_BOUND
 from summatoria.traces import Checkpoints, stream
 
@@ -57,7 +58,8 @@ def test_sublinear_sums_equal_the_sieve(name, xs, data):
 def test_tiny_tables_at_every_blocking(name, xs, data, block_size):
     xs = sorted(xs)
     limit = data.draw(st.integers(math.isqrt(xs[-1]) + 1, 40))
-    got = sublinear.sums(SEQUENCES[name](1000), xs, limit, block_size=block_size)
+    with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", block_size):
+        got = sublinear.sums(SEQUENCES[name](1000), xs, limit)
     assert got == sieved_sums(name)[xs].tolist()
 
 

@@ -31,6 +31,11 @@ from summatoria.empirical import empirical_moments, independence_estimator
 from summatoria.traces import Block, Strided, exact_prefix_sums, stream
 
 
+def blocks_of(size):
+    """Stream in blocks of ``size`` entries: the one blocking seam."""
+    return mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size)
+
+
 def test_mertens_examples():
     assert mertens_trace(10, [10]).values.tolist() == [-1]
     assert mertens_trace(1, [1]).values.tolist() == [1]
@@ -94,25 +99,28 @@ def test_trace_additivity_across_block_splits():
     cps = [7, 64, 500, 4999]
     one = mertens_trace(4999, cps)
     for size in (64, 97, 1024):
-        split = mertens_trace(4999, cps, block_size=size)
+        with blocks_of(size):
+            split = mertens_trace(4999, cps)
         assert np.array_equal(one.values, split.values)
 
 
 def test_weighted_trace_stable_across_block_splits():
     cps = [10, 100, 1000, 10000]
     one = weighted_mobius_trace(10**4, cps)
-    split = weighted_mobius_trace(10**4, cps, block_size=129)
+    with blocks_of(129):
+        split = weighted_mobius_trace(10**4, cps)
     assert np.allclose(one.values, split.values, rtol=0, atol=1e-15)
 
 
 def test_threaded_trace_is_identical():
+    # The name predates the one-thread stream; only the blocking varies here.
     # Blocks of 4096 stream mu(k)/k, 49 blocks against one.
     cps = geometric_checkpoints(200_000)
     base = weighted_mobius_trace(200_000, cps)
-    other = weighted_mobius_trace(200_000, cps, block_size=4096)
-    assert np.array_equal(base.values, other.values)
-    exact = mertens_trace(200_000, cps, block_size=4096)
-    assert np.array_equal(exact.values, mertens_trace(200_000, cps).values)
+    exact = mertens_trace(200_000, cps)
+    with blocks_of(4096):
+        assert np.array_equal(base.values, weighted_mobius_trace(200_000, cps).values)
+        assert np.array_equal(exact.values, mertens_trace(200_000, cps).values)
 
 
 def test_triviality_bounds():
@@ -212,7 +220,8 @@ def test_trace_matches_direct_sum_of_materialized_values(n, seed_len):
     rng = np.random.default_rng(seed_len)
     vals = rng.integers(-3, 4, size=n).astype(np.float64)
     seq = sequence_from_values(vals)
-    trace = summatory_trace(seq, n, [n], block_size=37)
+    with blocks_of(37):
+        trace = summatory_trace(seq, n, [n])
     assert trace.values[0] == int(vals.sum())
 
 
@@ -241,35 +250,28 @@ def test_stream_merges_block_sums_exactly(values, block_size):
     # rounded total at every block size.
     seq = sequence_from_values(np.array(values))
     assert not seq.integer_valued
-    assert stream(seq, len(values), [], block_size=block_size) == math.fsum(values)
+    with blocks_of(block_size):
+        assert stream(seq, len(values), []) == math.fsum(values)
 
 
 def test_stream_total_is_correctly_rounded():
     # A compensated float running sum can return 1.0 here; the true sum rounds up.
     seq = sequence_from_values(np.array([1.0, 2.0**-53, 2.0**-110]))
-    assert stream(seq, 3, [], block_size=1) == 1.0000000000000002
+    with blocks_of(1):
+        assert stream(seq, 3, []) == 1.0000000000000002
 
 
 def test_infinite_term_fails_loudly():
     seq = sequence_from_function(lambda k: np.where(k == 5, np.inf, 1.0), 10)
-    with pytest.raises(NumericError, match=r"f\(4\.\.6\) is not finite"):
-        summatory_trace(seq, 10, [10], block_size=3)
-
-
-@pytest.mark.parametrize("block_size, error", [(0, ValueError), (-1, ValueError),
-                                               (sieve.MAX_BLOCK_SIZE + 1, CapacityError)])
-def test_block_size_outside_the_budget_is_refused(block_size, error):
-    # A closed form has no sieve_block width check to fall back on.
-    seq = sequence_from_function(lambda k: 1.0 / k, 10)
-    with pytest.raises(error, match="block size"):
-        summatory_trace(seq, 10, [10], block_size=block_size)
+    with blocks_of(3), pytest.raises(NumericError, match=r"f\(4\.\.6\) is not finite"):
+        summatory_trace(seq, 10, [10])
 
 
 @pytest.mark.parametrize("block_size", [1, 2])
 def test_overflowing_sum_fails_loudly(block_size):
     seq = sequence_from_values(np.array([1e308, 1e308]))
-    with pytest.raises(NumericError, match="not finite"):
-        stream(seq, 2, [], block_size=block_size)
+    with blocks_of(block_size), pytest.raises(NumericError, match="not finite"):
+        stream(seq, 2, [])
 
 
 # Terms across the whole float64 range: subnormals, signed zeros, and
@@ -414,7 +416,7 @@ def test_squares_that_underflow_give_the_exact_variance_and_rho(n):
                for d in (0, h)]
         seq = sequence_from_values(np.array(F, dtype=np.float64))
         for block_size in (n + h, 2):
-            with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", block_size):
+            with blocks_of(block_size):
                 got = (*empirical_moments(seq, n), independence_estimator(seq, n, h))
             assert got == (float(S[n] / n), float(gap[0] / n**2), float(gap[1] / n**2))
 
@@ -435,7 +437,8 @@ def test_checkpoints_inside_a_block_are_correctly_rounded():
     cps = list(range(1, n + 1, 7))
     seq = sequence_from_values(terms)
     for block_size in (n, 64, 1):
-        got = summatory_trace(seq, n, cps, block_size=block_size).values.tolist()
+        with blocks_of(block_size):
+            got = summatory_trace(seq, n, cps).values.tolist()
         assert got == [float(exact[c - 1]) for c in cps]
 
 
@@ -452,12 +455,8 @@ def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, bl
         c = (k - 1) // cell * cell
         expected.append(float(exact[c]) + float(np.cumsum(values[c:k])[-1]))
     probe = Strided(len(values), len(values))
-    saved, traces.RUN_CELL = traces.RUN_CELL, cell
-    try:
-        stream(sequence_from_values(np.array(values)), len(values), [probe],
-               block_size=block_size)
-    finally:
-        traces.RUN_CELL = saved
+    with mock.patch.object(traces, "RUN_CELL", cell), blocks_of(block_size):
+        stream(sequence_from_values(np.array(values)), len(values), [probe])
     assert probe.sample(len(values)).tolist() == expected
 
 
@@ -473,8 +472,8 @@ def test_one_probe_for_a_schedule_samples_as_one_probe_per_n(ns, cap, block_size
               "mu-over-k": lambda: weighted_mobius_sequence(ns[-1]).values(1, ns[-1])}[kind]()
     pooled = Strided(ns, cap, sums=sums)
     alone = [Strided(n, cap, sums=sums) for n in ns]
-    with mock.patch.object(traces, "RUN_CELL", cell):
-        stream(sequence_from_values(values), ns[-1], [pooled, *alone], block_size=block_size)
+    with mock.patch.object(traces, "RUN_CELL", cell), blocks_of(block_size):
+        stream(sequence_from_values(values), ns[-1], [pooled, *alone])
     assert [pooled.sample(n).tolist() for n in ns] == [p.sample(n).tolist()
                                                        for p, n in zip(alone, ns)]
     assert len(pooled._arrays) == len({-(-n // cap) for n in ns})
