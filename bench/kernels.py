@@ -27,12 +27,14 @@ call at block sizes 1 and 64 over mu(k)/k, k <= 4096, with every k a
 checkpoint, best and median of 5, with each kernel behind ``sums_at``,
 after checking both give the same sums.  The runs of the two sides
 alternate.
-``ks`` times ``import scipy.special`` after numpy in fresh interpreters,
-then the normal CDF of the KS samples of ``analyze mu --N 1e6`` (10**6
-points) and of ``verdict mu-over-k --N 4096000`` (13 samples, 3.04e6
-points), best of 5: ``scipy.special.ndtr`` against the package's Phi,
-and the whole KS statistic by ndtr and two step arrays against
-``ks_distance``, after checking that both give the same D.
+``ks`` times ``ks_distance`` against the full evaluation it replaced (Phi
+and both step arrays at every sorted point, kept here) on the KS samples
+of ``analyze mu --N 1e6`` (10**6 points), of ``verdict mu-over-k --N
+4096000`` (13 samples, 3.04e6 points) and of ``verdict mu-over-k --N 3e6
+--checkpoints "geometric(1000,1.02)"`` (405 samples), after checking
+that both give the same D at every sample: the sum over the samples of
+each call's best of 5, the two sides alternating, with the number of
+points at which ``ks_distance`` evaluates Phi.
 ``moments`` times, per 2**20 block of mu(k)/k and of 1/k ending at
 2**20, 10 * 2**20 and 3e7, best of 5: the sum of the rounded products
 f(k) f(k+3) by ``exact_prefix_sums`` against the exact ``Block.dot`` of
@@ -107,6 +109,7 @@ SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
 CALLS_N = 1 << 12
 KS_ANALYZE_N = 1_000_000
 KS_VERDICT_N = 4_096_000
+KS_DENSE_N = 3_000_000
 MOMENTS_LAG = 3
 ANALYZE_N = 1_000_000
 # perfbench's sieve-stream schedule, with four checkpoints inside blocks
@@ -254,53 +257,55 @@ def sum_section() -> dict:
             "block_2pow20_of_7": rows, "sums_at_call_of_5": calls}
 
 
-def scipy_import_s(k: int = 5) -> list[float]:
-    """Seconds of ``import scipy.special`` after numpy, in k fresh interpreters."""
-    code = ("import time, numpy; t = time.perf_counter(); import scipy.special; "
-            "print(time.perf_counter() - t)")
-    return sorted(float(subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                       text=True, check=True).stdout) for _ in range(k))
-
-
 def ks_section() -> dict:
-    from scipy.special import ndtr
+    from summatoria import cli, empirical, limits, sequences, traces
+    from summatoria.empirical import empirical_cdf, ks_distance
 
-    from summatoria import limits, sequences, traces
-    from summatoria.empirical import _normal_cdf_sorted, empirical_cdf, ks_distance
+    phi = empirical._normal_cdf_sorted
 
-    def ks_with_ndtr(dist):
-        z = (dist.sample - dist.mean) / math.sqrt(dist.variance)
-        ref = ndtr(z)
-        hi = np.arange(1, dist.n + 1, dtype=np.float64) / dist.n
-        lo = np.arange(0, dist.n, dtype=np.float64) / dist.n
-        return float(max(np.max(np.abs(hi - ref)), np.max(np.abs(lo - ref))))
+    def ks_full(dist):  # ks_distance before pruning: Phi and both steps at every point
+        z = dist.sample - dist.mean
+        z /= math.sqrt(dist.variance)
+        ref = phi(z)
+        steps = np.arange(dist.n + 1) / dist.n
+        above = np.max(steps[1:] - ref)
+        ref -= steps[:-1]
+        return float(max(above, np.max(ref)))
 
-    analyze = traces.Strided(KS_ANALYZE_N, limits.KS_SAMPLE_CAP, sums=False)
-    traces.stream(sequences.mobius_sequence(KS_ANALYZE_N), KS_ANALYZE_N, [analyze])
-    cps = [1000 * 2**k for k in range(13)]  # geometric(1000,2) to KS_VERDICT_N
-    verdict = traces.Strided(cps, limits.KS_SAMPLE_CAP)
-    traces.stream(sequences.weighted_mobius_sequence(KS_VERDICT_N), cps[-1], [verdict])
+    def counted(z):  # Phi, counting the points ks_distance evaluates it at
+        evaluated[0] += z.size
+        return phi(z)
 
     rows = []
-    for name, samples in (("analyze mu --N 1e6", [analyze.sample(KS_ANALYZE_N)]),
-                          ("verdict mu-over-k --N 4096000", [verdict.sample(n) for n in cps])):
-        dists = [empirical_cdf(x) for x in samples]
-        if [ks_with_ndtr(d) for d in dists] != [ks_distance(d) for d in dists]:
-            raise SystemExit(f"{name}: D differs between ndtr and ks_distance")
-        zs = [(d.sample - d.mean) / math.sqrt(d.variance) for d in dists]
-        secs = best_of(5, {
-            "ndtr": lambda: [ndtr(z) for z in zs],
-            "phi": lambda: [_normal_cdf_sorted(z) for z in zs],
-            "ks_ndtr": lambda: [ks_with_ndtr(d) for d in dists],
-            "ks_distance": lambda: [ks_distance(d) for d in dists],
-        })
-        rows.append({"samples": name, "points": sum(d.n for d in dists),
+    for name, seq, cps, sums in [
+            ("analyze mu --N 1e6", sequences.mobius_sequence, [KS_ANALYZE_N], False),
+            ("verdict mu-over-k --N 4096000", sequences.weighted_mobius_sequence,
+             [1000 * 2**k for k in range(13)], True),  # geometric(1000,2)
+            ("verdict mu-over-k --N 3e6 --checkpoints geometric(1000,1.02)",
+             sequences.weighted_mobius_sequence,
+             cli.parse_checkpoints("geometric(1000,1.02)", KS_DENSE_N).tolist(), True)]:
+        probe = traces.Strided(cps, limits.KS_SAMPLE_CAP, sums=sums)
+        traces.stream(seq(cps[-1]), cps[-1], [probe])
+        secs, evaluated = {"ks_full": 0.0, "ks_distance": 0.0}, [0]
+        for n in cps:  # one sorted sample at a time, so that memory stays small
+            dist = empirical_cdf(probe.sample(n))
+            empirical._normal_cdf_sorted = counted
+            try:
+                same = ks_distance(dist) == ks_full(dist)
+            finally:
+                empirical._normal_cdf_sorted = phi
+            if not same:
+                raise SystemExit(f"{name}: D at n={n} differs from the full evaluation")
+            for side, t in best_of(5, {"ks_full": lambda: ks_full(dist),
+                                       "ks_distance": lambda: ks_distance(dist)}).items():
+                secs[side] += t
+        points = sum(probe.sample(n).size for n in cps)
+        rows.append({"samples": name, "checkpoints": len(cps), "points": points,
+                     "phi_points_pruned": evaluated[0],
                      **{f"{side}_s": round(t, 4) for side, t in secs.items()}})
-    imports = scipy_import_s()
+        print(json.dumps(rows[-1]), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py ks",
-            "import_scipy_special_after_numpy_s": {
-                "best": round(imports[0], 3), "median": round(imports[2], 3), "runs": 5},
-            "normal_cdf_best_of_5": rows}
+            "ks_sum_of_best_of_5": rows}
 
 
 def moments_section(parent: str) -> dict:

@@ -239,7 +239,7 @@ def test_analyze_streams_in_blocks_below_the_block_budget(capsys, monkeypatch):
     assert json.loads(out)["N"] == 5000
 
 
-def test_block_size_env_var_changes_blocking_not_results(capsys, monkeypatch):
+def test_block_size_changes_blocking_not_results(capsys, monkeypatch):
     status, base, _ = run_cli("compute", "--function", "mu", "--N", "5000",
                               "--checkpoints", "geometric(10,3)", capsys=capsys)
     monkeypatch.setattr(sieve, "DEFAULT_BLOCK_SIZE", 64)
@@ -313,6 +313,18 @@ def test_non_finite_sum_exits_two(tmp_path, capsys):
                              "--checkpoints", "2", capsys=capsys)
     assert status == 2
     assert "f(1..2) is not finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, value", [("analyze", "1.2e154"), ("verdict", "1e200")])
+def test_a_ks_sample_whose_variance_overflows_exits_two(command, value, tmp_path, capsys):
+    # np.var of the partial sums overflows; z would be 0 and D a silent 0.5.
+    path = tmp_path / "huge.csv"
+    path.write_text("k,f\n" + "".join(f"{k},{'' if k % 2 else '-'}{value}\n"
+                                       for k in range(1, 2011)))
+    status, out, err = run_cli(command, "--function", f"file:{path}", "--N", "2000",
+                               capsys=capsys)
+    assert (status, out) == (2, "")
+    assert "variance of the KS sample is not finite" in err and "Traceback" not in err
 
 
 def test_explicit_flags_beat_config_values_equal_to_defaults(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -22,8 +23,8 @@ from summatoria import (
     sequence_from_function,
     sequence_from_values,
 )
-from summatoria import cli, sieve
-from summatoria.empirical import _ERFC_CUT, _SQRT1_2, _normal_cdf_sorted
+from summatoria import cli, empirical, sieve
+from summatoria.empirical import _ERFC_CUT, _KS_SLACK, _SQRT1_2, _normal_cdf_sorted
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -162,6 +163,74 @@ def test_ks_distance_bytes_match_ndtr_reference(seed):
     walk = np.cumsum(rng.integers(-1, 2, 200_000)).astype(np.float64)  # many ties
     for sample in (walk, rng.standard_normal(50_000), rng.integers(-1, 2, 9999) * 1.0):
         assert ks_distance(empirical_cdf(sample)) == _ks_distance_with_ndtr(sample)
+
+
+def _ks_distance_full(d):
+    """The KS statistic with Phi at every sorted point: the reference of the pruning."""
+    ref = _normal_cdf_sorted((d.sample - d.mean) / math.sqrt(d.variance))
+    steps = np.arange(d.n + 1) / d.n
+    return float(max(np.max(steps[1:] - ref), np.max(ref - steps[:-1])))
+
+
+# The branch cuts of Phi, in x = a / sqrt(2).
+_CUTS = (_SQRT1_2, 1.0, 8.0, _ERFC_CUT)
+
+
+def _astride_cuts(rng, n):
+    """A normal sample plus 16 points that standardize to 0.99 and 1.01
+    times each cut of Phi, on both sides of 0; n must be well above 6,200."""
+    t = np.array([s * f * c / _SQRT1_2 for c in _CUTS for s in (-1, 1) for f in (0.99, 1.01)])
+    bulk = rng.standard_normal(n - t.size)
+    m = bulk.mean()  # the points t cancel in the mean, and add sd^2 sum(t^2) to n var
+    sd = math.sqrt(np.sum((bulk - m) ** 2) / (n - np.sum(t * t)))
+    return np.concatenate([bulk, m + sd * t])
+
+
+@st.composite
+def ks_samples(draw):
+    kind = draw(st.sampled_from(["normal", "uniform", "ties", "walk", "cauchy", "cuts"]))
+    n = draw(st.integers(10_000, 100_000) if kind == "cuts" else
+             st.one_of(st.integers(2, 256), st.integers(257, 100_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cuts":
+        return kind, _astride_cuts(rng, n)
+    return kind, {"normal": lambda: rng.standard_normal(n),
+                  "uniform": lambda: rng.uniform(-1.0, 1.0, n),
+                  "ties": lambda: rng.integers(-2, 3, n) * 1.0,
+                  "walk": lambda: np.cumsum(rng.integers(-1, 2, n)) * 1.0,
+                  "cauchy": lambda: rng.standard_cauchy(n)}[kind]()
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=ks_samples(), data=st.data())
+def test_pruned_ks_distance_equals_the_full_evaluation(drawn, data):
+    kind, sample = drawn
+    d = empirical_cdf(sample)
+    if d.variance <= 0.0:
+        return
+    if kind == "cuts":
+        x = (d.sample - d.mean) / math.sqrt(d.variance) * _SQRT1_2
+        for c in _CUTS:
+            for side in (x, -x):
+                assert ((0.98 * c < side) & (side < c)).any()
+                assert ((c < side) & (side < 1.02 * c)).any()
+    # Every grid step on a short sample, where a bound off by one step shows.
+    for g in range(1, d.n + 1) if d.n <= 256 else [data.draw(st.integers(1, d.n))]:
+        with mock.patch.object(empirical, "_KS_GRID", g):
+            assert ks_distance(d) == _ks_distance_full(d), g
+
+
+def test_the_ks_slack_is_far_above_every_decrease_of_phi():
+    # ks_distance's run bounds take Phi as increasing; near its branch cuts it
+    # dips by about one ulp of 1 (2.2e-16 on numpy 2.4), a far cry from the slack.
+    worst = 0.0
+    for c in _CUTS:
+        for edge in (c / _SQRT1_2, -c / _SQRT1_2):
+            ulps = (np.array([edge]).view(np.int64) + np.arange(-50_000, 50_001)).view(np.float64)
+            for a in (np.sort(ulps), np.linspace(edge * (1 - 1e-10), edge * (1 + 1e-10), 100_001),
+                      np.linspace(edge - 1e-3, edge + 1e-3, 100_001)):
+                worst = max(worst, -np.diff(_normal_cdf_sorted(a)).min())
+    assert worst <= 1e-3 * _KS_SLACK
 
 
 def test_ks_degenerate_sample():
