@@ -9,8 +9,6 @@ import numpy as np
 
 from summatoria import (
     empirical_cdf,
-    empirical_mean,
-    empirical_moments,
     independence_estimator,
     ks_distance,
     liouville_sequence,
@@ -24,8 +22,9 @@ lam = liouville_sequence(N + 10)
 # --- means and variances over growing windows --------------------------
 print("window n      mean(mu)      var(mu)    mean(lambda)")
 for n in (10**2, 10**4, 10**6):
-    mean_mu, var_mu = empirical_moments(mu, n)
-    mean_lam = empirical_mean(lam, n)
+    values_mu = mu.values(1, n).astype(np.float64)
+    mean_mu, var_mu = values_mu.mean(), values_mu.var()
+    mean_lam = lam.values(1, n).astype(np.float64).mean()
     print(f"{n:>8,}  {mean_mu:>12.6f}  {var_mu:>10.6f}  {mean_lam:>13.6f}")
 print()
 print("mean(mu, n) * n is the exact integer M(n); the variance tends to")

@@ -6,8 +6,6 @@ two-valued schedules with deterministic realizations."""
 from .empirical import (
     EmpiricalDistribution,
     empirical_cdf,
-    empirical_mean,
-    empirical_moments,
     independence_estimator,
     ks_distance,
 )

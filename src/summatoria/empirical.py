@@ -1,12 +1,12 @@
 """Statistics of arithmetic sequences under the uniform measure on {1..n}.
 
 Restricting a sequence to {1..n} and weighting every point by 1/n turns
-it into a random variable; these helpers compute its mean, population
-variance, empirical CDF, Kolmogorov-Smirnov distance to the normal law,
-and a lagged correlation that quantifies asymptotic independence.  The
-lag correlations are a probe of ``traces.stream``, exact sums of
-products (``Block.dot``) rounded once, and the variance is their lag 0,
-so ``analyze`` gets all of them from one pass.
+it into a random variable.  Its mean, population variance and lagged
+correlations, which quantify asymptotic independence, come from one
+probe of ``traces.stream``, ``LagCorrelations``: exact sums of products
+(``Block.dot``) rounded once, the variance being lag 0, so ``analyze``
+gets all of them from one pass.  A sample's empirical CDF and its
+Kolmogorov-Smirnov distance to the normal law complete the module.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BoundError, DegenerateSampleError, NumericError
+from .errors import DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence
 from .traces import Block, as_float, stream
 
@@ -44,28 +44,6 @@ def empirical_cdf(values) -> EmpiricalDistribution:
     with np.errstate(over="ignore", invalid="ignore"):  # ks_distance refuses inf and nan
         mean, variance = float(np.mean(sample)), float(np.var(sample))
     return EmpiricalDistribution(sample, int(sample.size), mean, variance)
-
-
-def _check_range(seq: ArithmeticSequence, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > seq.bound:
-        raise BoundError(f"n={n} exceeds the sequence bound {seq.bound}")
-
-
-def empirical_mean(seq: ArithmeticSequence, n: int) -> float:
-    """Average S(n)/n of f over {1..n}, with S(n) as ``stream`` returns it."""
-    _check_range(seq, n)
-    return stream(seq, n, []) / n
-
-
-def empirical_moments(seq: ArithmeticSequence, n: int) -> tuple[float, float]:
-    """(mean, population variance) of f over {1..n} in one streaming pass:
-    the variance is rho(n, 0) of ``LagCorrelations``."""
-    _check_range(seq, n)
-    probe = LagCorrelations(n, [0])
-    stream(seq, n, [probe])
-    return probe.mean(), probe.result()[0]
 
 
 # Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) in the
@@ -244,8 +222,6 @@ def independence_estimator(seq: ArithmeticSequence, n: int, h: int) -> float:
     """
     if n < 1 or h < 1:
         raise ValueError(f"n and h must be positive, got n={n}, h={h}")
-    if n + h > seq.bound:
-        raise BoundError(f"n + h = {n + h} exceeds the sequence bound {seq.bound}")
     probe = LagCorrelations(n, [h])
     stream(seq, n + h, [probe])
     return probe.result()[0]

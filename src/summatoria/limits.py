@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -49,11 +49,6 @@ class RemainderFit:
     classification: str
     loglog_slope: float
     slope_stderr: float
-
-
-class LimitMeanEstimate(NamedTuple):
-    value: float
-    drift: float  # |S(n_m)/n_m - S(n_{m-1})/n_{m-1}|, a convergence diagnostic
 
 
 @dataclass(frozen=True)
@@ -141,15 +136,15 @@ def fit_remainders(checkpoints, remainders) -> RemainderFit:
     return RemainderFit(cps.astype(np.int64), r, classification, slope, stderr)
 
 
-def estimate_limit_mean(trace: SummatoryTrace) -> LimitMeanEstimate:
-    """S(n)/n at the largest checkpoint, with the change from the previous
-    checkpoint as a stability diagnostic."""
+def estimate_limit_mean(trace: SummatoryTrace) -> tuple[float, float]:
+    """(S(n)/n at the largest checkpoint, its drift |S(n)/n - S(n')/n'|
+    from the previous checkpoint n', a stability diagnostic)."""
     if len(trace) < 4:
         raise ValueError("limit-mean estimation needs at least 4 checkpoints")
     n_last, n_prev = int(trace.checkpoints[-1]), int(trace.checkpoints[-2])
     value = float(trace.values[-1]) / n_last
     prev = float(trace.values[-2]) / n_prev
-    return LimitMeanEstimate(value=value, drift=abs(value - prev))
+    return value, abs(value - prev)
 
 
 def mean_rate_fit(trace: SummatoryTrace, mu0: float) -> RemainderFit:
@@ -213,10 +208,10 @@ def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerd
     stream(seq, int(cps[-1]), [probe, samples])
     trace = probe.trace(seq)
 
-    est = estimate_limit_mean(trace)
-    fit = mean_rate_fit(trace, est.value)
+    mu0, drift = estimate_limit_mean(trace)
+    fit = mean_rate_fit(trace, mu0)
 
-    notes = [f"mu0 drift from previous checkpoint: {est.drift:.6e}"]
+    notes = [f"mu0 drift from previous checkpoint: {drift:.6e}"]
     ks_trace = []
     degenerate = 0
     for nj in cps.tolist():
@@ -233,7 +228,7 @@ def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerd
         function=seq.name,
         N=int(N),
         checkpoints=cps,
-        mu0_hat=est.value,
+        mu0_hat=mu0,
         mean_rate=fit,
         ks_trace=tuple(ks_trace),
         conditions_met=bool(fit.classification == DECAYING),

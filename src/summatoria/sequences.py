@@ -87,7 +87,6 @@ def sequence_from_function(
     bound: int,
     *,
     name: str = "f",
-    integer_valued: bool = False,
 ) -> ArithmeticSequence:
     """Wrap a vectorized closed-form expression f(k).
 
@@ -107,7 +106,7 @@ def sequence_from_function(
             raise ValueError("closed-form evaluator changed the block shape")
         return out
 
-    return ArithmeticSequence(name, bound, integer_valued, block)
+    return ArithmeticSequence(name, bound, False, block)
 
 
 def sequence_from_values(values: np.ndarray, *, name: str = "values") -> ArithmeticSequence:

@@ -40,8 +40,8 @@ _TILE_PERIOD = math.prod(p * p for p in _TILE_PRIMES)  # 44100
 class SieveBlock:
     """Mobius and Liouville values for every integer in [lo, hi].
 
-    Arrays are read-only after construction and safe to share between
-    threads.  ``mu[k - lo]`` and ``lam[k - lo]`` hold the values at k.
+    Arrays are read-only after construction.  ``mu[k - lo]`` and
+    ``lam[k - lo]`` hold the values at k.
     """
 
     lo: int

@@ -13,12 +13,9 @@ from summatoria import (
     BoundError,
     DegenerateSampleError,
     empirical_cdf,
-    empirical_mean,
-    empirical_moments,
     independence_estimator,
     ks_distance,
     liouville_sequence,
-    mertens_trace,
     mobius_sequence,
     sequence_from_function,
     sequence_from_values,
@@ -26,38 +23,19 @@ from summatoria import (
 from summatoria import cli, empirical, sieve
 from summatoria.empirical import _ERFC_CUT, _KS_SLACK, _SQRT1_2, _normal_cdf_sorted
 
+from moments import moments
+
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
-def test_empirical_mean_examples():
-    assert empirical_mean(mobius_sequence(10), 10) == -0.1
-    ones = sequence_from_function(lambda k: np.ones_like(k), 100, name="one")
-    assert empirical_mean(ones, 7) == 1.0
-    assert empirical_mean(liouville_sequence(10), 10) == 0.0
-
-
-def test_empirical_mean_is_exact_trace_ratio():
-    seq = mobius_sequence(5000)
-    for n in (10, 137, 4999):
-        exact = int(mertens_trace(n, [n]).values[0])
-        assert empirical_mean(seq, n) == exact / n
-
-
-def test_empirical_mean_bound_error():
-    with pytest.raises(BoundError):
-        empirical_mean(mobius_sequence(10), 11)
-    with pytest.raises(ValueError):
-        empirical_mean(mobius_sequence(10), 0)
-
-
 def test_empirical_moments_examples():
-    mean, var = empirical_moments(mobius_sequence(10), 10)
+    mean, var = moments(mobius_sequence(10), 10)
     assert mean == -0.1
     assert var == 0.69  # 7 nonzero mu values in 1..10: the exact 69/100, rounded once
     const = sequence_from_function(lambda k: np.full_like(k, 2.5), 50, name="c")
-    _, var_c = empirical_moments(const, 50)
+    _, var_c = moments(const, 50)
     assert var_c == pytest.approx(0.0, abs=1e-12)
-    mean_l, var_l = empirical_moments(liouville_sequence(10), 10)
+    mean_l, var_l = moments(liouville_sequence(10), 10)
     assert (mean_l, var_l) == (0.0, 1.0)
 
 
@@ -71,9 +49,9 @@ def test_variance_shift_and_scale(shift, scale, n):
     rng = np.random.default_rng(n)
     base = rng.standard_normal(600)
     seq = sequence_from_values(base)
-    _, v0 = empirical_moments(seq, n)
-    _, v_shift = empirical_moments(sequence_from_values(base + shift), n)
-    _, v_scale = empirical_moments(sequence_from_values(base * scale), n)
+    _, v0 = moments(seq, n)
+    _, v_shift = moments(sequence_from_values(base + shift), n)
+    _, v_scale = moments(sequence_from_values(base * scale), n)
     assert v_shift == pytest.approx(v0, rel=1e-10, abs=1e-12)
     assert v_scale == pytest.approx(scale * scale * v0, rel=1e-10, abs=1e-12)
 
@@ -314,7 +292,7 @@ def test_exact_moments_do_not_wrap_int64():
     k = np.arange(1, 10**5 + 1)
     seq = sequence_from_values(1e8 + k % 2)
     assert seq.integer_valued
-    assert empirical_moments(seq, 10**5) == (1e8 + 0.5, 0.25)
+    assert moments(seq, 10**5) == (1e8 + 0.5, 0.25)
 
 
 def test_integer_rho_rounds_once_from_exact_sums():
@@ -335,7 +313,7 @@ def test_float_variance_survives_a_large_offset():
     k = np.arange(1, 10**5 + 1)
     seq = sequence_from_values(1e8 + 0.5 * (k % 2))
     assert not seq.integer_valued
-    assert empirical_moments(seq, 10**5) == (1e8 + 0.25, 0.0625)
+    assert moments(seq, 10**5) == (1e8 + 0.25, 0.0625)
 
 
 def test_integer_lag_products_across_blocks_of_different_dtypes(monkeypatch):
@@ -359,6 +337,6 @@ def test_a_repeated_lag_counts_once(capsys):
 def test_moments_and_lags_stream_exactly_across_blocks(monkeypatch):
     values = np.random.default_rng(7).integers(-9, 10, 300).astype(np.float64)
     seq = sequence_from_values(values)
-    expected = (empirical_moments(seq, 290), independence_estimator(seq, 290, 7))
+    expected = (moments(seq, 290), independence_estimator(seq, 290, 7))
     monkeypatch.setattr(sieve, "DEFAULT_BLOCK_SIZE", 4)
-    assert (empirical_moments(seq, 290), independence_estimator(seq, 290, 7)) == expected
+    assert (moments(seq, 290), independence_estimator(seq, 290, 7)) == expected

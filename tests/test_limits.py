@@ -111,9 +111,7 @@ def test_fit_rejects_non_finite():
 
 def test_estimate_limit_mean():
     trace = _trace([10, 20, 40, 80], [10.0, 20.0, 40.0, 80.0])
-    est = estimate_limit_mean(trace)
-    assert est.value == 1.0
-    assert est.drift == 0.0
+    assert estimate_limit_mean(trace) == (1.0, 0.0)
     with pytest.raises(ValueError):
         estimate_limit_mean(_trace([10, 20], [1.0, 2.0]))
 

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from summatoria import (
+    ArithmeticSequence,
     CapacityError,
     NumericError,
     geometric_checkpoints,
@@ -27,8 +28,10 @@ from summatoria import (
     write_trace_csv,
 )
 from summatoria import sieve, traces
-from summatoria.empirical import empirical_moments, independence_estimator
+from summatoria.empirical import independence_estimator
 from summatoria.traces import Block, Strided, exact_prefix_sums, stream
+
+from moments import moments
 
 
 def blocks_of(size):
@@ -236,7 +239,8 @@ def test_summatory_trace_respects_sequence_bound():
     lambda k: k / 2,  # not integers: the sum used to truncate to 25, not 27.5
 ])
 def test_closed_form_declared_integer_fails_loudly(fn):
-    seq = sequence_from_function(fn, 10, integer_valued=True)
+    seq = ArithmeticSequence("f", 10, True,
+                             lambda lo, hi: fn(np.arange(lo, hi + 1, dtype=np.float64)))
     with pytest.raises(NumericError, match="integer-valued"):
         summatory_trace(seq, 10, [10])
 
@@ -417,14 +421,14 @@ def test_squares_that_underflow_give_the_exact_variance_and_rho(n):
         seq = sequence_from_values(np.array(F, dtype=np.float64))
         for block_size in (n + h, 2):
             with blocks_of(block_size):
-                got = (*empirical_moments(seq, n), independence_estimator(seq, n, h))
+                got = (*moments(seq, n), independence_estimator(seq, n, h))
             assert got == (float(S[n] / n), float(gap[0] / n**2), float(gap[1] / n**2))
 
 
 def test_variance_beyond_the_float_range_fails_loudly():
     seq = sequence_from_values(np.array([1e200, -1e200, 1e200]))
     with pytest.raises(NumericError, match="the variance is not finite"):
-        empirical_moments(seq, 2)
+        moments(seq, 2)
     with pytest.raises(NumericError, match="rho at lag 1 is not finite"):
         independence_estimator(seq, 2, 1)
 
