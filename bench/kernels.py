@@ -421,11 +421,9 @@ def sublinear_fit() -> dict:
     from summatoria import sequences, sublinear, traces
 
     seq = sequences.mobius_sequence(FIT_TABLE)
-    probes = {"stream": lambda: traces.Checkpoints(np.array([FIT_TABLE])),
-              "table": lambda: sublinear.Table(FIT_TABLE)}
-    per_entry = {name: t / FIT_TABLE for name, t in best_of(3, {
-        name: lambda make=make: traces.stream(seq, FIT_TABLE, [make()])
-        for name, make in probes.items()}).items()}
+    runs = {"stream": lambda: traces.stream(seq, FIT_TABLE, []),
+            "table": lambda: traces.stream(seq, FIT_TABLE, [sublinear.Table(FIT_TABLE)])}
+    per_entry = {name: t / FIT_TABLE for name, t in best_of(3, runs).items()}
     table = sublinear.Table(FIT_TABLE)
     traces.stream(seq, FIT_TABLE, [table])
     schedules = {"1e9": [10**9], "1e10": [10**10], "1e11": [10**11],
@@ -563,6 +561,7 @@ def samples_section(parent: str) -> dict:
 # probes work on the current one.
 AHEAD = """
 from concurrent.futures import ThreadPoolExecutor
+import numpy as np
 from summatoria import sieve, traces
 
 inline = traces.stream
@@ -584,9 +583,10 @@ class Ahead:
         return arr
 
 
-def ahead(seq, last, probes):
+def ahead(seq, ns, probes):
+    last = int(np.atleast_1d(ns)[-1])
     with ThreadPoolExecutor(max_workers=1) as pool:
-        return inline(Ahead(seq, last, sieve.DEFAULT_BLOCK_SIZE, pool), last, probes)
+        return inline(Ahead(seq, last, sieve.DEFAULT_BLOCK_SIZE, pool), ns, probes)
 
 
 traces.stream = ahead

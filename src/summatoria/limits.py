@@ -19,14 +19,7 @@ import numpy as np
 from .empirical import empirical_cdf, ks_distance
 from .errors import BoundError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
-from .traces import (
-    Checkpoints,
-    Strided,
-    SummatoryTrace,
-    stream,
-    summatory_trace,
-    validate_checkpoints,
-)
+from .traces import Strided, SummatoryTrace, stream, summatory_trace, validate_checkpoints
 
 DECAYING = "decaying"
 BOUNDED = "bounded"
@@ -204,9 +197,7 @@ def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerd
         raise BoundError(f"N={N} exceeds the sequence bound {seq.bound}")
     cps = validate_checkpoints(checkpoints, N)
     samples = Strided(cps, KS_SAMPLE_CAP)
-    probe = Checkpoints(cps)
-    stream(seq, int(cps[-1]), [probe, samples])
-    trace = probe.trace(seq)
+    trace = SummatoryTrace(cps, stream(seq, cps, [samples]), seq.name)
 
     mu0, drift = estimate_limit_mean(trace)
     fit = mean_rate_fit(trace, mu0)

@@ -1,17 +1,17 @@
 """Checkpointed summatory traces S(n) = sum_{k<=n} f(k), and the one
 streaming engine every statistic in the package runs on.
 
-``stream`` walks f(1..last) once in blocks and hands each block, in
-block order, to a list of probes: checkpoint sums here, strided samples
-for the KS statistics, and lag products (lag 0 gives the variance) in
-``empirical``.  It keeps the running sum S(lo - 1) once, exactly.  A
-``Block`` has one exact rule for sums and one for sums of products:
-integers as int64 (or Python ints where int64 could wrap), reals through
-``exact_prefix_sums``: levels that float adds sum exactly (Rump, Ogita &
-Oishi 2008), then binning by exponent, which a product of reals enters
-as Dekker's exact two-product.  So every S(n) at a checkpoint is the
-exact sum, rounded once to float: the correctly rounded value, whatever
-the block size.  A sum that is not finite raises NumericError.
+``stream`` walks f(1..last) once in blocks, returns S(n) at the
+checkpoints it is given, and hands each block, in order, to a list of
+probes: strided samples for the KS statistics and lag products (lag 0
+gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
+once, exactly.  A ``Block`` has one exact rule for sums and one for sums
+of products: integers as int64 (or Python ints where int64 could wrap),
+reals through ``exact_prefix_sums``: levels that float adds sum exactly
+(Rump, Ogita & Oishi 2008), then binning by exponent, which a product of
+reals enters as Dekker's exact two-product.  So every S(n) at a
+checkpoint is the exact sum, rounded once to float: correctly rounded at
+every block size.  A sum that is not finite raises NumericError.
 """
 
 from __future__ import annotations
@@ -344,39 +344,30 @@ class Block:
         return np.cumsum(self.values, dtype=self.dtype)
 
 
-def stream(seq: ArithmeticSequence, last: int, probes):
-    """Walk f(1..last) once, in blocks of ``sieve.DEFAULT_BLOCK_SIZE``
-    entries, handing each ``Block`` to every probe's ``add(block)`` in
-    block order, and return S(last), rounded once.
+def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
+    """Walk f(1..n) once, for n the last of the increasing ``ns`` (or the
+    one n), in blocks of ``sieve.DEFAULT_BLOCK_SIZE`` entries, handing each
+    ``Block`` to every probe's ``add(block)`` in block order, and return
+    S(n) at each n, each the exact sum rounded once: int64 (object past
+    int64) for integer sequences, else float64.
     """
+    ns = np.atleast_1d(ns)
+    last = int(ns[-1])
     if last > seq.bound:  # before any block, not when the stream gets there
         raise BoundError(f"index {last} exceeds the sequence bound {seq.bound}")
     size = sieve.DEFAULT_BLOCK_SIZE  # read per call, so the tests can patch it
-    total = 0  # exact: an int, or a Fraction once a real block is added
+    total, sums = 0, []  # total exact: an int, or a Fraction once a real block is added
     for lo in range(1, last + 1, size):
         block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total, seq.integer_valued)
         for probe in probes:
             probe.add(block)
+        sums += block.sums_at(ns[:-1], rounded=True)[1]
         total += block.total
-    return block.rounded(total)
-
-
-class Checkpoints:
-    """Probe: S(n) at every checkpoint of a validated schedule, each the
-    exact sum rounded once."""
-
-    def __init__(self, checkpoints: np.ndarray):
-        self.checkpoints = checkpoints
-        self.values = []
-
-    def add(self, block: Block) -> None:
-        self.values.extend(block.sums_at(self.checkpoints, rounded=True)[1])
-
-    def trace(self, seq: ArithmeticSequence) -> SummatoryTrace:
-        values = np.asarray(self.values)
-        if seq.integer_valued and values.dtype != np.int64:  # ints past int64 may become floats
-            values = np.array(self.values, dtype=object)
-        return SummatoryTrace(self.checkpoints, values, seq.name)
+    sums.append(block.rounded(total))  # S(last) from the total: no cumsum of the last block
+    out = np.asarray(sums)
+    if seq.integer_valued and out.dtype != np.int64:  # ints past int64 may become floats
+        out = np.array(sums, dtype=object)
+    return out
 
 
 # The cell of the real partial sums in a ``Strided`` sample, and the most
@@ -404,7 +395,7 @@ class Strided:
         if points > _SAMPLE_BUDGET:
             raise CapacityError(f"strided samples of {points} points exceed the budget of "
                                 f"{_SAMPLE_BUDGET} float64 points")
-        self.cap, self.sums, self.last = cap, sums, max(largest.values())
+        self.cap, self.sums = cap, sums
         self._arrays = {s: np.empty(n // s, dtype=np.float64) for s, n in largest.items()}
         self._cell = None  # the open cell's anchor S(c) and float cumsum after c
 
@@ -414,8 +405,6 @@ class Strided:
         return self._arrays[s][: n // s]
 
     def add(self, block: Block) -> None:
-        if block.lo > self.last:
-            return
         if not self.sums:
             pick = block.values.__getitem__
         else:
@@ -449,23 +438,20 @@ def summatory_trace(seq: ArithmeticSequence, N: int, checkpoints=None) -> Summat
     hyperbola rule, from a streamed table of S(1..L) and that rule above
     it, where ``sublinear.table_limit`` finds that cheaper.
 
-    Checkpoints must not exceed N and default to geometric ratio 2 from
-    10.  Neither the blocking nor the choice of L changes the result.
+    The checkpoints must not exceed N and default to geometric ratio 2
+    from 10.  Neither the blocking nor the choice of L changes the result.
     """
     reach = SUBLINEAR_BOUND if seq.hyperbola else seq.bound
     if N > reach:
         raise BoundError(f"N={N} exceeds the sequence bound {reach}")
-    probe = Checkpoints(validate_checkpoints(checkpoints, N))
-    last = int(probe.checkpoints[-1])
+    cps = validate_checkpoints(checkpoints, N)
     if seq.hyperbola:
         from . import sublinear  # only sums of mu and lambda need it
 
-        limit = sublinear.table_limit(probe.checkpoints)
-        if limit < last:
-            probe.values = sublinear.sums(seq, probe.checkpoints.tolist(), limit)
-            return probe.trace(seq)
-    stream(seq, last, [probe])
-    return probe.trace(seq)
+        limit = sublinear.table_limit(cps)
+        if limit < cps[-1]:
+            return SummatoryTrace(cps, np.array(sublinear.sums(seq, cps.tolist(), limit)), seq.name)
+    return SummatoryTrace(cps, stream(seq, cps, []), seq.name)
 
 
 def mertens_trace(N: int, checkpoints=None) -> SummatoryTrace:

@@ -184,8 +184,8 @@ def test_stream_feeds_each_block_once_in_order(denominator):
     vals = np.arange(1.0, 24.0) / denominator
     probes = [Recorder(), Recorder()]
     with blocks_of(5):
-        total = stream(sequence_from_values(vals), 23, probes)
-    assert total == 276 / denominator
+        sums = stream(sequence_from_values(vals), 23, probes)
+    assert sums.tolist() == [276 / denominator]
     expected = [(lo, min(lo + 4, 23), (lo - 1) * lo / 2 / denominator,
                  [k / denominator for k in range(lo, min(lo + 4, 23) + 1)])
                 for lo in range(1, 24, 5)]

@@ -22,7 +22,7 @@ from summatoria import (
 )
 from summatoria import sieve, sublinear
 from summatoria.sequences import SUBLINEAR_BOUND
-from summatoria.traces import Checkpoints, stream
+from summatoria.traces import stream
 
 TOP = 2 * 10**6
 SEQUENCES = {"mu": mobius_sequence, "lambda": liouville_sequence}
@@ -72,9 +72,7 @@ def test_a_table_below_the_square_root_is_refused():
 def test_sieve_and_sublinear_agree_at_1e8(name):
     seq, x = SEQUENCES[name](10**8), 10**8
     assert sublinear.table_limit(np.array([x])) < x
-    streamed = Checkpoints(np.array([x]))
-    stream(seq, x, [streamed])
-    assert summatory_trace(seq, x, [x]).values.tolist() == streamed.values
+    assert summatory_trace(seq, x, [x]).values.tolist() == stream(seq, x, []).tolist()
 
 
 def test_liouville_from_mertens_values():

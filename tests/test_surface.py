@@ -1,5 +1,5 @@
 """The public surface: the names ``summatoria`` exports, and the ones its
-demos import, which must exist."""
+demos and ``bench/kernels.py`` use, which must exist."""
 
 import ast
 import importlib
@@ -7,7 +7,9 @@ import pathlib
 
 import summatoria
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+BENCH = ROOT / "bench" / "kernels.py"
 
 PUBLIC = [
     "ArithmeticSequence", "BOUNDED", "BoundError", "CapacityError", "DECAYING",
@@ -39,3 +41,33 @@ def test_demos_import_only_existing_names():
                 module = importlib.import_module(node.module)
                 missing = [a.name for a in node.names if not hasattr(module, a.name)]
                 assert not missing, f"{demo.name} imports {missing} from {node.module}"
+
+
+def test_bench_uses_only_existing_names():
+    # A name the bench reads that is gone fails only when the bench runs:
+    # check each function's summatoria imports and the attributes it reads
+    # of the modules among them, and the same of the source AHEAD.
+    tree = ast.parse(BENCH.read_text(), str(BENCH))
+    ahead, = [node.value.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["AHEAD"]]
+    scopes = [ast.parse(ahead), *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]
+    seen, missing = set(), set()
+    for scope in scopes:
+        modules = {}  # the name a summatoria module is bound to -> the module
+        for node in ast.walk(scope):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "summatoria":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    try:
+                        modules[alias.asname or alias.name] = importlib.import_module(
+                            f"{node.module}.{alias.name}")
+                    except ModuleNotFoundError:
+                        if not hasattr(module, alias.name):
+                            missing.add(f"{node.module}.{alias.name}")
+        missing |= {f"{node.value.id}.{node.attr}" for node in ast.walk(scope)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and not hasattr(modules[node.value.id], node.attr)}
+        seen |= modules.keys()
+    assert {"cli", "sieve", "sublinear", "traces"} <= seen
+    assert not missing, f"bench/kernels.py reads {sorted(missing)}"

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import operator
 import sys
 import warnings
 from fractions import Fraction
@@ -27,7 +28,7 @@ from summatoria import (
     weighted_mobius_trace,
     write_trace_csv,
 )
-from summatoria import sieve, traces
+from summatoria import sieve, sublinear, traces
 from summatoria.empirical import independence_estimator
 from summatoria.traces import Block, Strided, exact_prefix_sums, stream
 
@@ -255,14 +256,78 @@ def test_stream_merges_block_sums_exactly(values, block_size):
     seq = sequence_from_values(np.array(values))
     assert not seq.integer_valued
     with blocks_of(block_size):
-        assert stream(seq, len(values), []) == math.fsum(values)
+        assert stream(seq, len(values), []).tolist() == [math.fsum(values)]
 
 
 def test_stream_total_is_correctly_rounded():
     # A compensated float running sum can return 1.0 here; the true sum rounds up.
     seq = sequence_from_values(np.array([1.0, 2.0**-53, 2.0**-110]))
     with blocks_of(1):
-        assert stream(seq, 3, []) == 1.0000000000000002
+        assert stream(seq, 3, []).tolist() == [1.0000000000000002]
+
+
+near_2_62 = st.builds(operator.mul, st.sampled_from([-1, 1]), st.integers(2**62 - 2**20, 2**62))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(st.floats(-1e6, 1e6, allow_subnormal=True), min_size=1, max_size=200),
+                 st.lists(st.integers(-3, 3), min_size=1, max_size=200),
+                 st.lists(near_2_62, min_size=1, max_size=40)),
+       st.integers(1, 64), st.data())
+def test_stream_returns_the_sum_at_each_n_rounded_once(values, block_size, data):
+    # Several n in one block and the last n inside its block: each S(n) is
+    # the exact prefix sum rounded once, and integers stay exact past int64.
+    integers = isinstance(values[0], int)
+    arr = np.array(values, dtype=np.int64 if integers else np.float64)
+    seq = ArithmeticSequence("f", arr.size, integers, lambda lo, hi: arr[lo - 1 : hi])
+    last = data.draw(st.integers(1, arr.size).filter(lambda n: block_size == 1 or n % block_size))
+    lo = data.draw(st.integers(0, (last - 1) // block_size)) * block_size + 1
+    inside = data.draw(st.lists(st.integers(lo, min(lo + block_size - 1, last)), max_size=6))
+    ns = sorted({*inside, *data.draw(st.lists(st.integers(1, last), max_size=6)), last})
+    exact = list(itertools.accumulate(map(Fraction, values)))
+    expected = [int(exact[n - 1]) if integers else float(exact[n - 1]) for n in ns]
+    with blocks_of(block_size):
+        got, alone = stream(seq, np.array(ns), []), stream(seq, last, [])
+    assert got.tolist() == expected and alone.tolist() == expected[-1:]
+    fits = all(-2**63 <= v < 2**63 for v in expected)
+    assert got.dtype == (np.float64 if not integers else np.int64 if fits else object)
+
+
+class Keep:
+    """Probe: every block it is handed."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def add(self, block):
+        self.blocks.append(block)
+
+
+def cumsums_built(blocks) -> list[int]:
+    return [block.lo for block in blocks if "_cumsum" in block.__dict__]
+
+
+@pytest.mark.parametrize("ns, built", [(1000, []), ([450, 1000], [401])])
+def test_only_a_block_holding_an_earlier_n_builds_a_cumsum(ns, built):
+    # S(last) is rounded from the exact total, so the int64 cumsum of a
+    # block, a block's worth of memory, is built only where an earlier n is.
+    keep = Keep()
+    with blocks_of(100):
+        stream(mobius_sequence(1000), ns, [keep])
+    assert len(keep.blocks) == 10 and cumsums_built(keep.blocks) == built
+
+
+def test_the_sublinear_table_stream_builds_no_cumsum():
+    keep = Keep()
+
+    class Table(sublinear.Table):
+        def add(self, block):
+            super().add(block)
+            keep.add(block)
+
+    with blocks_of(8), mock.patch.object(sublinear, "Table", Table):
+        assert sublinear.sums(mobius_sequence(1000), [1000], 40) == [2]  # M(1000)
+    assert len(keep.blocks) == 5 and cumsums_built(keep.blocks) == []
 
 
 def test_infinite_term_fails_loudly():
