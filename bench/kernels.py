@@ -1,6 +1,6 @@
 """Before/after numbers of the package's kernels, written to BENCH_kernels.json.
 
-    PYTHONPATH=src python3 bench/kernels.py kernel
+    PYTHONPATH=src python3 bench/kernels.py kernel [--parent DIR]
     PYTHONPATH=src python3 bench/kernels.py sum
     PYTHONPATH=src python3 bench/kernels.py ks
     PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
@@ -17,6 +17,9 @@ reference kernel of ``tests/reference_sieve.py`` and with
 bytes; then ``mertens_trace(3e7)`` forced to stream
 (``sublinear.table_limit`` replaced by the last checkpoint), best of 3,
 with each kernel (the reference is swapped in for ``sieve.sieve_block``).
+With ``--parent``, the same section is first run in DIR (the parent
+checkout, whose own BENCH_kernels.json it rewrites) and its numbers are
+kept under ``parent``.
 ``sum`` times the exact sum of one 2**20 block, best and median of 7,
 by the level-peeling front (``traces._peeled_sums``, with its own
 binning of a rest) against exponent binning alone (``_binned_sums``),
@@ -150,7 +153,12 @@ def best_of(k: int, fns: dict) -> dict:
     return {name: min(t) for name, t in times_of(k, fns).items()}
 
 
-def kernel_section() -> dict:
+def kernel_section(parent: str | None) -> dict:
+    if parent:
+        subprocess.run([sys.executable, "bench/kernels.py", "kernel"], cwd=parent, check=True,
+                       env={**os.environ, "PYTHONPATH": "src"})
+        with open(os.path.join(parent, "BENCH_kernels.json"), encoding="utf-8") as fh:
+            parent_rows = json.load(fh)["kernel"]
     sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
     from unittest import mock
 
@@ -162,7 +170,8 @@ def kernel_section() -> dict:
     for hi in BLOCK_ENDS:
         lo = hi - BLOCK + 1
         primes = sieve.primes_up_to(math.isqrt(hi))
-        runs = {name: lambda k=k: k(lo, hi, primes=primes) for name, k in kernels.items()}
+        runs = {"reference": lambda: reference_sieve_block(lo, hi, primes=primes),
+                "new": lambda: sieve.sieve_block(lo, hi)}
         old, new = runs["reference"](), runs["new"]()
         if old.mu.tobytes() != new.mu.tobytes() or old.lam.tobytes() != new.lam.tobytes():
             raise SystemExit(f"kernels differ on [{lo}, {hi}]")
@@ -189,9 +198,11 @@ def kernel_section() -> dict:
     trace_rows = [{"N": TRACE_N, "reference_s": round(secs["reference"], 3),
                    "new_s": round(secs["new"], 3)}]
     return {
-        "command": "PYTHONPATH=src python3 bench/kernels.py kernel",
+        "command": "PYTHONPATH=src python3 bench/kernels.py kernel"
+                   + (" --parent DIR" if parent else ""),
         "block_2pow20_best_of_5": blocks,
         "mertens_trace_best_of_3": trace_rows,
+        **({"parent": parent_rows} if parent else {}),
     }
 
 
@@ -673,7 +684,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("kernel")
+    sub.add_parser("kernel").add_argument("--parent")
     sub.add_parser("sum")
     sub.add_parser("ks")
     sub.add_parser("moments").add_argument("--parent", required=True)
@@ -698,7 +709,7 @@ def main(argv=None) -> int:
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
-        doc["kernel"] = kernel_section()
+        doc["kernel"] = kernel_section(args.parent)
     elif args.command == "sum":
         section.update(sum_section())
     elif args.command == "ks":

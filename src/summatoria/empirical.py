@@ -85,6 +85,8 @@ def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
 
 def _erf(x: np.ndarray) -> np.ndarray:
     """erf(x) = x T(x*x) / U(x*x) for |x| < 1."""
+    if x.size == 0:  # a branch that no point falls in
+        return x
     z = x * x
     y = x * _polevl(z, _ERF_T)
     y /= _polevl(z, _ERF_U, monic=True)
@@ -93,6 +95,8 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 def _erfc(x: np.ndarray, num, den) -> np.ndarray:
     """erfc(x) = exp(-x*x) num(x) / den(x) for x >= 1."""
+    if x.size == 0:
+        return x
     y = x * x
     np.negative(y, out=y)
     np.exp(y, out=y)

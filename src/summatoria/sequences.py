@@ -55,10 +55,9 @@ def _sieved(name: str, bound: int, integer_valued: bool, pick,
     if bound > limit:
         raise BoundError(f"{name} is available up to {limit}, not to {bound}")
     bound = min(bound, sieve.GLOBAL_SIEVE_BOUND)
-    primes = sieve.primes_up_to(math.isqrt(bound))
 
     def block(lo: int, hi: int) -> np.ndarray:
-        return pick(sieve.sieve_block(lo, hi, primes=primes))
+        return pick(sieve.sieve_block(lo, hi))
 
     return ArithmeticSequence(name, bound, integer_valued, block, hyperbola)
 

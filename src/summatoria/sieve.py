@@ -4,14 +4,15 @@ Two evaluation paths are provided: per-integer trial-division oracles,
 which are slow but independent and serve as the reference fixture, and a
 block sieve that reproduces them at scale.  The sieve marks each entry of
 a block with every prime power p**k <= hi, p <= sqrt(hi), that divides
-it, tracking the sign of mu, the parity of the prime-factor count and
-the product of the powers divided out (the smooth part).  For p <= 7 the
-marks of p and p**2 repeat with period 2²·3²·5²·7² = 44100, so a block
-starts as one cached period shifted to lo mod 44100 and the loop adds
-only their higher powers (the pre-sieve of Deléglise & Rivat, 1996).
+it, in one count (1 for k = 1; 33 for k > 1: 1 for Omega, 32 as a square
+flag) and the product of the powers divided out (the smooth part).  For
+p <= 7 the marks of p and p**2 repeat with period 2²·3²·5²·7² = 44100, so
+a block starts as one cached period shifted to lo mod 44100 and the loop
+adds only their higher powers (the pre-sieve of Deléglise & Rivat, 1996).
 What remains of n is 1 or a single prime > sqrt(hi), present exactly
-where the smooth part is not n; the finale applies it with int8
-arithmetic: mu *= 1 - 2·large, parity ^= large, lambda = 1 - 2·parity.
+where the smooth part is not n, and adds 1.  Then lambda = (-1)**count
+and mu = lambda where count < 32, else 0: a squarefree n <= 1e9 has at
+most 9 prime factors, and the largest count (1 + 33·28, at 2**29) fits uint16.
 """
 
 from __future__ import annotations
@@ -118,29 +119,23 @@ def liouville_oracle(n: int) -> int:
     return -1 if total % 2 else 1
 
 
-def _mark(mu, parity, smooth, lo: int, hi: int, q: int, p: int) -> None:
+def _mark(count, smooth, lo: int, hi: int, q: int, p: int) -> None:
     """Record the prime power q = p**k in every multiple of q in [lo, hi]:
-    k = 1 flips the sign of mu, k > 1 zeroes it; both flip the parity of
-    Omega and multiply the smooth part by p."""
+    add 1 to the count for k = 1 and 33 for k > 1, and multiply the smooth
+    part by p."""
     first = -(-lo // q) * q
     if first > hi:
         return
     sl = slice(first - lo, None, q)
-    v = mu[sl]
-    if q == p:
-        np.negative(v, out=v)
-    else:
-        v[:] = 0
-    parity[sl] ^= 1
+    count[sl] += 1 if q == p else 33
     smooth[sl] *= p
 
 
 @functools.cache
-def _small_prime_tile() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mu sign, Omega parity and smooth part of n mod 44100 from the powers
-    p and p**2 of p <= 7; read-only, built on first use."""
-    tile = (np.ones(_TILE_PERIOD, dtype=np.int8), np.zeros(_TILE_PERIOD, dtype=np.int8),
-            np.ones(_TILE_PERIOD, dtype=np.int32))
+def _small_prime_tile() -> tuple[np.ndarray, np.ndarray]:
+    """Count and smooth part of n mod 44100 from the powers p and p**2 of
+    p <= 7; read-only, built on first use."""
+    tile = np.zeros(_TILE_PERIOD, dtype=np.uint16), np.ones(_TILE_PERIOD, dtype=np.int32)
     for p in _TILE_PRIMES:
         _mark(*tile, 0, _TILE_PERIOD - 1, p, p)
         _mark(*tile, 0, _TILE_PERIOD - 1, p * p, p)
@@ -149,15 +144,18 @@ def _small_prime_tile() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tile
 
 
-def sieve_block(lo: int, hi: int, *, primes: np.ndarray | None = None) -> SieveBlock:
+@functools.cache
+def _sieving_primes() -> tuple[int, ...]:
+    """The primes up to sqrt(GLOBAL_SIEVE_BOUND), enough for every block."""
+    return tuple(primes_up_to(math.isqrt(GLOBAL_SIEVE_BOUND)).tolist())
+
+
+def sieve_block(lo: int, hi: int) -> SieveBlock:
     """Sieve Mobius and Liouville values for the whole range [lo, hi].
 
     Args:
         lo: First index, inclusive, >= 1.
         hi: Last index, inclusive, <= GLOBAL_SIEVE_BOUND.
-        primes: Optional precomputed prime table covering at least
-            sqrt(hi); passing one avoids re-sieving primes per block.
-            Extra primes beyond sqrt(hi) are harmless.
 
     Returns:
         SieveBlock with int8 ``mu`` and ``lam`` arrays.
@@ -170,29 +168,24 @@ def sieve_block(lo: int, hi: int, *, primes: np.ndarray | None = None) -> SieveB
     if width > MAX_BLOCK_SIZE:
         raise CapacityError(f"block of {width} entries exceeds the {MAX_BLOCK_SIZE} limit")
 
-    if primes is None:
-        primes = primes_up_to(math.isqrt(hi))
-
-    # mu sign, parity of Omega(n) and the product of the prime powers
-    # divided out so far (the sqrt(hi)-smooth part; int32 holds n <= 1e9).
+    # The count and the sqrt(hi)-smooth part (int32 holds n <= 1e9).
     shift = lo % _TILE_PERIOD
-    mu, omega_parity, smooth = (np.resize(np.roll(a, -shift), width)
-                                for a in _small_prime_tile())
-    for p in primes.tolist():
-        if p > hi:
+    count, smooth = (np.resize(np.roll(a, -shift), width) for a in _small_prime_tile())
+    for p in _sieving_primes():
+        if p * p > hi:
             break
         q = p**3 if p in _TILE_PRIMES else p
         while q <= hi:
-            _mark(mu, omega_parity, smooth, lo, hi, q, p)
+            _mark(count, smooth, lo, hi, q, p)
             q *= p
 
     # Whatever was not divided out is a single prime > sqrt(hi), power 1:
     # two such primes would multiply past hi.  smooth divides n, so that
     # prime is there exactly where smooth != n.
-    large = (np.arange(lo, hi + 1, dtype=np.int32) != smooth).view(np.int8)
-    mu *= 1 - (large << 1)
-    omega_parity ^= large
-    lam = 1 - (omega_parity << 1)
+    count += np.arange(lo, hi + 1, dtype=np.int32) != smooth
+    del smooth  # before decoding, which lowers the peak RSS of float streams
+    lam = 1 - ((count & 1).astype(np.int8) << 1)
+    mu = lam * (count < 32)
     mu.flags.writeable = False
     lam.flags.writeable = False
     return SieveBlock(lo=lo, hi=hi, mu=mu, lam=lam)

@@ -125,6 +125,24 @@ def test_normal_cdf_exact_at_branch_edges():
     assert ndtr(cut) > 0.0
 
 
+def test_normal_cdf_evaluates_no_branch_polynomial_on_an_empty_slice():
+    calls = []
+
+    def spy(x, coef, monic=False):
+        assert x.size > 0, "a branch polynomial ran on an empty slice"
+        calls.append(x.size)
+        return polevl(x, coef, monic)
+
+    polevl = empirical._polevl
+    everywhere = np.linspace(-40.0, 40.0, 1001)
+    with mock.patch.object(empirical, "_polevl", spy):
+        for a in (np.array([-0.3, 0.4]), np.array([2.0]), np.array([-50.0, 50.0]),
+                  np.array([]), everywhere):
+            assert _ulps(_normal_cdf_sorted(a), ndtr(a)).max(initial=0) <= 4
+        assert ks_distance(empirical_cdf(np.arange(5.0))) > 0.0
+    assert calls and max(calls) < everywhere.size
+
+
 def _ks_distance_with_ndtr(sample):
     """The KS statistic by ndtr and both step arrays, as the package had it."""
     d = empirical_cdf(sample)

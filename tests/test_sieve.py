@@ -17,6 +17,7 @@ from summatoria.sieve import (
     GLOBAL_SIEVE_BOUND,
     MAX_BLOCK_SIZE,
     ORACLE_BOUND,
+    _factor_counts,
 )
 
 from reference_sieve import reference_sieve_block
@@ -91,12 +92,6 @@ def test_sieve_block_range_errors():
         sieve_block(1, MAX_BLOCK_SIZE + 1)
 
 
-def test_sieve_block_accepts_oversized_prime_table():
-    primes = primes_up_to(1000)
-    blk = sieve_block(1, 50, primes=primes)
-    assert blk.mu.tolist() == [mobius_oracle(n) for n in range(1, 51)]
-
-
 def test_primes_up_to():
     assert primes_up_to(1).size == 0
     assert primes_up_to(2).tolist() == [2]
@@ -152,8 +147,8 @@ TILE_PERIOD = 44_100  # 2**2 * 3**2 * 5**2 * 7**2
 
 
 def assert_matches_reference(lo, hi):
+    got = sieve_block(lo, hi)
     for primes in (None, FULL_TABLE):
-        got = sieve_block(lo, hi, primes=primes)
         want = reference_sieve_block(lo, hi, primes=primes)
         for new, old in ((got.mu, want.mu), (got.lam, want.lam)):
             assert new.dtype == np.int8 and not new.flags.writeable
@@ -180,3 +175,28 @@ def test_sieve_block_matches_reference_kernel(lo_width):
 ])
 def test_sieve_block_matches_reference_kernel_at_edges(lo, hi):
     assert_matches_reference(lo, hi)
+
+
+# The kernel keeps one uint16 count per entry: 1 per first power, 33 per
+# higher one, so the count reaches 1 + 33 * 28 at 2**29 (Omega = 29, the
+# most below 1e9).  Entries at the extremes of that count:
+COUNT_EXTREMES = [
+    2**29,  # Omega = 29, with 28 square marks
+    2**28 * 3,
+    3**18,
+    223_092_870,  # 2 * 3 * ... * 23: squarefree, omega = 9
+    31_607**2,  # the square of the largest prime up to sqrt(GLOBAL_SIEVE_BOUND)
+    GLOBAL_SIEVE_BOUND,
+]
+
+
+@pytest.mark.parametrize("n", COUNT_EXTREMES)
+def test_sieve_block_at_the_extremes_of_the_count(n):
+    # smooth, the product of the powers divided out, is int32.
+    assert GLOBAL_SIEVE_BOUND < 2**31
+    assert FULL_TABLE[-1] == 31_607
+    distinct, total, squarefree = _factor_counts(n)
+    blk = sieve_block(n, n)
+    assert int(blk.mu[0]) == ((-1) ** distinct if squarefree else 0)
+    assert int(blk.lam[0]) == (-1) ** total
+    assert_matches_reference(max(1, n - 5000), min(GLOBAL_SIEVE_BOUND, n + 5000))
