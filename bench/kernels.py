@@ -9,17 +9,20 @@
     PYTHONPATH=src python3 bench/kernels.py stream
     PYTHONPATH=src python3 bench/kernels.py samples --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
+    python3 bench/kernels.py traced --parent DIR --workload NAME --seed 1
 
 Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
-at 3e7 and one ending at 1e9, best of 5 in this process, with the
-reference kernel of ``tests/reference_sieve.py`` and with
-``summatoria.sieve.sieve_block``, after checking that both give the same
-bytes; then ``mertens_trace(3e7)`` forced to stream
+at each of ``BLOCK_ENDS`` (4 * 2**20 and 10 * 2**20, at the last blocks
+of stats-analyze's verdict, N = 4,096,000, and of float-accumulate's
+``mu-over-k`` call, then 3e7 and 1e9), median and best of 15 in this
+process with the kernels' runs alternating: the reference kernel of
+``tests/reference_sieve.py`` and ``summatoria.sieve.sieve_block``, after
+checking that both give the same bytes; then ``mertens_trace(3e7)`` forced to stream
 (``sublinear.table_limit`` replaced by the last checkpoint), best of 3,
-with each kernel (the reference is swapped in for ``sieve.sieve_block``).
-With ``--parent``, the same section is first run in DIR (the parent
-checkout, whose own BENCH_kernels.json it rewrites) and its numbers are
-kept under ``parent``.
+with each kernel swapped in for ``sieve.sieve_block``.  With
+``--parent``, the package of DIR (the parent checkout) is loaded into the
+same process under another name, and its ``sieve_block`` is a third
+kernel in every comparison.
 ``sum`` times the exact sum of one 2**20 block, best and median of 7,
 by the level-peeling front (``traces._peeled_sums``, with its own
 binning of a rest) against exponent binning alone (``_binned_sums``),
@@ -84,6 +87,9 @@ replaces its own section of the JSON file and the machine record; with
 ``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth``,
 ``stream`` or ``samples``, ``pairs`` writes into that section, else into the sieve
 kernel's top-level ``perfbench_pairs``.
+``traced`` runs ``perfbench/run.py --trace 1`` once in DIR (the parent
+checkout) and once here, and keeps each run's per-layer metrics under
+``perfbench_traced``.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ import numpy as np
 HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, os.pardir, "BENCH_kernels.json")
 BLOCK = 1 << 20
-BLOCK_ENDS = (30_000_000, 1_000_000_000)
+BLOCK_ENDS = (4 * BLOCK, 10 * BLOCK, 30_000_000, 1_000_000_000)
 TRACE_N = 30_000_000
 SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
 CALLS_N = 1 << 12
@@ -153,33 +159,53 @@ def best_of(k: int, fns: dict) -> dict:
     return {name: min(t) for name, t in times_of(k, fns).items()}
 
 
+def load_parent_sieve(parent: str):
+    """The ``sieve`` module of the package in DIR/src, imported under
+    another name beside this checkout's."""
+    import importlib
+    import importlib.util
+
+    init = os.path.join(os.path.abspath(parent), "src", "summatoria", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        "parent_summatoria", init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(spec.name + ".sieve")
+
+
 def kernel_section(parent: str | None) -> dict:
-    if parent:
-        subprocess.run([sys.executable, "bench/kernels.py", "kernel"], cwd=parent, check=True,
-                       env={**os.environ, "PYTHONPATH": "src"})
-        with open(os.path.join(parent, "BENCH_kernels.json"), encoding="utf-8") as fh:
-            parent_rows = json.load(fh)["kernel"]
     sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
     from unittest import mock
 
     from reference_sieve import reference_sieve_block
     from summatoria import sieve, sublinear, traces
 
-    kernels = {"reference": reference_sieve_block, "new": sieve.sieve_block}
+    kernels = {"reference": reference_sieve_block,
+               **({"parent": load_parent_sieve(parent).sieve_block} if parent else {}),
+               "new": sieve.sieve_block}
     blocks = []
     for hi in BLOCK_ENDS:
         lo = hi - BLOCK + 1
         primes = sieve.primes_up_to(math.isqrt(hi))
-        runs = {"reference": lambda: reference_sieve_block(lo, hi, primes=primes),
-                "new": lambda: sieve.sieve_block(lo, hi)}
-        old, new = runs["reference"](), runs["new"]()
-        if old.mu.tobytes() != new.mu.tobytes() or old.lam.tobytes() != new.lam.tobytes():
-            raise SystemExit(f"kernels differ on [{lo}, {hi}]")
-        ms = {name: 1e3 * t for name, t in best_of(5, runs).items()}
-        blocks.append({"lo": lo, "hi": hi, "reference_ms": round(ms["reference"], 1),
-                       "new_ms": round(ms["new"], 1),
-                       "new_ns_per_entry": round(1e6 * ms["new"] / BLOCK, 1),
-                       "speedup": round(ms["reference"] / ms["new"], 2)})
+        runs = {name: (lambda k=k: k(lo, hi)) for name, k in kernels.items()}
+        runs["reference"] = lambda: reference_sieve_block(lo, hi, primes=primes)
+        want = runs["reference"]()
+        for name, run in runs.items():
+            got = run()
+            if got.mu.tobytes() != want.mu.tobytes() or got.lam.tobytes() != want.lam.tobytes():
+                raise SystemExit(f"{name} kernel differs from the reference on [{lo}, {hi}]")
+        times = times_of(15, runs)
+        row = {"lo": lo, "hi": hi}
+        for name, t in times.items():
+            row[f"{name}_median_ms"] = round(1e3 * statistics.median(t), 1)
+            row[f"{name}_best_ms"] = round(1e3 * min(t), 1)
+        row["new_ns_per_entry"] = round(1e9 * statistics.median(times["new"]) / BLOCK, 1)
+        if parent:
+            row["new_over_parent_median"] = round(
+                statistics.median(times["new"]) / statistics.median(times["parent"]), 3)
+        blocks.append(row)
+        print(json.dumps(row), flush=True)
 
     def trace_with(kernel):
         def run():
@@ -192,17 +218,16 @@ def kernel_section(parent: str | None) -> dict:
         return run
 
     runs = {name: trace_with(k) for name, k in kernels.items()}
-    if runs["reference"]() != runs["new"]():
+    want = runs["reference"]()
+    if any(run() != want for run in runs.values()):
         raise SystemExit("mertens_trace values differ")
     secs = best_of(3, runs)
-    trace_rows = [{"N": TRACE_N, "reference_s": round(secs["reference"], 3),
-                   "new_s": round(secs["new"], 3)}]
+    trace_rows = [{"N": TRACE_N, **{f"{name}_s": round(t, 3) for name, t in secs.items()}}]
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py kernel"
                    + (" --parent DIR" if parent else ""),
-        "block_2pow20_best_of_5": blocks,
+        "block_2pow20_median_of_15": blocks,
         "mertens_trace_best_of_3": trace_rows,
-        **({"parent": parent_rows} if parent else {}),
     }
 
 
@@ -636,9 +661,9 @@ def stream_section() -> dict:
             "compute_best_of_5": rows}
 
 
-def run_perfbench(root: str, workload: str, seed: int) -> dict:
+def run_perfbench(root: str, workload: str, seed: int, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", "25", "--trace", "0"]
+            "--seconds", "25", "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"failed": result["failed"], "attempted": result["attempted"],
@@ -671,6 +696,13 @@ def pairs_section(parent: str, workload: str, seeds: list[int]) -> dict:
     }
 
 
+def traced_section(parent: str, workload: str, seed: int) -> dict:
+    sides = {"parent": os.path.abspath(parent), "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    runs = {side: run_perfbench(root, workload, seed, trace=1) for side, root in sides.items()}
+    return {"command": "python3 perfbench/run.py --workload %s --seed %d --seconds 25 --trace 1"
+                       " (in each checkout)" % (workload, seed), **runs}
+
+
 def machine() -> dict:
     model = ""
     if os.path.exists("/proc/cpuinfo"):
@@ -696,6 +728,10 @@ def main(argv=None) -> int:
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
+    traced = sub.add_parser("traced")
+    traced.add_argument("--parent", required=True)
+    traced.add_argument("--workload", required=True)
+    traced.add_argument("--seed", required=True, type=int)
     pairs.add_argument("--section",
                        choices=["sum", "ks", "moments", "sublinear", "synth", "stream",
                                 "samples"])
@@ -724,6 +760,9 @@ def main(argv=None) -> int:
         section.update(stream_section())
     elif args.command == "samples":
         section.update(samples_section(args.parent))
+    elif args.command == "traced":
+        doc.setdefault("perfbench_traced", {})[args.workload] = traced_section(
+            args.parent, args.workload, args.seed)
     else:
         section.setdefault("perfbench_pairs", {})[args.workload] = pairs_section(
             args.parent, args.workload, args.seeds)

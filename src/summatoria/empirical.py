@@ -188,7 +188,7 @@ class LagCorrelations:
 
     def __init__(self, n: int, lags):
         self.n, self.lags = n, tuple(lags)
-        self.points = np.unique([n, *self.lags, *(n + h for h in self.lags)])
+        self.points = np.array(sorted({n, *self.lags, *(n + h for h in self.lags)}))
         self.sums = {0: 0}  # exact S(k) at the points the stream has passed
         self.products = dict.fromkeys(self.lags, 0)
         self.tail = None  # the last max(lags) values, as Block.split gives them

@@ -4,15 +4,15 @@ Two evaluation paths are provided: per-integer trial-division oracles,
 which are slow but independent and serve as the reference fixture, and a
 block sieve that reproduces them at scale.  The sieve marks each entry of
 a block with every prime power p**k <= hi, p <= sqrt(hi), that divides
-it, in one count (1 for k = 1; 33 for k > 1: 1 for Omega, 32 as a square
-flag) and the product of the powers divided out (the smooth part).  For
-p <= 7 the marks of p and p**2 repeat with period 2²·3²·5²·7² = 44100, so
-a block starts as one cached period shifted to lo mod 44100 and the loop
+it, in one strided update that multiplies its smooth part by -p, so that
+|smooth| is the product of the powers divided out and its sign is
+(-1)**Omega of that product; k > 1 also sets a square flag.  For p <= 7
+the marks of p and p**2 repeat with period 2²·3²·5²·7² = 44100, so a
+block starts as one cached period shifted to lo mod 44100 and the loop
 adds only their higher powers (the pre-sieve of Deléglise & Rivat, 1996).
 What remains of n is 1 or a single prime > sqrt(hi), present exactly
-where the smooth part is not n, and adds 1.  Then lambda = (-1)**count
-and mu = lambda where count < 32, else 0: a squarefree n <= 1e9 has at
-most 9 prime factors, and the largest count (1 + 33·28, at 2**29) fits uint16.
+where |smooth| != n, and flips the sign.  Then lambda = -1 where the
+sign is negative, and mu = lambda where the square flag is 0, else 0.
 """
 
 from __future__ import annotations
@@ -119,23 +119,23 @@ def liouville_oracle(n: int) -> int:
     return -1 if total % 2 else 1
 
 
-def _mark(count, smooth, lo: int, hi: int, q: int, p: int) -> None:
+def _mark(square, smooth, lo: int, hi: int, q: int, p: int) -> None:
     """Record the prime power q = p**k in every multiple of q in [lo, hi]:
-    add 1 to the count for k = 1 and 33 for k > 1, and multiply the smooth
-    part by p."""
+    multiply the smooth part by -p, and set the square flag for k > 1."""
     first = -(-lo // q) * q
     if first > hi:
         return
     sl = slice(first - lo, None, q)
-    count[sl] += 1 if q == p else 33
-    smooth[sl] *= p
+    smooth[sl] *= -p
+    if q != p:
+        square[sl] = 1
 
 
 @functools.cache
 def _small_prime_tile() -> tuple[np.ndarray, np.ndarray]:
-    """Count and smooth part of n mod 44100 from the powers p and p**2 of
-    p <= 7; read-only, built on first use."""
-    tile = np.zeros(_TILE_PERIOD, dtype=np.uint16), np.ones(_TILE_PERIOD, dtype=np.int32)
+    """Square flag and signed smooth part of n mod 44100 from the powers p
+    and p**2 of p <= 7; read-only, built on first use."""
+    tile = np.zeros(_TILE_PERIOD, dtype=np.uint8), np.ones(_TILE_PERIOD, dtype=np.int32)
     for p in _TILE_PRIMES:
         _mark(*tile, 0, _TILE_PERIOD - 1, p, p)
         _mark(*tile, 0, _TILE_PERIOD - 1, p * p, p)
@@ -168,24 +168,25 @@ def sieve_block(lo: int, hi: int) -> SieveBlock:
     if width > MAX_BLOCK_SIZE:
         raise CapacityError(f"block of {width} entries exceeds the {MAX_BLOCK_SIZE} limit")
 
-    # The count and the sqrt(hi)-smooth part (int32 holds n <= 1e9).
+    # The square flag and the signed sqrt(hi)-smooth part (int32 holds n <= 1e9).
     shift = lo % _TILE_PERIOD
-    count, smooth = (np.resize(np.roll(a, -shift), width) for a in _small_prime_tile())
+    square, smooth = (np.resize(np.roll(a, -shift), width) for a in _small_prime_tile())
     for p in _sieving_primes():
         if p * p > hi:
             break
         q = p**3 if p in _TILE_PRIMES else p
         while q <= hi:
-            _mark(count, smooth, lo, hi, q, p)
+            _mark(square, smooth, lo, hi, q, p)
             q *= p
 
     # Whatever was not divided out is a single prime > sqrt(hi), power 1:
-    # two such primes would multiply past hi.  smooth divides n, so that
-    # prime is there exactly where smooth != n.
-    count += np.arange(lo, hi + 1, dtype=np.int32) != smooth
+    # two such primes would multiply past hi.  |smooth| divides n, so that
+    # prime is there exactly where |smooth| != n, and flips the sign.
+    odd = smooth < 0
+    odd ^= np.abs(smooth, out=smooth) != np.arange(lo, hi + 1, dtype=np.int32)
     del smooth  # before decoding, which lowers the peak RSS of float streams
-    lam = 1 - ((count & 1).astype(np.int8) << 1)
-    mu = lam * (count < 32)
+    lam = 1 - (odd.astype(np.int8) << 1)
+    mu = lam * (square == 0)
     mu.flags.writeable = False
     lam.flags.writeable = False
     return SieveBlock(lo=lo, hi=hi, mu=mu, lam=lam)

@@ -164,7 +164,8 @@ def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
     # Level k peels on the grid 2**(s[k] - 53) and leaves a rest below 2**(s[k + 1] - steps).
     s = (math.frexp(peak)[1] + steps) - (53 - steps) * np.arange(_LEVELS)
     sigmas = np.ldexp(1.0, s).tolist()
-    bounds = np.union1d(ends, np.arange(0, last, _CHUNK))  # every end and chunk boundary
+    bounds = np.sort(np.concatenate((ends, np.arange(0, last, _CHUNK))))
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # every end and chunk boundary, once
     sums = np.zeros((_LEVELS, bounds.size))  # per level, the segment sum ending at each bound
     r, q, depth, rest = np.empty(last), np.empty(min(last, _CHUNK)), 1, False
     for a in range(0, last, _CHUNK):

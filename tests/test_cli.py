@@ -306,6 +306,28 @@ def test_cli_import_leaves_scipy_special_and_integrate_unloaded(tmp_path):
     assert proc.stdout == "[]\n[]\n"
 
 
+def test_commands_leave_numpy_ma_unloaded():
+    # np.union1d, and np.unique without return_inverse, import numpy.ma
+    # (13-44 ms a process) to ask whether their input is masked; the
+    # package calls neither.
+    runs = [["compute", "--function", "mu-over-k", "--N", "5000"],
+            ["compute", "--function", "harmonic", "--N", "5000"],
+            ["analyze", "--function", "mu", "--N", "1000", "--lag", "1"],
+            ["verdict", "--function", "mu-over-k", "--N", "5000"],
+            ["selftest"]]
+    masked = "sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.'))"
+    script = ("import contextlib, io, sys\n"
+              "from summatoria import cli\n"
+              f"print({masked})\n"
+              f"for argv in {runs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        assert cli.main(argv) == 0, argv\n"
+              f"    print({masked})\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n" * (1 + len(runs))
+
+
 def test_non_finite_sum_exits_two(tmp_path, capsys):
     csv = tmp_path / "huge.csv"
     csv.write_text("k,f\n1,1e308\n2,1e308\n")

@@ -177,9 +177,10 @@ def test_sieve_block_matches_reference_kernel_at_edges(lo, hi):
     assert_matches_reference(lo, hi)
 
 
-# The kernel keeps one uint16 count per entry: 1 per first power, 33 per
-# higher one, so the count reaches 1 + 33 * 28 at 2**29 (Omega = 29, the
-# most below 1e9).  Entries at the extremes of that count:
+# The kernel keeps one signed int32 smooth part per entry, multiplied by -p
+# per prime power, and a square flag: 2**29 has the most marks below 1e9
+# (Omega = 29, 28 of them setting the flag), and 2**28 * 3 stores -n.
+# Entries at the extremes of that encoding:
 COUNT_EXTREMES = [
     2**29,  # Omega = 29, with 28 square marks
     2**28 * 3,
@@ -200,3 +201,15 @@ def test_sieve_block_at_the_extremes_of_the_count(n):
     assert int(blk.mu[0]) == ((-1) ** distinct if squarefree else 0)
     assert int(blk.lam[0]) == (-1) ** total
     assert_matches_reference(max(1, n - 5000), min(GLOBAL_SIEVE_BOUND, n + 5000))
+
+
+@pytest.mark.parametrize("n", [
+    999_999_937,  # prime: smooth part 1, and the large prime flips its sign
+    999_999_986,  # 2 * 499_999_993: one mark, then the flip
+])
+def test_sieve_block_flips_the_sign_for_the_prime_above_sqrt_hi(n):
+    distinct, total, squarefree = _factor_counts(n)
+    blk = sieve_block(n, n)
+    assert int(blk.mu[0]) == ((-1) ** distinct if squarefree else 0)
+    assert int(blk.lam[0]) == (-1) ** total
+    assert_matches_reference(n - 5000, min(GLOBAL_SIEVE_BOUND, n + 5000))
