@@ -1,13 +1,14 @@
 """Before/after numbers of the package's kernels, written to BENCH_kernels.json.
 
     PYTHONPATH=src python3 bench/kernels.py kernel [--parent DIR]
-    PYTHONPATH=src python3 bench/kernels.py sum
+    PYTHONPATH=src python3 bench/kernels.py sum [--parent DIR]
     PYTHONPATH=src python3 bench/kernels.py ks
     PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
     PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR
     PYTHONPATH=src python3 bench/kernels.py synth --parent DIR
     PYTHONPATH=src python3 bench/kernels.py stream
     PYTHONPATH=src python3 bench/kernels.py samples --parent DIR
+    PYTHONPATH=src python3 bench/kernels.py memory --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
     python3 bench/kernels.py traced --parent DIR --workload NAME --seed 1
 
@@ -24,11 +25,13 @@ with each kernel swapped in for ``sieve.sieve_block``.  With
 same process under another name, and its ``sieve_block`` is a third
 kernel in every comparison.
 ``sum`` times the exact sum of one 2**20 block, best and median of 7,
-by the level-peeling front (``traces._peeled_sums``, with its own
-binning of a rest) against exponent binning alone (``_binned_sums``),
-after checking that both give the same Fraction: mu(k)/k and 1/k ending
-at 2**20, 10 * 2**20 and 3e7, a standard normal sample, exp(-k/1000) and
-a tiled 1e300/subnormal mix.  Then the microseconds per ``Block.sums_at``
+by the level-peeling front (``traces._peeled_sums``, which bins the
+whole block where its levels leave a rest) against exponent binning
+alone (``_binned_sums``), and with ``--parent`` against the
+``_peeled_sums`` of DIR's package (the parent checkout), loaded as for
+``kernel``, after checking that all give the same Fraction: mu(k)/k and
+1/k ending at 2**20, 10 * 2**20 and 3e7, a standard normal sample,
+exp(-k/1000) and a tiled 1e300/subnormal mix.  Then the microseconds per ``Block.sums_at``
 call at block sizes 1 and 64 over mu(k)/k, k <= 4096, with every k a
 checkpoint, best and median of 5, with each kernel behind ``sums_at``,
 after checking both give the same sums.  The runs of the two sides
@@ -80,13 +83,22 @@ checkout) and here, 5 runs with the two sides alternating, and keeps the
 medians of wall time and peak RSS, after checking both give the same
 bytes: ``file:`` of a ``synth:log2`` CSV at 1e6, then ``SAMPLES_RUNS``,
 whose checkpoints share KS sample strides.
+``memory`` runs float-accumulate's two ``compute`` calls and stats-analyze's
+``verdict`` at seed 1 in fresh processes in DIR (the parent checkout) and
+here, 11 runs with the two sides alternating, after checking both give
+the same bytes, and keeps each side's median wall time, median and
+largest peak RSS and median minor page faults; then, in a child in each
+checkout, the ``tracemalloc`` peak of ``traces.stream`` over
+``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic and mu-over-k, in
+float64 blocks, with no probe, a partial-sum ``Strided`` and a value
+``Strided`` (``BLOCK_PEAKS``).
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
 ``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth``,
-``stream`` or ``samples``, ``pairs`` writes into that section, else into the sieve
-kernel's top-level ``perfbench_pairs``.
+``stream``, ``samples`` or ``memory``, ``pairs`` writes into that
+section, else into the sieve kernel's top-level ``perfbench_pairs``.
 ``traced`` runs ``perfbench/run.py --trace 1`` once in DIR (the parent
 checkout) and once here, and keeps each run's per-layer metrics under
 ``perfbench_traced``.
@@ -159,9 +171,9 @@ def best_of(k: int, fns: dict) -> dict:
     return {name: min(t) for name, t in times_of(k, fns).items()}
 
 
-def load_parent_sieve(parent: str):
-    """The ``sieve`` module of the package in DIR/src, imported under
-    another name beside this checkout's."""
+def load_parent(parent: str, module: str):
+    """A module of the package in DIR/src, imported under another name
+    beside this checkout's."""
     import importlib
     import importlib.util
 
@@ -171,7 +183,7 @@ def load_parent_sieve(parent: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(spec.name + ".sieve")
+    return importlib.import_module(f"{spec.name}.{module}")
 
 
 def kernel_section(parent: str | None) -> dict:
@@ -182,7 +194,7 @@ def kernel_section(parent: str | None) -> dict:
     from summatoria import sieve, sublinear, traces
 
     kernels = {"reference": reference_sieve_block,
-               **({"parent": load_parent_sieve(parent).sieve_block} if parent else {}),
+               **({"parent": load_parent(parent, "sieve").sieve_block} if parent else {}),
                "new": sieve.sieve_block}
     blocks = []
     for hi in BLOCK_ENDS:
@@ -231,13 +243,19 @@ def kernel_section(parent: str | None) -> dict:
     }
 
 
-def sum_section() -> dict:
+def sum_section(parent: str | None) -> dict:
     from unittest import mock
 
     from summatoria import sequences, traces
 
+    before = load_parent(parent, "traces") if parent else None
+
     def binned(x, ends):  # the exponent-binning kernel on its own
         return traces._binned_sums(*np.frexp(x), ends)
+
+    def exact(run):  # the one sum of a kernel as a Fraction
+        (num,), exp = run()
+        return traces._fraction(num, exp)
 
     blocks = []
     for hi in SUM_BLOCK_ENDS:
@@ -252,11 +270,11 @@ def sum_section() -> dict:
     rows = []
     for name, x in blocks:
         runs = {"peel": lambda: traces._peeled_sums(x, [BLOCK]),
-                "bin": lambda: binned(x, [BLOCK])}
+                "bin": lambda: binned(x, [BLOCK]),
+                **({"parent_peel": lambda: before._peeled_sums(x, [BLOCK])} if before else {})}
         with mock.patch.object(traces, "_binned_sums", wraps=traces._binned_sums) as spy:
-            (peel,), peel_exp = runs["peel"]()
-        (bins,), bin_exp = runs["bin"]()
-        if traces._fraction(peel, peel_exp) != traces._fraction(bins, bin_exp):
+            runs["peel"]()
+        if len({exact(run) for run in runs.values()}) != 1:
             raise SystemExit(f"{name}: peeling and binning give different sums")
         ms = {side: [1e3 * t for t in ts] for side, ts in times_of(7, runs).items()}
         rows.append({"terms": name, "peeling_bins_a_rest": spy.called,
@@ -289,7 +307,8 @@ def sum_section() -> dict:
                       **{f"{side}_median_us": round(statistics.median(us[side]), 1)
                          for side in us}})
         print(json.dumps(calls[-1]), flush=True)
-    return {"command": "PYTHONPATH=src python3 bench/kernels.py sum",
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py sum"
+                       + (" --parent DIR" if parent else ""),
             "block_2pow20_of_7": rows, "sums_at_call_of_5": calls}
 
 
@@ -399,8 +418,8 @@ def moments_section(parent: str) -> dict:
             "block_2pow20_best_of_5": rows, "analyze_best_of_5": analyze}
 
 
-def child(argv: list[str], cwd: str, code: str = "") -> tuple[float, float, bytes]:
-    """Seconds, peak RSS (MB) and stdout of a CLI call run in a fresh
+def child_usage(argv: list[str], cwd: str, code: str = ""):
+    """Seconds, resource usage and stdout of a CLI call run in a fresh
     interpreter; ``code`` runs first in that interpreter."""
     prog = f"import sys\n{code}\nfrom summatoria import cli\nsys.exit(cli.main(sys.argv[1:]))"
     start = time.perf_counter()
@@ -411,7 +430,14 @@ def child(argv: list[str], cwd: str, code: str = "") -> tuple[float, float, byte
     _, status, usage = os.wait4(proc.pid, 0)
     if status:
         raise SystemExit(f"{argv} failed in {cwd}")
-    return time.perf_counter() - start, usage.ru_maxrss / 1024, out
+    return time.perf_counter() - start, usage, out
+
+
+def child(argv: list[str], cwd: str, code: str = "") -> tuple[float, float, bytes]:
+    """Seconds, peak RSS (MB) and stdout of a CLI call run in a fresh
+    interpreter; ``code`` runs first in that interpreter."""
+    secs, usage, out = child_usage(argv, cwd, code)
+    return secs, usage.ru_maxrss / 1024, out
 
 
 def sublinear_section(parent: str) -> dict:
@@ -661,6 +687,68 @@ def stream_section() -> dict:
             "compute_best_of_5": rows}
 
 
+# The tracemalloc peak of one ``traces.stream`` over MEMORY_BLOCKS blocks of
+# 2**18 entries, in float64 blocks, after a one-block stream has built the
+# prime table: with no probe, with a partial-sum ``Strided`` and with a
+# value ``Strided``.  It runs in a child in each checkout.
+MEMORY_BLOCKS = 8
+BLOCK_PEAKS = f"""
+import json, tracemalloc
+from unittest import mock
+from summatoria import cli, sieve, traces
+size, last, peaks = 1 << 18, {MEMORY_BLOCKS} << 18, {{}}
+with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size):
+    for function in ("harmonic", "mu-over-k"):
+        seq = cli.resolve_function(function, last)
+        for probe, probes in (("none", lambda: []),
+                              ("strided_sums", lambda: [traces.Strided(last, 1000)]),
+                              ("strided_values", lambda: [traces.Strided(last, 1000, sums=False)])):
+            traces.stream(seq, size, [])
+            ready = probes()
+            tracemalloc.start()
+            traces.stream(seq, last, ready)
+            peaks[f"{{function}}, {{probe}}"] = round(tracemalloc.get_traced_memory()[1] / (8 * size), 3)
+            tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def memory_section(parent: str) -> dict:
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+    import workloads
+
+    sides = {"parent": os.path.abspath(parent),
+             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:  # children first: see moments_section
+        calls = [*workloads.WORKLOADS["float-accumulate"](1, tmp).calls,
+                 workloads.WORKLOADS["stats-analyze"](1, tmp).calls[1]]
+        for call in calls:
+            argv = call.args + ["--threads", "2"]
+            runs, out = {side: [] for side in sides}, {}
+            for i in range(11):
+                for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                    secs, usage, out[side] = child_usage(argv, sides[side])
+                    runs[side].append((secs, usage.ru_maxrss / 1024, usage.ru_minflt))
+            if out["parent"] != out["change"]:
+                raise SystemExit(f"{argv}: parent and change give different bytes")
+            row = {"argv": " ".join(call.args[:5]), "same_bytes": True}
+            for side, got in runs.items():
+                secs, rss, faults = zip(*got)
+                row[side] = {"median_s": round(statistics.median(secs), 3),
+                             "median_peak_rss_mb": round(statistics.median(rss), 1),
+                             "max_peak_rss_mb": round(max(rss), 1),
+                             "median_minor_faults": int(statistics.median(faults))}
+            rows.append(row)
+            print(json.dumps(row), flush=True)
+    peaks = {side: json.loads(subprocess.run(
+        [sys.executable, "-c", BLOCK_PEAKS], cwd=root, capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH="src")).stdout) for side, root in sides.items()}
+    print(json.dumps(peaks), flush=True)
+    return {"command": "PYTHONPATH=src python3 bench/kernels.py memory --parent DIR",
+            "cli_of_11_seed_1": rows, "stream_tracemalloc_peak_blocks": peaks}
+
+
 def run_perfbench(root: str, workload: str, seed: int, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", str(trace)]
@@ -717,13 +805,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("kernel").add_argument("--parent")
-    sub.add_parser("sum")
+    sub.add_parser("sum").add_argument("--parent")
     sub.add_parser("ks")
     sub.add_parser("moments").add_argument("--parent", required=True)
     sub.add_parser("sublinear").add_argument("--parent", required=True)
     sub.add_parser("synth").add_argument("--parent", required=True)
     sub.add_parser("stream")
     sub.add_parser("samples").add_argument("--parent", required=True)
+    sub.add_parser("memory").add_argument("--parent", required=True)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
@@ -734,20 +823,20 @@ def main(argv=None) -> int:
     traced.add_argument("--seed", required=True, type=int)
     pairs.add_argument("--section",
                        choices=["sum", "ks", "moments", "sublinear", "synth", "stream",
-                                "samples"])
+                                "samples", "memory"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream", "samples")
+    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream", "samples", "memory")
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
         doc["kernel"] = kernel_section(args.parent)
     elif args.command == "sum":
-        section.update(sum_section())
+        section.update(sum_section(args.parent))
     elif args.command == "ks":
         section.update(ks_section())
     elif args.command == "moments":
@@ -760,6 +849,8 @@ def main(argv=None) -> int:
         section.update(stream_section())
     elif args.command == "samples":
         section.update(samples_section(args.parent))
+    elif args.command == "memory":
+        section.update(memory_section(args.parent))
     elif args.command == "traced":
         doc.setdefault("perfbench_traced", {})[args.workload] = traced_section(
             args.parent, args.workload, args.seed)

@@ -47,7 +47,8 @@ _SEQUENCES = {
     "mu": sequences.mobius_sequence,
     "lambda": sequences.liouville_sequence,
     "mu-over-k": sequences.weighted_mobius_sequence,
-    "harmonic": lambda N: sequences.sequence_from_function(lambda k: 1.0 / k, N, name="harmonic"),
+    "harmonic": lambda N: sequences.sequence_from_function(lambda k: np.divide(1.0, k, out=k), N,
+                                                           name="harmonic"),
     **{fid: lambda N, make=make: schedules.realize_greedy(make(), N)
        for fid, make in _SCHEDULES.items()},
 }

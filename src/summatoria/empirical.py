@@ -72,6 +72,9 @@ _ERFC_CUT = 26.641747557046326
 # _normal_cdf_sorted, which tests/test_empirical.py measures.
 _KS_GRID = 1024
 _KS_SLACK = 1e-12
+# A variance this far above the subnormal range lost no bits to squares that
+# underflow: z is then the same as from the sample scaled by a power of two.
+_KS_TINY = 2.0**-960
 
 
 def _polevl(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
@@ -150,7 +153,14 @@ def ks_distance(dist: EmpiricalDistribution) -> float:
     at its branch cuts (``_KS_SLACK``).  Each gap is the elementwise
     expression of a full evaluation and max is exact, so D has the full
     evaluation's bytes.
+
+    z is that of the sample scaled by 2**k, k = -frexp(max|x|)[1]: from
+    ``dist``'s moments unless their squares underflowed or overflowed, else
+    from a scaled copy.
     """
+    if not (math.isfinite(dist.mean) and _KS_TINY <= dist.variance < math.inf):
+        dist = empirical_cdf(np.ldexp(dist.sample, -math.frexp(max(-dist.sample[0],
+                                                                  dist.sample[-1]))[1]))
     if not (math.isfinite(dist.mean) and math.isfinite(dist.variance)):
         raise NumericError("the mean or variance of the KS sample is not finite")
     if dist.variance <= 0.0:

@@ -77,8 +77,8 @@ def liouville_sequence(bound: int) -> ArithmeticSequence:
 
 def weighted_mobius_sequence(bound: int) -> ArithmeticSequence:
     """mu(k)/k for k <= bound, sieve-backed."""
-    return _sieved("mu-over-k", bound, False,
-                   lambda blk: blk.mu / np.arange(blk.lo, blk.hi + 1, dtype=np.float64))
+    return _sieved("mu-over-k", bound, False, lambda blk: np.divide(  # into the index array
+        blk.mu, k := np.arange(blk.lo, blk.hi + 1, dtype=np.float64), out=k))
 
 
 def sequence_from_function(

@@ -8,7 +8,7 @@ gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
 once, exactly.  A ``Block`` has one exact rule for sums and one for sums
 of products: integers as int64 (or Python ints where int64 could wrap),
 reals through ``exact_prefix_sums``: levels that float adds sum exactly
-(Rump, Ogita & Oishi 2008), then binning by exponent, which a product of
+(Rump, Ogita & Oishi 2008), or binning by exponent, which a product of
 reals enters as Dekker's exact two-product.  So every S(n) at a
 checkpoint is the exact sum, rounded once to float: correctly rounded at
 every block size.  A sum that is not finite raises NumericError.
@@ -142,8 +142,8 @@ def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
     sigma is exact and on the grid 2**(s - 53), and r - q is within half a
     step.  A sum of q's is a whole number of steps below 2**53, so float
     adds (``np.add.reduceat``) are exact.  A level moves the grid down by
-    53 - log2(n + 2) bits.  What _LEVELS levels leave, and an x whose sigma
-    could overflow, go to ``_binned_sums`` (at most 2**26 terms).
+    53 - log2(n + 2) bits.  An x that _LEVELS levels do not exhaust, or whose
+    sigma could overflow, goes whole to ``_binned_sums`` (at most 2**26 terms).
     """
     nums, exp = _peeled_sums(x, ends)
     return [_fraction(n, exp) for n in nums]
@@ -167,10 +167,10 @@ def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
     bounds = np.sort(np.concatenate((ends, np.arange(0, last, _CHUNK))))
     bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # every end and chunk boundary, once
     sums = np.zeros((_LEVELS, bounds.size))  # per level, the segment sum ending at each bound
-    r, q, depth, rest = np.empty(last), np.empty(min(last, _CHUNK)), 1, False
+    r, q, depth = np.empty(min(last, _CHUNK)), np.empty(min(last, _CHUNK)), 1
     for a in range(0, last, _CHUNK):
         i, j = bounds.searchsorted([a, min(a + _CHUNK, last)])
-        xc, rc, qc = x[a : a + _CHUNK], r[a : a + _CHUNK], q[: min(_CHUNK, last - a)]
+        xc, rc, qc = x[a : a + _CHUNK], r[: min(_CHUNK, last - a)], q[: min(_CHUNK, last - a)]
         for k, sigma in enumerate(sigmas):
             np.add(xc, sigma, out=qc)
             qc -= sigma
@@ -178,15 +178,13 @@ def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
             sums[k, i + 1 : j + 1] = np.add.reduceat(qc, bounds[i:j] - a)
             if not rc.any():
                 break
-        else:
-            rest = True
+        else:  # a wide span: binning alone is exact and cheaper than peeling and binning
+            return _binned_sums(*np.frexp(x), ends)
         depth = max(depth, k + 1)
     ints = np.ldexp(np.cumsum(sums[:depth], axis=1), 53 - s[:depth, None]).astype(np.int64)
-    parts = [(n[bounds.searchsorted(ends)], int(e) - 53) for n, e in zip(ints, s)]
-    if rest:  # a wide span
-        parts.append(_binned_sums(*np.frexp(r), ends))
-    exp = min(e for _, e in parts)
-    return sum(np.array(n, dtype=object) << (e - exp) for n, e in parts).tolist(), exp
+    exp = int(s[depth - 1]) - 53
+    return sum(np.array(n[bounds.searchsorted(ends)], dtype=object) << int(e - 53 - exp)
+               for n, e in zip(ints, s)).tolist(), exp
 
 
 def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int]:
@@ -359,6 +357,7 @@ def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
     size = sieve.DEFAULT_BLOCK_SIZE  # read per call, so the tests can patch it
     total, sums = 0, []  # total exact: an int, or a Fraction once a real block is added
     for lo in range(1, last + 1, size):
+        block = None  # one block alive at a time: drop it before the next is built
         block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total, seq.integer_valued)
         for probe in probes:
             probe.add(block)
@@ -406,32 +405,35 @@ class Strided:
         return self._arrays[s][: n // s]
 
     def add(self, block: Block) -> None:
-        if not self.sums:
-            pick = block.values.__getitem__
-        else:
-            pick = block.run if block.exact else self._run(block).__getitem__
-        for s, out in self._arrays.items():
-            first = -(-block.lo // s) * s
-            upper = min(block.hi, out.size * s)
-            if first <= upper:
-                got = pick(slice(first - block.lo, upper - block.lo + 1, s))
-                out[first // s - 1 : upper // s] = got
+        pieces = (self._runs(block) if self.sums and not block.exact else
+                  [(block.lo, block.hi, block.run if self.sums else block.values.__getitem__)])
+        for lo, hi, pick in pieces:  # pick maps a slice of k - lo to the values at those k
+            for s, out in self._arrays.items():
+                first = -(-lo // s) * s
+                upper = min(hi, out.size * s)
+                if first <= upper:
+                    out[first // s - 1 : upper // s] = pick(slice(first - lo, upper - lo + 1, s))
 
-    def _run(self, block: Block) -> np.ndarray:
-        """S(k) at every k of a real block by the cell rule."""
+    def _runs(self, block: Block):
+        """S(k) over a real block by the cell rule, a chunk at a time in one
+        chunk-sized buffer, as ``add``'s pieces (lo, hi, pick)."""
         if (block.lo - 1) % RUN_CELL == 0:
             self._cell = (block.base, 0.0)
         anchor, acc = self._cell
         cells = np.arange(-(-block.lo // RUN_CELL) * RUN_CELL, block.hi, RUN_CELL)  # cell ends
         anchors = [anchor, *block.sums_at(cells, rounded=True)[1]]
-        run = block.values.astype(np.float64)
-        bounds = [0, *(cells - block.lo + 1).tolist(), run.size]
+        bounds = [0, *(cells - block.lo + 1).tolist(), block.values.size]
+        buf = np.empty(min(_CHUNK, block.values.size))
         for anchor, a, b in zip(anchors, bounds, bounds[1:]):
-            run[a] += acc
-            part = np.cumsum(run[a:b], out=run[a:b])
-            self._cell, acc = (anchor, float(part[-1])), 0.0
-            part += anchor
-        return run
+            for c in range(a, b, _CHUNK):
+                run = buf[: min(_CHUNK, b - c)]
+                run[...] = block.values[c : c + run.size]
+                run[0] += acc
+                acc = float(np.cumsum(run, out=run)[-1])
+                self._cell = (anchor, acc)
+                run += anchor
+                yield block.lo + c, block.lo + c + run.size - 1, run.__getitem__
+            acc = 0.0
 
 
 def summatory_trace(seq: ArithmeticSequence, N: int, checkpoints=None) -> SummatoryTrace:

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from summatoria import cli, sieve
+from summatoria import cli, empirical_cdf, ks_distance, sieve
 from summatoria.cli import main, parse_checkpoints
 
 
@@ -337,14 +339,74 @@ def test_non_finite_sum_exits_two(tmp_path, capsys):
     assert "f(1..2) is not finite" in err and "Traceback" not in err
 
 
+def _write_values(path, values) -> None:
+    path.write_text("k,f\n" + "".join(f"{k},{v!r}\n" for k, v in enumerate(values, start=1)))
+
+
+def scaled_ks(sample) -> float:
+    """D of the sample scaled exactly by 2**k, k = -frexp(max|x|)[1], where
+    np.var of the raw scaled sample neither underflows nor overflows."""
+    x = np.asarray(sample, dtype=np.float64)
+    dist = empirical_cdf(np.ldexp(x, -math.frexp(np.abs(x).max())[1]))
+    assert 2.0**-900 < dist.variance < 1.0
+    return ks_distance(dist)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-165])
+def test_analyze_ks_of_a_tiny_sample_is_that_of_the_scaled_sample(scale, tmp_path, capsys):
+    # np.var of the raw sample is subnormal at 1e-160, which put D off in its
+    # 4th digit, and 0 at 1e-165, which printed a null D with exit status 0.
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, 4000) * scale
+    path = tmp_path / "tiny.csv"
+    _write_values(path, values.tolist())
+    status, out, _ = run_cli("analyze", "--function", f"file:{path}", "--N", "3990",
+                             capsys=capsys)
+    assert status == 0
+    assert json.loads(out)["ks_normal_D"] == scaled_ks(values[:3990])
+
+
+def test_verdict_ks_of_tiny_partial_sums_is_that_of_the_scaled_samples(tmp_path, capsys):
+    # Every D was null, with a note of degenerate samples, though none is constant.
+    values = np.random.default_rng(8).uniform(-1.0, 1.0, 3000) * 1e-165
+    path = tmp_path / "tiny.csv"
+    _write_values(path, values.tolist())
+    status, out, _ = run_cli("verdict", "--function", f"file:{path}", "--N", "3000",
+                             "--checkpoints", "500,1000,2000,3000", capsys=capsys)
+    assert status == 0
+    doc = json.loads(out)
+    assert [row["D"] for row in doc["ks_trace"]] == [scaled_ks(np.cumsum(values[:n]))
+                                                     for n in (500, 1000, 2000, 3000)]
+    assert "degenerate" not in doc["notes"]
+
+
 @pytest.mark.parametrize("command, value", [("analyze", "1.2e154"), ("verdict", "1e200")])
-def test_a_ks_sample_whose_variance_overflows_exits_two(command, value, tmp_path, capsys):
-    # np.var of the partial sums overflows; z would be 0 and D a silent 0.5.
+def test_a_ks_sample_whose_variance_overflows_is_standardized_scaled(command, value, tmp_path,
+                                                                     capsys):
+    # np.var of the values (analyze) or of the partial sums (verdict)
+    # overflows; z is that of the scaled sample, and D that of a two-point law.
+    values = [float(value) * (1 if k % 2 else -1) for k in range(1, 2011)]
     path = tmp_path / "huge.csv"
-    path.write_text("k,f\n" + "".join(f"{k},{'' if k % 2 else '-'}{value}\n"
-                                       for k in range(1, 2011)))
-    status, out, err = run_cli(command, "--function", f"file:{path}", "--N", "2000",
-                               capsys=capsys)
+    _write_values(path, values)
+    status, out, _ = run_cli(command, "--function", f"file:{path}", "--N", "2000",
+                             capsys=capsys)
+    assert status == 0
+    doc = json.loads(out)
+    if command == "analyze":
+        assert doc["ks_normal_D"] == scaled_ks(values[:2000])
+        assert abs(doc["ks_normal_D"] - (ndtr(1.0) - 0.5)) < 1e-15
+    else:
+        assert [row["D"] for row in doc["ks_trace"]] == [
+            scaled_ks(np.cumsum(values[: row["n"]])) for row in doc["ks_trace"]]
+
+
+def test_a_ks_sample_holding_inf_exits_two(tmp_path, capsys):
+    # Every exact S(n) is finite, but the float partial sums of the KS
+    # sample pass DBL_MAX between checkpoints.
+    path = tmp_path / "huge.csv"
+    _write_values(path, [1e308, 1e308, -1e308, -1e308] * 500)
+    with np.errstate(over="ignore"):
+        status, out, err = run_cli("verdict", "--function", f"file:{path}", "--N", "2000",
+                                   "--checkpoints", "400,800,1200,2000", capsys=capsys)
     assert (status, out) == (2, "")
     assert "variance of the KS sample is not finite" in err and "Traceback" not in err
 

@@ -358,3 +358,19 @@ def test_moments_and_lags_stream_exactly_across_blocks(monkeypatch):
     expected = (moments(seq, 290), independence_estimator(seq, 290, 7))
     monkeypatch.setattr(sieve, "DEFAULT_BLOCK_SIZE", 4)
     assert (moments(seq, 290), independence_estimator(seq, 290, 7)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(-1100, 1000), st.integers(-500, -450), st.integers(480, 520)),
+       st.integers(2, 3000), st.integers(0, 2**32 - 1))
+def test_ks_distance_is_that_of_the_sample_scaled_near_one(e, n, seed):
+    # z, and so D, are those of the sample scaled by 2**k, k = -frexp(max|x|)[1],
+    # both where np.var of the raw sample keeps its bits and where it is
+    # subnormal, zero or past DBL_MAX.
+    x = np.ldexp(np.random.default_rng(seed).standard_normal(n), e)
+    scaled = np.ldexp(x, -math.frexp(np.abs(x).max())[1])
+    if np.ptp(scaled) == 0.0:  # subnormal draws can all round to one value
+        with pytest.raises(DegenerateSampleError):
+            ks_distance(empirical_cdf(x))
+        return
+    assert ks_distance(empirical_cdf(x)) == ks_distance(empirical_cdf(scaled))

@@ -19,6 +19,7 @@ import hashlib
 import io
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -213,3 +214,25 @@ def test_every_stream_reads_the_block_size_when_called(run, last):
         run()
     widths = [call.args[1].size for call in spy.call_args_list]
     assert widths == [min(7, last + 1 - lo) for lo in range(1, last + 1, 7)]
+
+
+@pytest.mark.parametrize("probe", ["none", "sums", "values"])
+@pytest.mark.parametrize("function", ["harmonic", "mu-over-k"])
+def test_a_real_stream_holds_one_block_at_a_time(function, probe):
+    # One float64 block of f plus chunk-sized scratch, by tracemalloc, which
+    # counts numpy's buffers whatever the allocator keeps mapped.  Two live
+    # blocks, a quotient beside its index array or a block-sized rest of the
+    # exact sum would each pass 1.5 blocks.
+    size, last = 1 << 18, 8 << 18
+    with blocks_of(size):
+        seq = cli.resolve_function(function, last)
+        stream(seq, size, [])  # the prime table and the small-prime tile
+        probes = {"none": [], "sums": [Strided(last, 1000)],
+                  "values": [Strided(last, 1000, sums=False)]}[probe]
+        tracemalloc.start()
+        try:
+            stream(seq, last, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.5 * size * 8
