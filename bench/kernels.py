@@ -83,14 +83,15 @@ checkout) and here, 5 runs with the two sides alternating, and keeps the
 medians of wall time and peak RSS, after checking both give the same
 bytes: ``file:`` of a ``synth:log2`` CSV at 1e6, then ``SAMPLES_RUNS``,
 whose checkpoints share KS sample strides.
-``memory`` runs float-accumulate's two ``compute`` calls and stats-analyze's
-``verdict`` at seed 1 in fresh processes in DIR (the parent checkout) and
-here, 11 runs with the two sides alternating, after checking both give
-the same bytes, and keeps each side's median wall time, median and
+``memory`` runs float-accumulate's two ``compute`` calls, stats-analyze's
+``verdict`` at seed 1 and ``MEMORY_VERDICT`` (an integer stream with
+partial-sum KS samples) in fresh processes in DIR (the parent checkout)
+and here, 11 runs with the two sides alternating, after checking both
+give the same bytes, and keeps each side's median wall time, median and
 largest peak RSS and median minor page faults; then, in a child in each
 checkout, the ``tracemalloc`` peak of ``traces.stream`` over
-``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic and mu-over-k, in
-float64 blocks, with no probe, a partial-sum ``Strided`` and a value
+``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic, mu-over-k and mu,
+in float64 blocks, with no probe, a partial-sum ``Strided`` and a value
 ``Strided`` (``BLOCK_PEAKS``).
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
@@ -692,13 +693,14 @@ def stream_section() -> dict:
 # prime table: with no probe, with a partial-sum ``Strided`` and with a
 # value ``Strided``.  It runs in a child in each checkout.
 MEMORY_BLOCKS = 8
+MEMORY_VERDICT = ["verdict", "--function", "mu", "--N", "30000000"]
 BLOCK_PEAKS = f"""
 import json, tracemalloc
 from unittest import mock
 from summatoria import cli, sieve, traces
 size, last, peaks = 1 << 18, {MEMORY_BLOCKS} << 18, {{}}
 with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size):
-    for function in ("harmonic", "mu-over-k"):
+    for function in ("harmonic", "mu-over-k", "mu"):
         seq = cli.resolve_function(function, last)
         for probe, probes in (("none", lambda: []),
                               ("strided_sums", lambda: [traces.Strided(last, 1000)]),
@@ -721,10 +723,10 @@ def memory_section(parent: str) -> dict:
              "change": os.path.abspath(os.path.join(HERE, os.pardir))}
     rows = []
     with tempfile.TemporaryDirectory() as tmp:  # children first: see moments_section
-        calls = [*workloads.WORKLOADS["float-accumulate"](1, tmp).calls,
-                 workloads.WORKLOADS["stats-analyze"](1, tmp).calls[1]]
-        for call in calls:
-            argv = call.args + ["--threads", "2"]
+        calls = [*(call.args for call in workloads.WORKLOADS["float-accumulate"](1, tmp).calls),
+                 workloads.WORKLOADS["stats-analyze"](1, tmp).calls[1].args, MEMORY_VERDICT]
+        for args in calls:
+            argv = args + ["--threads", "2"]
             runs, out = {side: [] for side in sides}, {}
             for i in range(11):
                 for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
@@ -732,7 +734,7 @@ def memory_section(parent: str) -> dict:
                     runs[side].append((secs, usage.ru_maxrss / 1024, usage.ru_minflt))
             if out["parent"] != out["change"]:
                 raise SystemExit(f"{argv}: parent and change give different bytes")
-            row = {"argv": " ".join(call.args[:5]), "same_bytes": True}
+            row = {"argv": " ".join(args[:5]), "same_bytes": True}
             for side, got in runs.items():
                 secs, rss, faults = zip(*got)
                 row[side] = {"median_s": round(statistics.median(secs), 3),

@@ -137,8 +137,8 @@ def cmd_compute(args) -> int:
             exact = trace.values.dtype != np.float64  # int64, or object past int64
             _write_json({"function": seq.name, "N": args.N,
                          "accumulation_kind": "exact-integer" if exact else "compensated-float",
-                         "trace": [{"n": int(n), "S": int(v) if exact else float(v)}
-                                   for n, v in zip(trace.checkpoints, trace.values)]}, out)
+                         "trace": [{"n": n, "S": v} for n, v in
+                                   zip(trace.checkpoints.tolist(), trace.values.tolist())]}, out)
     return 0
 
 

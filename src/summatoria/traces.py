@@ -3,7 +3,8 @@ streaming engine every statistic in the package runs on.
 
 ``stream`` walks f(1..last) once in blocks, returns S(n) at the
 checkpoints it is given, and hands each block, in order, to a list of
-probes: strided samples for the KS statistics and lag products (lag 0
+probes: strided samples for the KS statistics (an anchor S(c) plus a
+cumsum after c, for integers and reals alike) and lag products (lag 0
 gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
 once, exactly.  A ``Block`` has one exact rule for sums and one for sums
 of products: integers as int64 (or Python ints where int64 could wrap),
@@ -240,7 +241,7 @@ class Block:
     S(lo - 1) and ``base`` the same rounded by ``rounded``.
 
     ``dtype`` is float64, or for integers int64, or object (Python ints)
-    where |f|**2 * size could leave int64; real values must be finite.
+    where |f|**2 * size or |S| could leave int64; real values must be finite.
     ``total`` is the block's exact sum, computed on first use unless
     ``sums_at`` got it along the way.
     """
@@ -255,7 +256,8 @@ class Block:
                                        "sequence holds a non-integer or a value beyond 2**53")
                 values = values.astype(np.int64)
             peak = max(int(values.max()), -int(values.min()))
-            self.dtype = np.int64 if peak * peak * values.size < 2**63 else object
+            fits = peak * peak * values.size < 2**63 and abs(start) + peak * values.size < 2**63
+            self.dtype = np.int64 if fits else object
             values = values if self.dtype is np.int64 else values.astype(object)
         elif not np.isfinite(values).all():
             raise NumericError(f"a sum through f({lo}..{lo + values.size - 1}) is not finite")
@@ -321,7 +323,8 @@ class Block:
         if not hits.size:
             return hits, []
         if self.exact:
-            return hits, self.run(hits - self.lo).tolist()
+            sums = self.base + np.cumsum(self.values, dtype=self.dtype)[hits - self.lo]
+            return hits, sums.tolist()
         nums, exp = _peeled_sums(self.values, [*(hits - self.lo + 1), self.values.size])
         self.__dict__.setdefault("total", _fraction(nums.pop(), exp))  # fills the cached_property
         start = Fraction(self.start)
@@ -332,15 +335,6 @@ class Block:
             where = f"a sum through f({self.lo}..{self.hi})"
             return hits, [as_float(n, where, 1 << shift) for n in nums]
         return hits, [Fraction(n, 1 << shift) for n in nums]
-
-    def run(self, at) -> np.ndarray:
-        """Exact S(k) at the positions ``at`` (a slice or index array) of an
-        integer block."""
-        return self.base + self._cumsum[at]
-
-    @cached_property
-    def _cumsum(self) -> np.ndarray:
-        return np.cumsum(self.values, dtype=self.dtype)
 
 
 def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
@@ -370,8 +364,8 @@ def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
     return out
 
 
-# The cell of the real partial sums in a ``Strided`` sample, and the most
-# float64 points the arrays of one probe may hold (1 GiB).
+# The cell of the real partial sums in a ``Strided`` sample (an integer
+# block is its own), and the most float64 points one probe may hold (1 GiB).
 RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
 _SAMPLE_BUDGET = 1 << 27
 
@@ -383,10 +377,10 @@ class Strided:
 
     The sample of n is a prefix of the sample of the largest n of the same
     stride, so each stride has one array, and ``sample(n)`` is a view of
-    it.  A real S(k) is the correctly rounded S(c) at the last multiple c
-    of RUN_CELL below k, plus the float cumsum of f(c+1..k): at the
-    default block size the block's base plus its cumsum, and the same at
-    every block size.
+    it.  S(k) is the rounded S(c), for c the last multiple of RUN_CELL
+    (for integers, or block start) below k, plus the cumsum of f(c+1..k):
+    exact for integers, and for reals at the default block size the
+    block's base plus its float cumsum, the same at every block size.
     """
 
     def __init__(self, ns, cap: int, *, sums: bool = True):
@@ -397,7 +391,7 @@ class Strided:
                                 f"{_SAMPLE_BUDGET} float64 points")
         self.cap, self.sums = cap, sums
         self._arrays = {s: np.empty(n // s, dtype=np.float64) for s, n in largest.items()}
-        self._cell = None  # the open cell's anchor S(c) and float cumsum after c
+        self._cell = None  # the open cell's anchor S(c) and cumsum after c
 
     def sample(self, n: int) -> np.ndarray:
         """S(k), or f(k), at k = s, 2s, ... <= n: a view of its stride's array."""
@@ -405,8 +399,8 @@ class Strided:
         return self._arrays[s][: n // s]
 
     def add(self, block: Block) -> None:
-        pieces = (self._runs(block) if self.sums and not block.exact else
-                  [(block.lo, block.hi, block.run if self.sums else block.values.__getitem__)])
+        pieces = (self._runs(block) if self.sums else
+                  [(block.lo, block.hi, block.values.__getitem__)])
         for lo, hi, pick in pieces:  # pick maps a slice of k - lo to the values at those k
             for s, out in self._arrays.items():
                 first = -(-lo // s) * s
@@ -415,25 +409,24 @@ class Strided:
                     out[first // s - 1 : upper // s] = pick(slice(first - lo, upper - lo + 1, s))
 
     def _runs(self, block: Block):
-        """S(k) over a real block by the cell rule, a chunk at a time in one
-        chunk-sized buffer, as ``add``'s pieces (lo, hi, pick)."""
-        if (block.lo - 1) % RUN_CELL == 0:
-            self._cell = (block.base, 0.0)
+        """S(k) over a block by the cell rule, a chunk at a time in one
+        chunk-sized buffer of its dtype, as ``add``'s pieces (lo, hi, pick)."""
+        if block.exact or (block.lo - 1) % RUN_CELL == 0:  # an exact sum may open any cell
+            self._cell = (block.base, 0)
         anchor, acc = self._cell
         cells = np.arange(-(-block.lo // RUN_CELL) * RUN_CELL, block.hi, RUN_CELL)  # cell ends
         anchors = [anchor, *block.sums_at(cells, rounded=True)[1]]
         bounds = [0, *(cells - block.lo + 1).tolist(), block.values.size]
-        buf = np.empty(min(_CHUNK, block.values.size))
+        buf = np.empty(min(_CHUNK, block.values.size), dtype=block.dtype)
         for anchor, a, b in zip(anchors, bounds, bounds[1:]):
             for c in range(a, b, _CHUNK):
                 run = buf[: min(_CHUNK, b - c)]
                 run[...] = block.values[c : c + run.size]
                 run[0] += acc
-                acc = float(np.cumsum(run, out=run)[-1])
+                acc = np.cumsum(run, out=run)[-1]
                 self._cell = (anchor, acc)
-                run += anchor
-                yield block.lo + c, block.lo + c + run.size - 1, run.__getitem__
-            acc = 0.0
+                yield block.lo + c, block.lo + c + run.size - 1, lambda sl: run[sl] + anchor
+            acc = 0
 
 
 def summatory_trace(seq: ArithmeticSequence, N: int, checkpoints=None) -> SummatoryTrace:
@@ -475,7 +468,6 @@ def weighted_mobius_trace(N: int, checkpoints=None) -> SummatoryTrace:
 def write_trace_csv(trace: SummatoryTrace, out: TextIO) -> None:
     """Write a trace as CSV with header ``n,S`` and LF line endings: exact
     integers without exponent, floats with 17 significant digits."""
-    exact = trace.values.dtype != np.float64  # int64, or object past int64
     out.write("n,S\n")
-    for n, v in zip(trace.checkpoints, trace.values):
-        out.write(f"{int(n)},{int(v) if exact else format(float(v), '.17g')}\n")
+    for n, v in zip(trace.checkpoints.tolist(), trace.values.tolist()):  # ints or floats
+        out.write(f"{n},{format(v, '.17g') if isinstance(v, float) else v}\n")

@@ -217,12 +217,14 @@ def test_every_stream_reads_the_block_size_when_called(run, last):
 
 
 @pytest.mark.parametrize("probe", ["none", "sums", "values"])
-@pytest.mark.parametrize("function", ["harmonic", "mu-over-k"])
+@pytest.mark.parametrize("function", ["harmonic", "mu-over-k", "mu", "synth:log2"])
 def test_a_real_stream_holds_one_block_at_a_time(function, probe):
-    # One float64 block of f plus chunk-sized scratch, by tracemalloc, which
-    # counts numpy's buffers whatever the allocator keeps mapped.  Two live
-    # blocks, a quotient beside its index array or a block-sized rest of the
-    # exact sum would each pass 1.5 blocks.
+    # One block of f plus chunk-sized scratch, at most a float64 block's
+    # worth for reals and integers alike, by tracemalloc, which counts
+    # numpy's buffers whatever the allocator keeps mapped.  Two live blocks,
+    # a quotient beside its index array, a block-sized rest of the exact sum
+    # or an int64 cumsum of a whole block for its partial sums would each
+    # pass 1.5 blocks.
     size, last = 1 << 18, 8 << 18
     with blocks_of(size):
         seq = cli.resolve_function(function, last)

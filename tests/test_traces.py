@@ -303,8 +303,15 @@ class Keep:
         self.blocks.append(block)
 
 
-def cumsums_built(blocks) -> list[int]:
-    return [block.lo for block in blocks if "_cumsum" in block.__dict__]
+def spy_cumsum():
+    return mock.patch.object(np, "cumsum", wraps=np.cumsum)
+
+
+def cumsums_built(blocks, spy) -> list[int]:
+    """The lo of each block whose values ``np.cumsum`` copied whole into a
+    new array: a block's worth of memory."""
+    return [block.lo for call in spy.call_args_list for block in blocks
+            if call.args[0] is block.values and call.kwargs.get("out") is None]
 
 
 @pytest.mark.parametrize("ns, built", [(1000, []), ([450, 1000], [401])])
@@ -312,12 +319,13 @@ def test_only_a_block_holding_an_earlier_n_builds_a_cumsum(ns, built):
     # S(last) is rounded from the exact total, so the int64 cumsum of a
     # block, a block's worth of memory, is built only where an earlier n is.
     keep = Keep()
-    with blocks_of(100):
+    with blocks_of(100), spy_cumsum() as spy:
         stream(mobius_sequence(1000), ns, [keep])
-    assert len(keep.blocks) == 10 and cumsums_built(keep.blocks) == built
+    assert len(keep.blocks) == 10 and cumsums_built(keep.blocks, spy) == built
 
 
 def test_the_sublinear_table_stream_builds_no_cumsum():
+    # The table's own cumsum writes into the table: no block-sized copy.
     keep = Keep()
 
     class Table(sublinear.Table):
@@ -325,9 +333,27 @@ def test_the_sublinear_table_stream_builds_no_cumsum():
             super().add(block)
             keep.add(block)
 
-    with blocks_of(8), mock.patch.object(sublinear, "Table", Table):
+    with blocks_of(8), mock.patch.object(sublinear, "Table", Table), spy_cumsum() as spy:
         assert sublinear.sums(mobius_sequence(1000), [1000], 40) == [2]  # M(1000)
-    assert len(keep.blocks) == 5 and cumsums_built(keep.blocks) == []
+    assert len(keep.blocks) == 5 and cumsums_built(keep.blocks, spy) == []
+    assert spy.call_count == 5
+
+
+@pytest.mark.parametrize("block_size", [8, 1000])
+@pytest.mark.parametrize("values", [
+    [1.0] * 8 + [2.0**53] * 4000,  # an int64 block, then object blocks in one cell
+    [2.0**53] * 1100 + [1.0] * 3000,  # S leaves int64 before blocks of small values
+], ids=["int64-then-object", "small-past-int64"])
+def test_integer_strided_sums_are_exact_across_block_dtypes(values, block_size):
+    # An np.int64 sum carried into object blocks would overflow, and so
+    # would an int64 block whose S(k) leave int64.
+    exact = list(itertools.accumulate(int(v) for v in values))
+    n, ns = len(values), [4, 1105, 2001, len(values)]
+    probe = Strided(n, n)  # stride 1: every S(k)
+    with mock.patch.object(traces, "RUN_CELL", 4096), blocks_of(block_size):
+        got = stream(sequence_from_values(np.array(values)), ns, [probe])
+    assert probe.sample(n).tolist() == [float(s) for s in exact]
+    assert got.tolist() == [exact[k - 1] for k in ns]
 
 
 def test_infinite_term_fails_loudly():
