@@ -9,6 +9,7 @@
     PYTHONPATH=src python3 bench/kernels.py stream
     PYTHONPATH=src python3 bench/kernels.py samples --parent DIR
     PYTHONPATH=src python3 bench/kernels.py memory --parent DIR
+    python3 bench/kernels.py startup --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
     python3 bench/kernels.py traced --parent DIR --workload NAME --seed 1
 
@@ -93,12 +94,22 @@ checkout, the ``tracemalloc`` peak of ``traces.stream`` over
 ``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic, mu-over-k and mu,
 in float64 blocks, with no probe, a partial-sum ``Strided`` and a value
 ``Strided`` (``BLOCK_PEAKS``).
+``startup`` runs, in ``STARTUP_ROUNDS`` rounds with the two sides
+alternating, fresh processes in DIR (the parent checkout) and here with
+PYTHONDONTWRITEBYTECODE=1, so each compiles the modules it loads, and
+perfbench's pinned environment, each started through perfbench's
+launcher: ``import summatoria.cli`` with and without ``gc.freeze()`` after it, then
+every perfbench call at seed 1 in its workload's order, after checking
+both give the same bytes.  It keeps each side's quartiles of wall time,
+medians of CPU time and peak RSS, the number of ``summatoria.*`` modules
+each run loads (counted in a separate process), and the quartiles of
+each workload's calls' wall time summed within a round.
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
 parent checkout) and here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
 ``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth``,
-``stream``, ``samples`` or ``memory``, ``pairs`` writes into that
+``stream``, ``samples``, ``memory`` or ``startup``, ``pairs`` writes into that
 section, else into the sieve kernel's top-level ``perfbench_pairs``.
 ``traced`` runs ``perfbench/run.py --trace 1`` once in DIR (the parent
 checkout) and once here, and keeps each run's per-layer metrics under
@@ -751,6 +762,82 @@ def memory_section(parent: str) -> dict:
             "cli_of_11_seed_1": rows, "stream_tracemalloc_peak_blocks": peaks}
 
 
+STARTUP_ROUNDS = 15
+STARTUP_IMPORTS = {"import": "import summatoria.cli",
+                   "import_frozen": "import gc, summatoria.cli; gc.freeze()"}
+LOADED = "print(sum(m.startswith('summatoria.') for m in sys.modules))"
+
+
+def startup_section(parent: str) -> dict:
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+    import workloads
+    from run import LAUNCHER, PINNED_ENV
+
+    sides = {"parent": os.path.abspath(parent),
+             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    env = dict(os.environ, **PINNED_ENV, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = {f"{name}:{call.label}": call for name, make in workloads.WORKLOADS.items()
+                 for call in make(1, tmp).calls}
+        runs = {**{name: ["-c", code] for name, code in STARTUP_IMPORTS.items()},
+                **{name: ["-m", "summatoria.cli", *call.argv(2)] for name, call in calls.items()}}
+        # perfbench's launcher starts each child, so its peak RSS is its own
+        launchers = {side: subprocess.Popen([sys.executable, LAUNCHER], cwd=root, env=env,
+                                            text=True, stdin=subprocess.PIPE,
+                                            stdout=subprocess.PIPE)
+                     for side, root in sides.items()}
+        got = {name: {side: [] for side in sides} for name in runs}
+        digest = {}
+        for i in range(STARTUP_ROUNDS):
+            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                for name, argv in runs.items():
+                    request = {"argv": [sys.executable, *argv], "timeout": 600,
+                               "stdout": os.path.join(tmp, "stdout"),
+                               "stderr": os.path.join(tmp, "stderr")}
+                    launchers[side].stdin.write(json.dumps(request) + "\n")
+                    launchers[side].stdin.flush()
+                    reply = json.loads(launchers[side].stdout.readline())
+                    if reply["code"]:
+                        raise SystemExit(f"{name} failed in {sides[side]}")
+                    got[name][side].append((reply["wall"], reply["cpu"], reply["rss_mb"]))
+                    if name in calls:
+                        with open(calls[name].output, "rb") as fh:
+                            digest[name, side] = hashlib.file_digest(fh, "sha256").hexdigest()
+        for launcher in launchers.values():
+            launcher.stdin.close()
+            launcher.wait()
+            launcher.stdout.close()
+        differ = [name for name in calls if digest[name, "parent"] != digest[name, "change"]]
+        if differ:
+            raise SystemExit(f"{differ}: parent and change give different bytes")
+        loaded = {}  # the summatoria.* modules each run loads, in a separate process
+        for name, argv in runs.items():
+            code = argv[1] if name in STARTUP_IMPORTS else (
+                f"from summatoria import cli; cli.main({calls[name].argv(2)!r})")
+            loaded[name] = {side: int(subprocess.run(
+                [sys.executable, "-c", f"import sys\n{code}\n{LOADED}"], cwd=root, env=env,
+                capture_output=True, text=True, check=True).stdout) for side, root in sides.items()}
+
+    rows = {}
+    for name, by_side in got.items():
+        rows[name] = {side: {"wall_s_q1_median_q3": quartiles([r[0] for r in runs_]),
+                             "median_cpu_s": round(statistics.median(r[1] for r in runs_), 3),
+                             "median_peak_rss_mb": round(statistics.median(r[2] for r in runs_), 2),
+                             "modules": loaded[name][side]}
+                      for side, runs_ in by_side.items()}
+        print(name, json.dumps(rows[name]), flush=True)
+    per_workload = {}  # the wall time of a workload's calls, summed in each round
+    for workload in workloads.WORKLOADS:
+        names = [name for name in calls if name.startswith(workload + ":")]
+        per_workload[workload] = {side: quartiles([sum(got[name][side][i][0] for name in names)
+                                                   for i in range(STARTUP_ROUNDS)])
+                                  for side in sides}
+    print(json.dumps(per_workload), flush=True)
+    return {"command": "python3 bench/kernels.py startup --parent DIR",
+            "rounds": STARTUP_ROUNDS, "env": "PYTHONDONTWRITEBYTECODE=1",
+            "runs": rows, "workload_calls_wall_s_q1_median_q3": per_workload}
+
+
 def run_perfbench(root: str, workload: str, seed: int, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", "25", "--trace", str(trace)]
@@ -815,6 +902,7 @@ def main(argv=None) -> int:
     sub.add_parser("stream")
     sub.add_parser("samples").add_argument("--parent", required=True)
     sub.add_parser("memory").add_argument("--parent", required=True)
+    sub.add_parser("startup").add_argument("--parent", required=True)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
@@ -825,14 +913,15 @@ def main(argv=None) -> int:
     traced.add_argument("--seed", required=True, type=int)
     pairs.add_argument("--section",
                        choices=["sum", "ks", "moments", "sublinear", "synth", "stream",
-                                "samples", "memory"])
+                                "samples", "memory", "startup"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream", "samples", "memory")
+    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream", "samples", "memory",
+                "startup")
     name = args.command if args.command in sections else getattr(args, "section", None)
     section = doc.setdefault(name, {}) if name else doc
     if args.command == "kernel":
@@ -853,6 +942,8 @@ def main(argv=None) -> int:
         section.update(samples_section(args.parent))
     elif args.command == "memory":
         section.update(memory_section(args.parent))
+    elif args.command == "startup":
+        section.update(startup_section(args.parent))
     elif args.command == "traced":
         doc.setdefault("perfbench_traced", {})[args.workload] = traced_section(
             args.parent, args.workload, args.seed)

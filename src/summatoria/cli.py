@@ -18,6 +18,7 @@ capacity errors (and on selftest failures).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -27,19 +28,25 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import schedules, sequences, sieve, traces
-from .empirical import KS_CRITICAL_1PCT, LagCorrelations, empirical_cdf, ks_distance
+# What compute runs; the other commands import empirical, limits and
+# schedules in their bodies, so a process loads only its command's modules.
+from . import sequences, sieve, traces
 from .errors import BoundError, CapacityError, DegenerateSampleError, NumericError
-from .limits import KS_SAMPLE_CAP, full_verdict, verdict_to_json_dict
 from .sequences import ArithmeticSequence
-from .traces import geometric_checkpoints, validate_checkpoints
+from .traces import KS_SAMPLE_CAP, geometric_checkpoints, validate_checkpoints
 
 DEFAULT_LAGS = (1, 2, 5, 10)
 
 _GEOMETRIC_RE = re.compile(r"^geometric\(\s*(\d+)\s*,\s*([0-9.]+)\s*\)$")
 
-_SCHEDULES = {"synth:log": schedules.log_coin_schedule,
-              "synth:log2": schedules.log2_indicator_schedule}
+
+def _schedules():
+    from . import schedules  # only synth and the synth:* ids need it
+    return schedules
+
+
+_SCHEDULES = {"synth:log": lambda: _schedules().log_coin_schedule(),
+              "synth:log2": lambda: _schedules().log2_indicator_schedule()}
 
 
 # function id -> sequence bounded by N
@@ -49,7 +56,7 @@ _SEQUENCES = {
     "mu-over-k": sequences.weighted_mobius_sequence,
     "harmonic": lambda N: sequences.sequence_from_function(lambda k: np.divide(1.0, k, out=k), N,
                                                            name="harmonic"),
-    **{fid: lambda N, make=make: schedules.realize_greedy(make(), N)
+    **{fid: lambda N, make=make: _schedules().realize_greedy(make(), N)
        for fid, make in _SCHEDULES.items()},
 }
 FUNCTION_IDS = tuple(_SEQUENCES)
@@ -143,6 +150,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .empirical import LagCorrelations, empirical_cdf, ks_distance
+
     N, lags = args.N, args.lag
     seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
     values = traces.Strided(N, KS_SAMPLE_CAP, sums=False)
@@ -194,6 +203,8 @@ def csv_rows(lo: int, values: np.ndarray) -> str:
 
 
 def cmd_synth(args) -> int:
+    from . import schedules
+
     if args.function not in _SCHEDULES:
         raise ValueError(f"unknown synthetic schedule {args.function!r}; "
                          f"use {' or '.join(_SCHEDULES)}")
@@ -213,6 +224,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verdict(args) -> int:
+    from .limits import full_verdict, verdict_to_json_dict
+
     seq = resolve_function(args.function, args.N)
     cps = parse_checkpoints(args.checkpoints, args.N)
     verdict = full_verdict(seq, args.N, cps)
@@ -223,6 +236,8 @@ def cmd_verdict(args) -> int:
 
 def _selftest_suites(seed: int):
     """Yield (suite name, callable returning True on pass)."""
+    from . import schedules
+    from .empirical import KS_CRITICAL_1PCT, empirical_cdf, ks_distance
 
     def oracle_vs_sieve():
         bound = 20000
@@ -397,16 +412,28 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser().parse_args(_expand_config(argv))
-        return _COMMANDS[args.command](args)
-    except (BoundError, DegenerateSampleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CapacityError, NumericError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's showwarning on return
+        # one line, with no source path, so stderr is the same in every checkout
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(_expand_config(argv))
+            return _COMMANDS[args.command](args)
+        except (BoundError, DegenerateSampleError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (CapacityError, NumericError, MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+
+
+def run() -> None:
+    """The process entry (``python -m summatoria.cli``, the ``summatoria``
+    script).  After ``gc.freeze()`` no collection, the one at exit included,
+    walks the objects the imports left; ``main`` freezes nothing, as tests
+    call it in-process.  ``sys.exit``, not ``os._exit``, so atexit runs."""
+    gc.freeze()
+    sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -19,7 +19,8 @@ import numpy as np
 from .empirical import empirical_cdf, ks_distance
 from .errors import BoundError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
-from .traces import Strided, SummatoryTrace, stream, summatory_trace, validate_checkpoints
+from .traces import (KS_SAMPLE_CAP, Strided, SummatoryTrace, stream, summatory_trace,
+                     validate_checkpoints)
 
 DECAYING = "decaying"
 BOUNDED = "bounded"
@@ -28,9 +29,6 @@ INCONCLUSIVE = "inconclusive"
 
 SLOPE_THRESHOLD = 0.1
 REMAINDER_FLOOR = 1e-13
-
-# Partial-sum samples fed to the KS statistic are strided down to this size.
-KS_SAMPLE_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,9 @@ def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
 RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
 _SAMPLE_BUDGET = 1 << 27
 
+# The samples a command feeds to the KS statistic are strided down to this size.
+KS_SAMPLE_CAP = 10**6
+
 
 class Strided:
     """Probe: S(k), or f(k) with ``sums=False``, at k = s, 2s, ... <= n for

@@ -1,16 +1,24 @@
+import ast
+import gc
 import hashlib
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import summatoria
 from summatoria import cli, empirical_cdf, ks_distance, sieve
 from summatoria.cli import main, parse_checkpoints
+
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 def run_cli(*argv, capsys):
@@ -130,7 +138,7 @@ def test_synth_csv_bytes_match_the_row_writer(function, N, tmp_path, capsys):
     # N covers the 2**16-row chunks and the changes of digit count; synth:log
     # writes labels 1 and -1, of different lengths
     expected = "k,f\n" + rows_one_at_a_time(
-        cli.schedules.realize_greedy(cli._SCHEDULES[function](), N).values(1, N))
+        summatoria.realize_greedy(cli._SCHEDULES[function](), N).values(1, N))
     status, out, _ = run_cli("synth", "--function", function, "--N", str(N), capsys=capsys)
     assert status == 0
     assert out == expected
@@ -337,6 +345,80 @@ def test_non_finite_sum_exits_two(tmp_path, capsys):
                              "--checkpoints", "2", capsys=capsys)
     assert status == 2
     assert "f(1..2) is not finite" in err and "Traceback" not in err
+
+
+COMPUTE_MODULES = {"cli", "errors", "sequences", "sieve", "traces"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["compute", "--function", "mu-over-k", "--N", "5000"], set()),
+    (["compute", "--function", "mu", "--N", "5000"], {"sublinear"}),
+    (["analyze", "--function", "mu", "--N", "1000", "--lag", "1"], {"empirical"}),
+    (["verdict", "--function", "mu", "--N", "5000"], {"empirical", "limits"}),
+    (["synth", "--function", "synth:log2", "--N", "100"], {"schedules"}),
+    (["verdict", "--function", "synth:log", "--N", "5000"], {"empirical", "limits", "schedules"}),
+    (["selftest"], {"empirical", "schedules", "sublinear"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, extra):
+    # Each module costs its compile (no bytecode cache in a source checkout
+    # run with PYTHONDONTWRITEBYTECODE) in every process.
+    script = ("import contextlib, io, sys\n"
+              "from summatoria import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    assert cli.main({argv!r}) == 0\n"
+              "print(' '.join(sorted(m[11:] for m in sys.modules if m.startswith('summatoria.'))))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(COMPUTE_MODULES | extra)
+
+
+def test_a_warning_is_one_line_without_a_source_path():
+    argv = ["verdict", "--function", "mu", "--N", "100000", "--checkpoints", "geometric(1000,1.1)"]
+    proc = subprocess.run([sys.executable, "-m", "summatoria.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: checkpoint spacing below geometric ratio 1.5; "
+                           "log-log slope may be unreliable\n")
+    shown = warnings.showwarning
+    assert main([*argv, "--output", os.devnull]) == 0
+    assert warnings.showwarning is shown  # main restores the caller's display
+
+
+def test_the_process_entry_matches_main_and_freezes_the_import_heap(tmp_path, capsys):
+    def entry(*argv):
+        proc = subprocess.run([sys.executable, "-m", "summatoria.cli", *argv], capture_output=True)
+        return proc.returncode, proc.stdout, proc.stderr.decode()
+
+    freezes = gc.get_freeze_count()
+    for argv in (["compute", "--function", "lambda", "--N", "100000"],
+                 ["synth", "--function", "synth:log", "--N", "1000"]):
+        status, out, _ = entry(*argv)
+        assert status == 0
+        assert main(argv) == 0
+        assert out.decode() == capsys.readouterr().out
+    assert gc.get_freeze_count() == freezes  # main itself freezes nothing
+    status, out, err = entry("compute", "--function", "nope", "--N", "10")
+    assert (status, out) == (1, b"")
+    assert "error: unknown function id" in err
+    csv = tmp_path / "huge.csv"
+    csv.write_text("k,f\n1,1e308\n2,1e308\n")
+    status, _, err = entry("compute", "--function", f"file:{csv}", "--N", "2",
+                           "--checkpoints", "2")
+    assert status == 2 and "Traceback" not in err
+
+    # The entry has frozen the import heap by exit, and atexit handlers still
+    # run: the process ends through sys.exit, not os._exit.
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+              "sys.argv = ['summatoria', 'compute', '--function', 'mu', '--N', '10']\n"
+              "runpy.run_module('summatoria.cli', run_name='__main__', alter_sys=True)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    script, = re.findall(r'^summatoria = "summatoria\.cli:(\w+)"$',
+                         (ROOT / "pyproject.toml").read_text(), re.M)
+    block, = [node for node in ast.parse(pathlib.Path(cli.__file__).read_text()).body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert ast.unparse(block) == f"if __name__ == '__main__':\n    {script}()"
 
 
 def _write_values(path, values) -> None:
