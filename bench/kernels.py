@@ -13,7 +13,18 @@
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
     python3 bench/kernels.py traced --parent DIR --workload NAME --seed 1
 
-Run from the root of a checkout.  ``kernel`` times one 2**20 block ending
+Run from the root of a checkout; DIR is the parent checkout.  Every timed
+CLI call is a fresh child process, started through perfbench's launcher
+(``perfbench/launcher.py``), so that its peak RSS is its own and not this
+process's, in perfbench's pinned environment plus
+PYTHONDONTWRITEBYTECODE=1, so that each child compiles the modules it
+loads.  A child runs the CLI's process entry, ``python -m summatoria.cli``,
+or, on a side that runs code of its own first, that code and then
+``cli.run()``.  A side is a checkout and that code.  The runs of the sides
+alternate, in reversed order every other round, and a call whose runs
+write different bytes is not recorded (``alternate``).
+
+``kernel`` times one 2**20 block ending
 at each of ``BLOCK_ENDS`` (4 * 2**20 and 10 * 2**20, at the last blocks
 of stats-analyze's verdict, N = 4,096,000, and of float-accumulate's
 ``mu-over-k`` call, then 3e7 and 1e9), median and best of 15 in this
@@ -22,14 +33,14 @@ process with the kernels' runs alternating: the reference kernel of
 checking that both give the same bytes; then ``mertens_trace(3e7)`` forced to stream
 (``sublinear.table_limit`` replaced by the last checkpoint), best of 3,
 with each kernel swapped in for ``sieve.sieve_block``.  With
-``--parent``, the package of DIR (the parent checkout) is loaded into the
+``--parent``, the package of DIR is loaded into the
 same process under another name, and its ``sieve_block`` is a third
 kernel in every comparison.
 ``sum`` times the exact sum of one 2**20 block, best and median of 7,
 by the level-peeling front (``traces._peeled_sums``, which bins the
 whole block where its levels leave a rest) against exponent binning
 alone (``_binned_sums``), and with ``--parent`` against the
-``_peeled_sums`` of DIR's package (the parent checkout), loaded as for
+``_peeled_sums`` of DIR's package, loaded as for
 ``kernel``, after checking that all give the same Fraction: mu(k)/k and
 1/k ending at 2**20, 10 * 2**20 and 3e7, a standard normal sample,
 exp(-k/1000) and a tiled 1e300/subnormal mix.  Then the microseconds per ``Block.sums_at``
@@ -38,7 +49,7 @@ checkpoint, best and median of 5, with each kernel behind ``sums_at``,
 after checking both give the same sums.  The runs of the two sides
 alternate.
 ``ks`` times ``ks_distance`` against the full evaluation it replaced (Phi
-and both step arrays at every sorted point, kept here) on the KS samples
+and both step arrays at every sorted point, ``tests/reference_ks.py``) on the KS samples
 of ``analyze mu --N 1e6`` (10**6 points), of ``verdict mu-over-k --N
 4096000`` (13 samples, 3.04e6 points) and of ``verdict mu-over-k --N 3e6
 --checkpoints "geometric(1000,1.02)"`` (405 samples), after checking
@@ -49,76 +60,64 @@ points at which ``ks_distance`` evaluates Phi.
 2**20, 10 * 2**20 and 3e7, best of 5: the sum of the rounded products
 f(k) f(k+3) by ``exact_prefix_sums`` against the exact ``Block.dot`` of
 the split values, with the once-per-block ``Block.split`` timed on its
-own; then ``analyze --N 1e6 --threads 2`` of mu, mu-over-k and harmonic
-in DIR (the parent checkout) and here, best of 5 with the two sides
-alternating, with each run's peak RSS and whether the two sides'
-reports are the same bytes.
+own; then ``analyze --N 1e6`` of mu, mu-over-k and harmonic in DIR and
+here, best of 5, with each run's peak RSS.
 ``sublinear`` runs ``compute --function mu|lambda`` on the schedules of
-``SUBLINEAR_RUNS`` in fresh processes at 1 thread, best of 3 (of 1 for
-the 10**9 stream), with each run's peak RSS: as the CLI picks its path,
-and forced to stream (``sublinear.table_limit`` replaced by the last
-checkpoint), after checking both give the same bytes; the dense schedules
-also run in DIR (the parent checkout), best of 5 alternating with here.
+``SUBLINEAR_RUNS``, best of 3 (of 1 for the 10**9 stream), with each
+run's peak RSS: as the CLI picks its path, and forced to stream
+(``sublinear.table_limit`` replaced by the last checkpoint); the dense
+schedules also run in DIR, best of 5.
 It then fits the constants of ``sublinear``'s cost model in this process:
 stream and table seconds per entry at 2**24, and ``sublinear.from_table``
 on slices of a 2**24 table for checkpoints 10**9..10**11 and geometric
 schedules, by least squares of the relative error with no negative
 constant.
-``synth`` runs ``synth --function synth:log2 --N 1e6`` in fresh processes
-in DIR (the parent checkout) and here, best of 5 alternating, with each
-run's peak RSS, after checking both give the same bytes; then the
+``synth`` runs ``synth --function synth:log2 --N 1e6`` in DIR and here,
+best of 5, with each run's peak RSS; then the
 tracemalloc peak of ``schedules.realize_greedy`` at that N in each
 checkout; then, in this process, the CSV rows of that realization written
 to os.devnull one f-string and one write per row against
 ``cli.csv_rows`` in blocks of ``cli._CSV_ROWS`` rows, best of 5, after
 checking both give the same text.
 ``stream`` runs ``compute --function F --N 10 * 2**20`` for F = mu, mu-over-k,
-harmonic and a ``file:`` CSV of ``synth:log2`` at that N, in fresh processes,
-best of 5 with the two sides alternating, with each run's peak RSS:
-``traces.stream`` as it is (every block inline), and with each next block
-evaluated one ahead on a background thread (``AHEAD``), after checking both
-give the same bytes.  mu is forced to stream (``sublinear.table_limit``
+harmonic and a ``file:`` CSV of ``synth:log2`` at that N, best of 5, with
+each run's peak RSS: ``traces.stream`` as it is (every block inline), and
+with each next block evaluated one ahead on a background thread
+(``AHEAD``).  mu is forced to stream (``sublinear.table_limit``
 replaced by the last checkpoint).
-``samples`` runs five verdicts in fresh processes in DIR (the parent
-checkout) and here, 5 runs with the two sides alternating, and keeps the
-medians of wall time and peak RSS, after checking both give the same
-bytes: ``file:`` of a ``synth:log2`` CSV at 1e6, then ``SAMPLES_RUNS``,
-whose checkpoints share KS sample strides.
+``samples`` runs five verdicts in DIR and here, 5 runs each, and keeps the
+medians of wall time and peak RSS: ``file:`` of a ``synth:log2`` CSV at
+1e6, then ``SAMPLES_RUNS``, whose checkpoints share KS sample strides.
 ``memory`` runs float-accumulate's two ``compute`` calls, stats-analyze's
 ``verdict`` at seed 1 and ``MEMORY_VERDICT`` (an integer stream with
-partial-sum KS samples) in fresh processes in DIR (the parent checkout)
-and here, 11 runs with the two sides alternating, after checking both
-give the same bytes, and keeps each side's median wall time, median and
-largest peak RSS and median minor page faults; then, in a child in each
-checkout, the ``tracemalloc`` peak of ``traces.stream`` over
+partial-sum KS samples) in DIR and here, 11 runs each, and keeps each
+side's median wall time, median and largest peak RSS and median minor
+page faults, which each child counts itself (``FAULTS``); then, in a
+child in each checkout, the ``tracemalloc`` peak of ``traces.stream`` over
 ``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic, mu-over-k and mu,
 in float64 blocks, with no probe, a partial-sum ``Strided`` and a value
 ``Strided`` (``BLOCK_PEAKS``).
-``startup`` runs, in ``STARTUP_ROUNDS`` rounds with the two sides
-alternating, fresh processes in DIR (the parent checkout) and here with
-PYTHONDONTWRITEBYTECODE=1, so each compiles the modules it loads, and
-perfbench's pinned environment, each started through perfbench's
-launcher: ``import summatoria.cli`` with and without ``gc.freeze()`` after it, then
-every perfbench call at seed 1 in its workload's order, after checking
-both give the same bytes.  It keeps each side's quartiles of wall time,
-medians of CPU time and peak RSS, the number of ``summatoria.*`` modules
-each run loads (counted in a separate process), and the quartiles of
-each workload's calls' wall time summed within a round.
-``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR (the
-parent checkout) and here, alternating which goes first, and keeps every
+``startup`` runs, in ``STARTUP_ROUNDS`` rounds, in DIR and here:
+``import summatoria.cli`` with and without ``gc.freeze()`` after it, then
+every perfbench call at seed 1 in its workload's order.  It keeps each
+side's quartiles of wall time, medians of CPU time and peak RSS, the
+number of ``summatoria.*`` modules each run loads (counted in a separate
+process), and the quartiles of each workload's calls' wall time summed
+within a round.
+``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR and
+here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section sum``, ``ks``, ``moments``, ``sublinear``, ``synth``,
-``stream``, ``samples``, ``memory`` or ``startup``, ``pairs`` writes into that
+``--section NAME``, ``pairs`` writes into that
 section, else into the sieve kernel's top-level ``perfbench_pairs``.
-``traced`` runs ``perfbench/run.py --trace 1`` once in DIR (the parent
-checkout) and once here, and keeps each run's per-layer metrics under
-``perfbench_traced``.
+``traced`` runs ``perfbench/run.py --trace 1`` once in DIR and once here,
+and keeps each run's per-layer metrics under ``perfbench_traced``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -130,11 +129,18 @@ import subprocess
 import sys
 import tempfile
 import time
+from typing import NamedTuple
 
 import numpy as np
 
-HERE = os.path.dirname(os.path.abspath(__file__))
-OUT = os.path.join(HERE, os.pardir, "BENCH_kernels.json")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this checkout
+OUT = os.path.join(ROOT, "BENCH_kernels.json")
+# perfbench's launcher, environment and workloads; the tests' reference kernels
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")]
+from run import LAUNCHER, PINNED_ENV  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+ENV = dict(os.environ, **PINNED_ENV, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 BLOCK = 1 << 20
 BLOCK_ENDS = (4 * BLOCK, 10 * BLOCK, 30_000_000, 1_000_000_000)
 TRACE_N = 30_000_000
@@ -164,6 +170,81 @@ SAMPLES_RUNS = [
     ("mu", 3 * 10**7, "geometric(1000000,1.1)"), ("mu-over-k", 3 * 10**6, "geometric(1000,1.02)"),
 ]
 STREAM_N = 10 * BLOCK
+FORCE_STREAM = ("from summatoria import sublinear\n"
+                "sublinear.table_limit = lambda cps: int(cps[-1])\n")
+
+
+class Side(NamedTuple):
+    """A checkout, and code its children run before the CLI's process entry."""
+
+    root: str
+    prelude: str = ""
+
+
+class Run(NamedTuple):
+    wall: float
+    cpu: float
+    rss_mb: float
+    err: str  # the child's stderr
+
+
+def alternate(k: int, sides: dict[str, Side], calls: list) -> list[tuple[dict, str]]:
+    """Run each call k times on each side: in each round side after side, in
+    reversed order every other round, and the calls in order within a side.
+    A call is the CLI's arguments, or a program of its own as a str.  Per
+    call: ({side: its Runs}, the sha256 of what every run wrote, its
+    ``--output`` file or else its stdout); runs that write different bytes
+    end the bench."""
+    got = [({name: [] for name in sides}, set()) for _ in calls]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        launchers = {root: stack.enter_context(subprocess.Popen(
+            [sys.executable, LAUNCHER], cwd=root, env=ENV, text=True,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            for root in {side.root for side in sides.values()}}
+        stdout, stderr = os.path.join(tmp, "stdout"), os.path.join(tmp, "stderr")
+        for i in range(k):
+            for name in list(sides)[:: 1 if i % 2 == 0 else -1]:
+                root, prelude = sides[name]
+                for call, (runs, digests) in zip(calls, got):
+                    if isinstance(call, str):
+                        argv, written = ["-c", call], stdout
+                    else:
+                        entry = (["-c", f"{prelude}\nfrom summatoria import cli\ncli.run()"]
+                                 if prelude else ["-m", "summatoria.cli"])
+                        argv = entry + call
+                        written = call[call.index("--output") + 1] if "--output" in call else stdout
+                    request = {"argv": [sys.executable, *argv], "stdout": stdout,
+                               "stderr": stderr, "timeout": 600}
+                    launchers[root].stdin.write(json.dumps(request) + "\n")
+                    launchers[root].stdin.flush()
+                    reply = json.loads(launchers[root].stdout.readline())
+                    with open(stderr, encoding="utf-8", errors="replace") as fh:
+                        err = fh.read()
+                    if reply["code"]:
+                        raise SystemExit(f"{call} failed in {root}: {err.strip()[-300:]}")
+                    with open(written, "rb") as fh:
+                        digests.add(hashlib.file_digest(fh, "sha256").hexdigest())
+                    if len(digests) > 1:
+                        raise SystemExit(f"{call}: the sides write different bytes")
+                    runs[name].append(Run(reply["wall"], reply["cpu"], reply["rss_mb"], err))
+    return [(runs, digest) for runs, (digest,) in got]
+
+
+STATS = {"best_s": lambda runs: round(min(r.wall for r in runs), 3),
+         "median_s": lambda runs: round(statistics.median(r.wall for r in runs), 3),
+         "peak_rss_mb": lambda runs: round(max(r.rss_mb for r in runs), 1),
+         "median_peak_rss_mb": lambda runs: round(statistics.median(r.rss_mb for r in runs), 1)}
+
+
+def summary(by_side: dict, keys=("best_s", "median_s", "peak_rss_mb")) -> dict:
+    """{f"{side}_{key}": that STATS of the side's runs} for each key and side."""
+    return {f"{side}_{key}": STATS[key](runs) for key in keys for side, runs in by_side.items()}
+
+
+def python_in(root: str, code: str) -> str:
+    """The stdout of ``python -c code`` in the checkout ``root``, untimed."""
+    return subprocess.run([sys.executable, "-c", code], cwd=root, env=ENV, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def times_of(k: int, fns: dict) -> dict:
@@ -199,7 +280,6 @@ def load_parent(parent: str, module: str):
 
 
 def kernel_section(parent: str | None) -> dict:
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
     from unittest import mock
 
     from reference_sieve import reference_sieve_block
@@ -325,19 +405,11 @@ def sum_section(parent: str | None) -> dict:
 
 
 def ks_section() -> dict:
+    from reference_ks import ks_distance_full as ks_full
     from summatoria import cli, empirical, limits, sequences, traces
     from summatoria.empirical import empirical_cdf, ks_distance
 
     phi = empirical._normal_cdf_sorted
-
-    def ks_full(dist):  # ks_distance before pruning: Phi and both steps at every point
-        z = dist.sample - dist.mean
-        z /= math.sqrt(dist.variance)
-        ref = phi(z)
-        steps = np.arange(dist.n + 1) / dist.n
-        above = np.max(steps[1:] - ref)
-        ref -= steps[:-1]
-        return float(max(above, np.max(ref)))
 
     def counted(z):  # Phi, counting the points ks_distance evaluates it at
         evaluated[0] += z.size
@@ -376,33 +448,13 @@ def ks_section() -> dict:
 
 
 def moments_section(parent: str) -> dict:
-    # The analyze runs come first: a child's ru_maxrss starts from the peak
-    # RSS of this process at the fork, which stays small until then.
-    sides = {"parent": os.path.abspath(parent),
-             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    sides = {"parent": Side(os.path.abspath(parent)), "change": Side(ROOT)}
     analyze = []
     for function in ("mu", "mu-over-k", "harmonic"):
-        argv = [sys.executable, "-m", "summatoria.cli", "analyze", "--function", function,
-                "--N", str(ANALYZE_N), "--threads", "2"]
-        secs, rss, out = {side: [] for side in sides}, {side: [] for side in sides}, {}
-        for i in range(5):
-            for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-                start = time.perf_counter()
-                proc = subprocess.Popen(argv, cwd=sides[side], stdout=subprocess.PIPE,
-                                        env=dict(os.environ, PYTHONPATH="src"))
-                out[side] = proc.stdout.read()
-                proc.stdout.close()
-                _, status, usage = os.wait4(proc.pid, 0)
-                secs[side].append(time.perf_counter() - start)
-                rss[side].append(usage.ru_maxrss / 1024)
-                if status:
-                    raise SystemExit(f"analyze {function} failed in {sides[side]}")
-        analyze.append({"function": function, "N": ANALYZE_N, "threads": 2,
-                        "same_bytes": out["parent"] == out["change"],
-                        **{f"{side}_best_s": round(min(secs[side]), 3) for side in sides},
-                        **{f"{side}_median_s": round(statistics.median(secs[side]), 3)
-                           for side in sides},
-                        **{f"{side}_peak_rss_mb": round(max(rss[side]), 1) for side in sides}})
+        (runs, _), = alternate(5, sides, [["analyze", "--function", function,
+                                           "--N", str(ANALYZE_N)]])
+        analyze.append({"function": function, "N": ANALYZE_N, "same_bytes": True,
+                        **summary(runs)})
 
     from summatoria import sequences, traces
 
@@ -430,54 +482,19 @@ def moments_section(parent: str) -> dict:
             "block_2pow20_best_of_5": rows, "analyze_best_of_5": analyze}
 
 
-def child_usage(argv: list[str], cwd: str, code: str = ""):
-    """Seconds, resource usage and stdout of a CLI call run in a fresh
-    interpreter; ``code`` runs first in that interpreter."""
-    prog = f"import sys\n{code}\nfrom summatoria import cli\nsys.exit(cli.main(sys.argv[1:]))"
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", prog, *argv], cwd=cwd,
-                            stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH="src"))
-    out = proc.stdout.read()
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    if status:
-        raise SystemExit(f"{argv} failed in {cwd}")
-    return time.perf_counter() - start, usage, out
-
-
-def child(argv: list[str], cwd: str, code: str = "") -> tuple[float, float, bytes]:
-    """Seconds, peak RSS (MB) and stdout of a CLI call run in a fresh
-    interpreter; ``code`` runs first in that interpreter."""
-    secs, usage, out = child_usage(argv, cwd, code)
-    return secs, usage.ru_maxrss / 1024, out
-
-
 def sublinear_section(parent: str) -> dict:
-    here = os.path.abspath(os.path.join(HERE, os.pardir))
-    force_stream = ("from summatoria import sublinear; "
-                    "sublinear.table_limit = lambda cps: int(cps[-1])")
     runs = []
-    for function, N, cps in SUBLINEAR_RUNS:  # children first: see moments_section
-        argv = ["compute", "--function", function, "--N", str(N), "--checkpoints", cps,
-                "--threads", "1"]
-        sides = {"picked": (here, "")}
+    for function, N, cps in SUBLINEAR_RUNS:
+        argv = ["compute", "--function", function, "--N", str(N), "--checkpoints", cps]
+        sides = {"picked": Side(ROOT)}
         if N <= 10**9:
-            sides["stream"] = (here, force_stream)
+            sides["stream"] = Side(ROOT, FORCE_STREAM)
         if cps.startswith("geometric(1,"):
-            sides["parent"] = (os.path.abspath(parent), "")
+            sides["parent"] = Side(os.path.abspath(parent))
         k = 1 if N == 10**9 else 5 if "parent" in sides else 3
-        secs, rss, out = {s: [] for s in sides}, {s: [] for s in sides}, {}
-        for i in range(k):
-            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-                t, r, out[side] = child(argv, *sides[side])
-                secs[side].append(t)
-                rss[side].append(r)
-        if len(set(out.values())) != 1:
-            raise SystemExit(f"{argv}: the paths give different bytes")
-        row = {"function": function, "N": N, "checkpoints": cps, "runs": k}
-        for side in sides:
-            row[f"{side}_best_s"] = round(min(secs[side]), 3)
-            row[f"{side}_peak_rss_mb"] = round(max(rss[side]), 1)
+        (got, _), = alternate(k, sides, [argv])
+        row = {"function": function, "N": N, "checkpoints": cps, "runs": k,
+               **summary(got, ("best_s", "peak_rss_mb"))}
         runs.append(row)
         print(json.dumps(row), flush=True)
 
@@ -546,23 +563,13 @@ def rows_one_at_a_time(values, out) -> None:
 
 
 def synth_section(parent: str) -> dict:
-    sides = {"parent": os.path.abspath(parent),
-             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    sides = {"parent": Side(os.path.abspath(parent)), "change": Side(ROOT)}
     argv = ["synth", "--function", "synth:log2", "--N", str(SYNTH_N)]
-    secs, rss, out = {side: [] for side in sides}, {side: [] for side in sides}, {}
-    for i in range(5):  # children first: see moments_section
-        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-            t, r, out[side] = child(argv, sides[side])
-            secs[side].append(t)
-            rss[side].append(r)
-    if out["parent"] != out["change"]:
-        raise SystemExit(f"{argv}: parent and change give different bytes")
+    (runs, digest), = alternate(5, sides, [argv])
     peak = ("import tracemalloc\nfrom summatoria import schedules\ntracemalloc.start()\n"
             f"schedules.realize_greedy(schedules.log2_indicator_schedule(), {SYNTH_N})\n"
             "print(tracemalloc.get_traced_memory()[1])")
-    realize_mb = {side: int(subprocess.run(
-        [sys.executable, "-c", peak], cwd=root, capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH="src")).stdout) / 1e6 for side, root in sides.items()}
+    realize_mb = {name: int(python_in(side.root, peak)) / 1e6 for name, side in sides.items()}
 
     from summatoria import cli, schedules
 
@@ -579,17 +586,14 @@ def synth_section(parent: str) -> dict:
         buf = io.StringIO()
         write(buf)
         texts[name] = buf.getvalue()
-    if "k,f\n" + texts["blocks"] != out["change"].decode("ascii") or len(set(texts.values())) != 1:
+    csv = ("k,f\n" + texts["blocks"]).encode("ascii")
+    if hashlib.sha256(csv).hexdigest() != digest or len(set(texts.values())) != 1:
         raise SystemExit("the two writers give different text")
     with open(os.devnull, "w", encoding="utf-8", newline="\n") as null:
         writer_s = best_of(5, {name: lambda w=w: w(null) for name, w in writers.items()})
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py synth --parent DIR",
-        "cli_best_of_5": {"argv": argv, "sha256": hashlib.sha256(out["change"]).hexdigest(),
-                          **{f"{side}_best_s": round(min(secs[side]), 3) for side in sides},
-                          **{f"{side}_median_s": round(statistics.median(secs[side]), 3)
-                             for side in sides},
-                          **{f"{side}_peak_rss_mb": round(max(rss[side]), 1) for side in sides}},
+        "cli_best_of_5": {"argv": argv, "sha256": digest, **summary(runs)},
         "realize_greedy_tracemalloc_peak_mb": {side: round(mb, 1)
                                                for side, mb in realize_mb.items()},
         "writer_to_devnull_best_of_5": {
@@ -601,30 +605,19 @@ def synth_section(parent: str) -> dict:
 
 
 def samples_section(parent: str) -> dict:
-    sides = {"parent": os.path.abspath(parent),
-             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    sides = {"parent": Side(os.path.abspath(parent)), "change": Side(ROOT)}
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "synth_log2.csv")
-        child(["synth", "--function", "synth:log2", "--N", str(SYNTH_N), "--output", csv],
-              sides["change"])
+        alternate(1, {"change": Side(ROOT)},
+                  [["synth", "--function", "synth:log2", "--N", str(SYNTH_N), "--output", csv]])
         for argv in [["verdict", "--function", f"file:{csv}", "--N", str(SYNTH_N)],
                      *[["verdict", "--function", f, "--N", str(N), "--checkpoints", cps]
                        for f, N, cps in SAMPLES_RUNS]]:
-            secs, rss, out = {side: [] for side in sides}, {side: [] for side in sides}, {}
-            for i in range(5):
-                for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-                    t, r, out[side] = child(argv, sides[side])
-                    secs[side].append(t)
-                    rss[side].append(r)
-            if out["parent"] != out["change"]:
-                raise SystemExit(f"{argv}: parent and change give different bytes")
+            (runs, _), = alternate(5, sides, [argv])
             argv[2] = argv[2].replace(csv, "synth_log2.csv")
             rows.append({"argv": argv, "same_bytes": True,
-                         **{f"{side}_median_s": round(statistics.median(secs[side]), 3)
-                            for side in sides},
-                         **{f"{side}_median_peak_rss_mb": round(statistics.median(rss[side]), 1)
-                            for side in sides}})
+                         **summary(runs, ("median_s", "median_peak_rss_mb"))})
             print(json.dumps(rows[-1]), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py samples --parent DIR",
             "verdict_median_of_5": rows}
@@ -668,31 +661,19 @@ traces.stream = ahead
 
 
 def stream_section() -> dict:
-    here = os.path.abspath(os.path.join(HERE, os.pardir))
-    modes = {"inline": "", "worker": AHEAD}
+    modes = {"inline": Side(ROOT, FORCE_STREAM), "worker": Side(ROOT, FORCE_STREAM + AHEAD)}
     rows = []
-    with tempfile.TemporaryDirectory() as tmp:  # children first: see moments_section
+    with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "synth_log2.csv")
-        child(["synth", "--function", "synth:log2", "--N", str(STREAM_N), "--output", csv], here)
+        alternate(1, {"here": Side(ROOT)},
+                  [["synth", "--function", "synth:log2", "--N", str(STREAM_N), "--output", csv]])
         # (function id, the id whose values it holds)
         for function, source in (("mu", "mu"), ("mu-over-k", "mu-over-k"),
                                  ("harmonic", "harmonic"), (f"file:{csv}", "synth:log2")):
-            argv = ["compute", "--function", function, "--N", str(STREAM_N)]
-            secs, rss, out = {m: [] for m in modes}, {m: [] for m in modes}, {}
-            for i in range(5):
-                for mode in list(modes)[:: 1 if i % 2 == 0 else -1]:
-                    code = ("from summatoria import sublinear\n"
-                            "sublinear.table_limit = lambda cps: int(cps[-1])\n" + modes[mode])
-                    t, r, out[mode] = child(argv, here, code)
-                    secs[mode].append(t)
-                    rss[mode].append(r)
-            if out["inline"] != out["worker"]:
-                raise SystemExit(f"{argv}: inline and worker give different bytes")
+            (runs, _), = alternate(5, modes, [["compute", "--function", function,
+                                               "--N", str(STREAM_N)]])
             row = {"function": function.replace(tmp + os.sep, ""), "values_of": source,
-                   "N": STREAM_N,
-                   **{f"{m}_best_s": round(min(secs[m]), 3) for m in modes},
-                   **{f"{m}_median_s": round(statistics.median(secs[m]), 3) for m in modes},
-                   **{f"{m}_peak_rss_mb": round(max(rss[m]), 1) for m in modes}}
+                   "N": STREAM_N, **summary(runs)}
             rows.append(row)
             print(json.dumps(row), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py stream",
@@ -726,37 +707,30 @@ print(json.dumps(peaks))
 """
 
 
-def memory_section(parent: str) -> dict:
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
-    import workloads
+# Each memory child writes its own minor page faults to stderr at exit:
+# the launcher's reply holds no fault count.
+FAULTS = ("import atexit, resource, sys\natexit.register(lambda: print("
+          "resource.getrusage(resource.RUSAGE_SELF).ru_minflt, file=sys.stderr))")
 
-    sides = {"parent": os.path.abspath(parent),
-             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+
+def memory_section(parent: str) -> dict:
+    sides = {"parent": Side(os.path.abspath(parent), FAULTS), "change": Side(ROOT, FAULTS)}
     rows = []
-    with tempfile.TemporaryDirectory() as tmp:  # children first: see moments_section
-        calls = [*(call.args for call in workloads.WORKLOADS["float-accumulate"](1, tmp).calls),
-                 workloads.WORKLOADS["stats-analyze"](1, tmp).calls[1].args, MEMORY_VERDICT]
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = [*(call.args for call in WORKLOADS["float-accumulate"](1, tmp).calls),
+                 WORKLOADS["stats-analyze"](1, tmp).calls[1].args, MEMORY_VERDICT]
         for args in calls:
-            argv = args + ["--threads", "2"]
-            runs, out = {side: [] for side in sides}, {}
-            for i in range(11):
-                for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-                    secs, usage, out[side] = child_usage(argv, sides[side])
-                    runs[side].append((secs, usage.ru_maxrss / 1024, usage.ru_minflt))
-            if out["parent"] != out["change"]:
-                raise SystemExit(f"{argv}: parent and change give different bytes")
+            (runs, _), = alternate(11, sides, [args])
             row = {"argv": " ".join(args[:5]), "same_bytes": True}
             for side, got in runs.items():
-                secs, rss, faults = zip(*got)
-                row[side] = {"median_s": round(statistics.median(secs), 3),
-                             "median_peak_rss_mb": round(statistics.median(rss), 1),
-                             "max_peak_rss_mb": round(max(rss), 1),
-                             "median_minor_faults": int(statistics.median(faults))}
+                row[side] = {"median_s": STATS["median_s"](got),
+                             "median_peak_rss_mb": STATS["median_peak_rss_mb"](got),
+                             "max_peak_rss_mb": STATS["peak_rss_mb"](got),
+                             "median_minor_faults": int(statistics.median(
+                                 int(r.err.split()[-1]) for r in got))}
             rows.append(row)
             print(json.dumps(row), flush=True)
-    peaks = {side: json.loads(subprocess.run(
-        [sys.executable, "-c", BLOCK_PEAKS], cwd=root, capture_output=True, text=True,
-        check=True, env=dict(os.environ, PYTHONPATH="src")).stdout) for side, root in sides.items()}
+    peaks = {name: json.loads(python_in(side.root, BLOCK_PEAKS)) for name, side in sides.items()}
     print(json.dumps(peaks), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py memory --parent DIR",
             "cli_of_11_seed_1": rows, "stream_tracemalloc_peak_blocks": peaks}
@@ -769,67 +743,32 @@ LOADED = "print(sum(m.startswith('summatoria.') for m in sys.modules))"
 
 
 def startup_section(parent: str) -> dict:
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
-    import workloads
-    from run import LAUNCHER, PINNED_ENV
-
-    sides = {"parent": os.path.abspath(parent),
-             "change": os.path.abspath(os.path.join(HERE, os.pardir))}
-    env = dict(os.environ, **PINNED_ENV, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    sides = {"parent": Side(os.path.abspath(parent)), "change": Side(ROOT)}
     with tempfile.TemporaryDirectory() as tmp:
-        calls = {f"{name}:{call.label}": call for name, make in workloads.WORKLOADS.items()
+        calls = {f"{name}:{call.label}": call.argv(2) for name, make in WORKLOADS.items()
                  for call in make(1, tmp).calls}
-        runs = {**{name: ["-c", code] for name, code in STARTUP_IMPORTS.items()},
-                **{name: ["-m", "summatoria.cli", *call.argv(2)] for name, call in calls.items()}}
-        # perfbench's launcher starts each child, so its peak RSS is its own
-        launchers = {side: subprocess.Popen([sys.executable, LAUNCHER], cwd=root, env=env,
-                                            text=True, stdin=subprocess.PIPE,
-                                            stdout=subprocess.PIPE)
-                     for side, root in sides.items()}
-        got = {name: {side: [] for side in sides} for name in runs}
-        digest = {}
-        for i in range(STARTUP_ROUNDS):
-            for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-                for name, argv in runs.items():
-                    request = {"argv": [sys.executable, *argv], "timeout": 600,
-                               "stdout": os.path.join(tmp, "stdout"),
-                               "stderr": os.path.join(tmp, "stderr")}
-                    launchers[side].stdin.write(json.dumps(request) + "\n")
-                    launchers[side].stdin.flush()
-                    reply = json.loads(launchers[side].stdout.readline())
-                    if reply["code"]:
-                        raise SystemExit(f"{name} failed in {sides[side]}")
-                    got[name][side].append((reply["wall"], reply["cpu"], reply["rss_mb"]))
-                    if name in calls:
-                        with open(calls[name].output, "rb") as fh:
-                            digest[name, side] = hashlib.file_digest(fh, "sha256").hexdigest()
-        for launcher in launchers.values():
-            launcher.stdin.close()
-            launcher.wait()
-            launcher.stdout.close()
-        differ = [name for name in calls if digest[name, "parent"] != digest[name, "change"]]
-        if differ:
-            raise SystemExit(f"{differ}: parent and change give different bytes")
+        runs = {**STARTUP_IMPORTS, **calls}
+        got = {name: by_side for name, (by_side, _) in
+               zip(runs, alternate(STARTUP_ROUNDS, sides, list(runs.values())))}
         loaded = {}  # the summatoria.* modules each run loads, in a separate process
-        for name, argv in runs.items():
-            code = argv[1] if name in STARTUP_IMPORTS else (
-                f"from summatoria import cli; cli.main({calls[name].argv(2)!r})")
-            loaded[name] = {side: int(subprocess.run(
-                [sys.executable, "-c", f"import sys\n{code}\n{LOADED}"], cwd=root, env=env,
-                capture_output=True, text=True, check=True).stdout) for side, root in sides.items()}
+        for name, run in runs.items():
+            code = (run if name in STARTUP_IMPORTS
+                    else f"from summatoria import cli; cli.main({run!r})")
+            loaded[name] = {side: int(python_in(root, f"import sys\n{code}\n{LOADED}"))
+                            for side, (root, _) in sides.items()}
 
     rows = {}
     for name, by_side in got.items():
-        rows[name] = {side: {"wall_s_q1_median_q3": quartiles([r[0] for r in runs_]),
-                             "median_cpu_s": round(statistics.median(r[1] for r in runs_), 3),
-                             "median_peak_rss_mb": round(statistics.median(r[2] for r in runs_), 2),
+        rows[name] = {side: {"wall_s_q1_median_q3": quartiles([r.wall for r in rs]),
+                             "median_cpu_s": round(statistics.median(r.cpu for r in rs), 3),
+                             "median_peak_rss_mb": round(statistics.median(r.rss_mb for r in rs), 2),
                              "modules": loaded[name][side]}
-                      for side, runs_ in by_side.items()}
+                      for side, rs in by_side.items()}
         print(name, json.dumps(rows[name]), flush=True)
     per_workload = {}  # the wall time of a workload's calls, summed in each round
-    for workload in workloads.WORKLOADS:
+    for workload in WORKLOADS:
         names = [name for name in calls if name.startswith(workload + ":")]
-        per_workload[workload] = {side: quartiles([sum(got[name][side][i][0] for name in names)
+        per_workload[workload] = {side: quartiles([sum(got[name][side][i].wall for name in names)
                                                    for i in range(STARTUP_ROUNDS)])
                                   for side in sides}
     print(json.dumps(per_workload), flush=True)
@@ -853,7 +792,7 @@ def quartiles(values: list[float]) -> list[float]:
 
 
 def pairs_section(parent: str, workload: str, seeds: list[int]) -> dict:
-    sides = {"parent": os.path.abspath(parent), "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    sides = {"parent": os.path.abspath(parent), "change": ROOT}
     runs = []
     for i, seed in enumerate(seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
@@ -874,7 +813,7 @@ def pairs_section(parent: str, workload: str, seeds: list[int]) -> dict:
 
 
 def traced_section(parent: str, workload: str, seed: int) -> dict:
-    sides = {"parent": os.path.abspath(parent), "change": os.path.abspath(os.path.join(HERE, os.pardir))}
+    sides = {"parent": os.path.abspath(parent), "change": ROOT}
     runs = {side: run_perfbench(root, workload, seed, trace=1) for side, root in sides.items()}
     return {"command": "python3 perfbench/run.py --workload %s --seed %d --seconds 25 --trace 1"
                        " (in each checkout)" % (workload, seed), **runs}
@@ -890,60 +829,44 @@ def machine() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
+# command -> (its function, whether its --parent is required; None: it takes none)
+SECTIONS = {"kernel": (kernel_section, False), "sum": (sum_section, False),
+            "ks": (ks_section, None), "moments": (moments_section, True),
+            "sublinear": (sublinear_section, True), "synth": (synth_section, True),
+            "stream": (stream_section, None), "samples": (samples_section, True),
+            "memory": (memory_section, True), "startup": (startup_section, True)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("kernel").add_argument("--parent")
-    sub.add_parser("sum").add_argument("--parent")
-    sub.add_parser("ks")
-    sub.add_parser("moments").add_argument("--parent", required=True)
-    sub.add_parser("sublinear").add_argument("--parent", required=True)
-    sub.add_parser("synth").add_argument("--parent", required=True)
-    sub.add_parser("stream")
-    sub.add_parser("samples").add_argument("--parent", required=True)
-    sub.add_parser("memory").add_argument("--parent", required=True)
-    sub.add_parser("startup").add_argument("--parent", required=True)
+    for name, (_, parent) in SECTIONS.items():
+        command = sub.add_parser(name)
+        if parent is not None:
+            command.add_argument("--parent", required=parent)
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
+    pairs.add_argument("--section", choices=[name for name in SECTIONS if name != "kernel"])
     traced = sub.add_parser("traced")
     traced.add_argument("--parent", required=True)
     traced.add_argument("--workload", required=True)
     traced.add_argument("--seed", required=True, type=int)
-    pairs.add_argument("--section",
-                       choices=["sum", "ks", "moments", "sublinear", "synth", "stream",
-                                "samples", "memory", "startup"])
     args = parser.parse_args(argv)
 
     doc = {}
     if os.path.exists(OUT):
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
-    sections = ("sum", "ks", "moments", "sublinear", "synth", "stream", "samples", "memory",
-                "startup")
-    name = args.command if args.command in sections else getattr(args, "section", None)
-    section = doc.setdefault(name, {}) if name else doc
+    # The sieve kernel's numbers, machine record and perfbench pairs are top-level.
+    name = args.command if args.command in SECTIONS else getattr(args, "section", None)
+    section = doc if name in (None, "kernel") else doc.setdefault(name, {})
     if args.command == "kernel":
         doc["kernel"] = kernel_section(args.parent)
-    elif args.command == "sum":
-        section.update(sum_section(args.parent))
-    elif args.command == "ks":
-        section.update(ks_section())
-    elif args.command == "moments":
-        section.update(moments_section(args.parent))
-    elif args.command == "sublinear":
-        section.update(sublinear_section(args.parent))
-    elif args.command == "synth":
-        section.update(synth_section(args.parent))
-    elif args.command == "stream":
-        section.update(stream_section())
-    elif args.command == "samples":
-        section.update(samples_section(args.parent))
-    elif args.command == "memory":
-        section.update(memory_section(args.parent))
-    elif args.command == "startup":
-        section.update(startup_section(args.parent))
+    elif args.command in SECTIONS:
+        run, parent = SECTIONS[args.command]
+        section.update(run() if parent is None else run(args.parent))
     elif args.command == "traced":
         doc.setdefault("perfbench_traced", {})[args.workload] = traced_section(
             args.parent, args.workload, args.seed)

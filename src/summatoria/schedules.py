@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import CapacityError
 from .sequences import ArithmeticSequence, sequence_from_values
 
 KIND_LOG = "log"
@@ -111,11 +112,12 @@ def two_value_schedule(
 
 
 _SCAN_CHUNK = 1 << 16  # n per eps1 call of _first_valid_n
+_SCAN_LIMIT = 10**6  # the last n _first_valid_n tries
 
 
-def _first_valid_n(p1_base: float, eps1, scan_limit: int = 10**6) -> int:
-    for lo in range(1, scan_limit + 1, _SCAN_CHUNK):
-        n = np.arange(lo, min(lo + _SCAN_CHUNK, scan_limit + 1), dtype=np.float64)
+def _first_valid_n(p1_base: float, eps1) -> int:
+    for lo in range(1, _SCAN_LIMIT + 1, _SCAN_CHUNK):
+        n = np.arange(lo, min(lo + _SCAN_CHUNK, _SCAN_LIMIT + 1), dtype=np.float64)
         p = p1_base + np.asarray(eps1(n), dtype=np.float64)
         inside = np.flatnonzero((p >= 0.0) & (p <= 1.0))
         if inside.size:
@@ -144,6 +146,9 @@ def fair_coin_schedule() -> TwoPointSchedule:
     return two_value_schedule(1.0, -1.0, 0.5, eps, kind=KIND_NONE)
 
 
+_REALIZE_BUDGET = 1 << 25  # values; at about 33 bytes a value (tracemalloc), near 1 GiB
+
+
 def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     """Deterministic two-valued sequence tracking the schedule's proportions.
 
@@ -153,10 +158,14 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     the rounded targets step by at most one, and guarantees
     |count_1(n) - n * p_1(n)| <= 1 for all n <= N.  Realization is
     inherently sequential; the closed form is used when valid, with a
-    step-by-step fallback otherwise.
+    step-by-step fallback otherwise.  Past ``_REALIZE_BUDGET`` values it
+    raises CapacityError before allocating.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
+    if N > _REALIZE_BUDGET:
+        raise CapacityError(f"realizing {N} values of a schedule exceeds the budget of "
+                            f"{_REALIZE_BUDGET} values")
     n = np.arange(1, N + 1, dtype=np.float64)
     eps1 = np.asarray(s.eps1(n), dtype=np.float64)
     p1_exact = s.p1 + eps1

@@ -240,6 +240,23 @@ def test_ks_samples_beyond_their_budget_exit_two_before_any_block(capsys, monkey
     assert "budget of 134217728" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--function", "synth:log", "--N", "1001"),
+    ("analyze", "--function", "synth:log2", "--N", "3", "--lag", "998"),  # N + max lag
+    ("verdict", "--function", "synth:log2", "--N", "1001"),
+    ("synth", "--function", "synth:log2", "--N", "1001"),
+])
+def test_synthetic_sequences_beyond_their_budget_exit_two(argv, capsys, monkeypatch):
+    # At the real budget, 2**25 values, a test would allocate about 1 GiB.
+    from summatoria import schedules
+
+    monkeypatch.setattr(schedules, "_REALIZE_BUDGET", 1000)
+    assert run_cli("synth", "--function", "synth:log2", "--N", "1000", capsys=capsys)[0] == 0
+    status, out, err = run_cli(*argv, capsys=capsys)
+    assert (status, out) == (2, "")
+    assert "budget of 1000 values" in err
+
+
 def test_analyze_streams_in_blocks_below_the_block_budget(capsys, monkeypatch):
     # The lag windows used to be sieved as single blocks of N entries.
     monkeypatch.setattr(sieve, "MAX_BLOCK_SIZE", 4096)

@@ -24,6 +24,7 @@ from summatoria import cli, empirical, sieve
 from summatoria.empirical import _ERFC_CUT, _KS_SLACK, _SQRT1_2, _normal_cdf_sorted
 
 from moments import moments
+from reference_ks import ks_distance_full
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -161,13 +162,6 @@ def test_ks_distance_bytes_match_ndtr_reference(seed):
         assert ks_distance(empirical_cdf(sample)) == _ks_distance_with_ndtr(sample)
 
 
-def _ks_distance_full(d):
-    """The KS statistic with Phi at every sorted point: the reference of the pruning."""
-    ref = _normal_cdf_sorted((d.sample - d.mean) / math.sqrt(d.variance))
-    steps = np.arange(d.n + 1) / d.n
-    return float(max(np.max(steps[1:] - ref), np.max(ref - steps[:-1])))
-
-
 # The branch cuts of Phi, in x = a / sqrt(2).
 _CUTS = (_SQRT1_2, 1.0, 8.0, _ERFC_CUT)
 
@@ -213,7 +207,7 @@ def test_pruned_ks_distance_equals_the_full_evaluation(drawn, data):
     # Every grid step on a short sample, where a bound off by one step shows.
     for g in range(1, d.n + 1) if d.n <= 256 else [data.draw(st.integers(1, d.n))]:
         with mock.patch.object(empirical, "_KS_GRID", g):
-            assert ks_distance(d) == _ks_distance_full(d), g
+            assert ks_distance(d) == ks_distance_full(d), g
 
 
 def test_the_ks_slack_is_far_above_every_decrease_of_phi():

@@ -1,11 +1,17 @@
 """The public surface: the names ``summatoria`` exports, and the ones its
-demos and ``bench/kernels.py`` use, which must exist."""
+demos and ``bench/kernels.py`` use, which must exist; and the bench's one
+way of starting a timed child."""
 
 import ast
+import hashlib
 import importlib
+import importlib.util
 import pathlib
+import resource
+import sys
 
 import summatoria
+from summatoria import cli
 
 ROOT = pathlib.Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -71,3 +77,22 @@ def test_bench_uses_only_existing_names():
         seen |= modules.keys()
     assert {"cli", "sieve", "sublinear", "traces"} <= seen
     assert not missing, f"bench/kernels.py reads {sorted(missing)}"
+
+
+def test_the_bench_runner_measures_each_child_on_its_own(monkeypatch, capsys):
+    # A child started straight from this process reports this process's peak
+    # RSS as its own; the bench starts every timed child through perfbench's
+    # launcher, runs the CLI's process entry and refuses sides that differ.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the bench prepends its own paths
+    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH)
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    (runs, _), = kernels.alternate(1, {"here": kernels.Side(str(ROOT))}, ["pass"])
+    assert runs["here"][0].rss_mb < resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 2
+
+    argv = ["compute", "--function", "mu", "--N", "1000"]
+    sides = {"entry": kernels.Side(str(ROOT)), "prelude": kernels.Side(str(ROOT), "x = 1")}
+    (runs, digest), = kernels.alternate(2, sides, [argv])
+    assert {side: len(got) for side, got in runs.items()} == {"entry": 2, "prelude": 2}
+    assert cli.main(argv) == 0
+    assert digest == hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
