@@ -6,7 +6,6 @@
     PYTHONPATH=src python3 bench/kernels.py moments --parent DIR
     PYTHONPATH=src python3 bench/kernels.py sublinear --parent DIR
     PYTHONPATH=src python3 bench/kernels.py synth --parent DIR
-    PYTHONPATH=src python3 bench/kernels.py stream
     PYTHONPATH=src python3 bench/kernels.py samples --parent DIR
     PYTHONPATH=src python3 bench/kernels.py memory --parent DIR
     python3 bench/kernels.py startup --parent DIR
@@ -76,15 +75,8 @@ constant.
 best of 5, with each run's peak RSS; then the
 tracemalloc peak of ``schedules.realize_greedy`` at that N in each
 checkout; then, in this process, the CSV rows of that realization written
-to os.devnull one f-string and one write per row against
-``cli.csv_rows`` in blocks of ``cli._CSV_ROWS`` rows, best of 5, after
-checking both give the same text.
-``stream`` runs ``compute --function F --N 10 * 2**20`` for F = mu, mu-over-k,
-harmonic and a ``file:`` CSV of ``synth:log2`` at that N, best of 5, with
-each run's peak RSS: ``traces.stream`` as it is (every block inline), and
-with each next block evaluated one ahead on a background thread
-(``AHEAD``).  mu is forced to stream (``sublinear.table_limit``
-replaced by the last checkpoint).
+to os.devnull by ``cli.csv_rows`` in blocks of ``cli._CSV_ROWS`` rows,
+best of 5, after checking that they are the bytes the CLI wrote.
 ``samples`` runs five verdicts in DIR and here, 5 runs each, and keeps the
 medians of wall time and peak RSS: ``file:`` of a ``synth:log2`` CSV at
 1e6, then ``SAMPLES_RUNS``, whose checkpoints share KS sample strides.
@@ -169,7 +161,6 @@ SAMPLES_RUNS = [
     ("mu-over-k", KS_VERDICT_N, "geometric(1000,2)"), ("mu-over-k", 10**7, "geometric(1000,2)"),
     ("mu", 3 * 10**7, "geometric(1000000,1.1)"), ("mu-over-k", 3 * 10**6, "geometric(1000,1.02)"),
 ]
-STREAM_N = 10 * BLOCK
 FORCE_STREAM = ("from summatoria import sublinear\n"
                 "sublinear.table_limit = lambda cps: int(cps[-1])\n")
 
@@ -406,7 +397,7 @@ def sum_section(parent: str | None) -> dict:
 
 def ks_section() -> dict:
     from reference_ks import ks_distance_full as ks_full
-    from summatoria import cli, empirical, limits, sequences, traces
+    from summatoria import cli, empirical, sequences, traces
     from summatoria.empirical import empirical_cdf, ks_distance
 
     phi = empirical._normal_cdf_sorted
@@ -423,7 +414,7 @@ def ks_section() -> dict:
             ("verdict mu-over-k --N 3e6 --checkpoints geometric(1000,1.02)",
              sequences.weighted_mobius_sequence,
              cli.parse_checkpoints("geometric(1000,1.02)", KS_DENSE_N).tolist(), True)]:
-        probe = traces.Strided(cps, limits.KS_SAMPLE_CAP, sums=sums)
+        probe = traces.Strided(cps, traces.KS_SAMPLE_CAP, sums=sums)
         traces.stream(seq(cps[-1]), cps[-1], [probe])
         secs, evaluated = {"ks_full": 0.0, "ks_distance": 0.0}, [0]
         for n in cps:  # one sorted sample at a time, so that memory stays small
@@ -556,12 +547,6 @@ def sublinear_fit() -> dict:
                        ("STREAM_S", "TABLE_S", "ELEMENT_S", "VALUE_S")}}
 
 
-def rows_one_at_a_time(values, out) -> None:
-    """The synth writer before ``cli.csv_rows``: one f-string and one write per row."""
-    for k, f in enumerate(values, start=1):
-        out.write(f"{k},{format(float(f), '.17g')}\n")
-
-
 def synth_section(parent: str) -> dict:
     sides = {"parent": Side(os.path.abspath(parent)), "change": Side(ROOT)}
     argv = ["synth", "--function", "synth:log2", "--N", str(SYNTH_N)]
@@ -580,17 +565,12 @@ def synth_section(parent: str) -> dict:
         for lo in range(1, SYNTH_N + 1, cli._CSV_ROWS):
             out.write(cli.csv_rows(lo, values[lo - 1 : lo - 1 + cli._CSV_ROWS]))
 
-    writers = {"row_at_a_time": lambda out: rows_one_at_a_time(values, out), "blocks": blocks}
-    texts = {}
-    for name, write in writers.items():
-        buf = io.StringIO()
-        write(buf)
-        texts[name] = buf.getvalue()
-    csv = ("k,f\n" + texts["blocks"]).encode("ascii")
-    if hashlib.sha256(csv).hexdigest() != digest or len(set(texts.values())) != 1:
-        raise SystemExit("the two writers give different text")
+    buf = io.StringIO()
+    blocks(buf)
+    if hashlib.sha256(("k,f\n" + buf.getvalue()).encode("ascii")).hexdigest() != digest:
+        raise SystemExit("csv_rows gives other text than the CLI")
     with open(os.devnull, "w", encoding="utf-8", newline="\n") as null:
-        writer_s = best_of(5, {name: lambda w=w: w(null) for name, w in writers.items()})
+        writer_s = best_of(5, {"blocks": lambda: blocks(null)})
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py synth --parent DIR",
         "cli_best_of_5": {"argv": argv, "sha256": digest, **summary(runs)},
@@ -621,63 +601,6 @@ def samples_section(parent: str) -> dict:
             print(json.dumps(rows[-1]), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py samples --parent DIR",
             "verdict_median_of_5": rows}
-
-
-# The worker side of ``stream``: ``traces.stream`` unchanged, over a
-# sequence whose next block is evaluated on one background thread while the
-# probes work on the current one.
-AHEAD = """
-from concurrent.futures import ThreadPoolExecutor
-import numpy as np
-from summatoria import sieve, traces
-
-inline = traces.stream
-
-
-class Ahead:
-    def __init__(self, seq, last, size, pool):
-        self.seq, self.last, self.size, self.pool = seq, last, size, pool
-        self.pending = pool.submit(seq.values, 1, min(size, last))
-
-    def __getattr__(self, name):
-        return getattr(self.seq, name)
-
-    def values(self, lo, hi):
-        arr = self.pending.result()
-        if hi < self.last:
-            self.pending = self.pool.submit(self.seq.values, hi + 1,
-                                            min(hi + self.size, self.last))
-        return arr
-
-
-def ahead(seq, ns, probes):
-    last = int(np.atleast_1d(ns)[-1])
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return inline(Ahead(seq, last, sieve.DEFAULT_BLOCK_SIZE, pool), ns, probes)
-
-
-traces.stream = ahead
-"""
-
-
-def stream_section() -> dict:
-    modes = {"inline": Side(ROOT, FORCE_STREAM), "worker": Side(ROOT, FORCE_STREAM + AHEAD)}
-    rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        csv = os.path.join(tmp, "synth_log2.csv")
-        alternate(1, {"here": Side(ROOT)},
-                  [["synth", "--function", "synth:log2", "--N", str(STREAM_N), "--output", csv]])
-        # (function id, the id whose values it holds)
-        for function, source in (("mu", "mu"), ("mu-over-k", "mu-over-k"),
-                                 ("harmonic", "harmonic"), (f"file:{csv}", "synth:log2")):
-            (runs, _), = alternate(5, modes, [["compute", "--function", function,
-                                               "--N", str(STREAM_N)]])
-            row = {"function": function.replace(tmp + os.sep, ""), "values_of": source,
-                   "N": STREAM_N, **summary(runs)}
-            rows.append(row)
-            print(json.dumps(row), flush=True)
-    return {"command": "PYTHONPATH=src python3 bench/kernels.py stream",
-            "compute_best_of_5": rows}
 
 
 # The tracemalloc peak of one ``traces.stream`` over MEMORY_BLOCKS blocks of
@@ -833,8 +756,8 @@ def machine() -> dict:
 SECTIONS = {"kernel": (kernel_section, False), "sum": (sum_section, False),
             "ks": (ks_section, None), "moments": (moments_section, True),
             "sublinear": (sublinear_section, True), "synth": (synth_section, True),
-            "stream": (stream_section, None), "samples": (samples_section, True),
-            "memory": (memory_section, True), "startup": (startup_section, True)}
+            "samples": (samples_section, True), "memory": (memory_section, True),
+            "startup": (startup_section, True)}
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 from . import sequences, sieve, traces
 from .errors import BoundError, CapacityError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence
-from .traces import KS_SAMPLE_CAP, geometric_checkpoints, validate_checkpoints
+from .traces import geometric_checkpoints, validate_checkpoints
 
 DEFAULT_LAGS = (1, 2, 5, 10)
 
@@ -154,7 +154,7 @@ def cmd_analyze(args) -> int:
 
     N, lags = args.N, args.lag
     seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
-    values = traces.Strided(N, KS_SAMPLE_CAP, sums=False)
+    values = traces.Strided(N, traces.KS_SAMPLE_CAP, sums=False)
     correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
     traces.stream(seq, N + max(lags), [values, correlations])
     mean, (variance, *rhos) = correlations.mean(), correlations.result()
@@ -168,7 +168,7 @@ def cmd_analyze(args) -> int:
     with _open_output(args.output) as out:
         if args.format == "json":
             _write_json({"function": seq.name, "N": N, "mean": mean, "variance": variance,
-                         "min": float(dist.sample[0]), "max": float(dist.sample[-1]),
+                         "min": float(correlations.low), "max": float(correlations.high),
                          "ks_normal_D": None if math.isnan(ks_normal) else ks_normal,
                          "independence": [{"h": h, "rho": r} for h, r in rho]}, out)
         else:
@@ -209,14 +209,15 @@ def cmd_synth(args) -> int:
         raise ValueError(f"unknown synthetic schedule {args.function!r}; "
                          f"use {' or '.join(_SCHEDULES)}")
     schedule = _SCHEDULES[args.function]()
-    with _open_output(args.output) as out:
-        if args.format == "json":
+    if args.format == "json":
+        with _open_output(args.output) as out:
             _write_json(schedules.schedule_to_json_dict(schedule), out)
-            return 0
-        if args.N is None:
-            raise ValueError("synth needs --N for its CSV realization (the schedule JSON "
-                             "of --format json does not)")
-        values = schedules.realize_greedy(schedule, args.N).values(1, args.N)
+        return 0
+    if args.N is None:
+        raise ValueError("synth needs --N for its CSV realization (the schedule JSON "
+                         "of --format json does not)")
+    values = schedules.realize_greedy(schedule, args.N).values(1, args.N)  # before the file opens
+    with _open_output(args.output) as out:
         out.write("k,f\n")
         for lo in range(1, args.N + 1, _CSV_ROWS):
             out.write(csv_rows(lo, values[lo - 1 : lo - 1 + _CSV_ROWS]))

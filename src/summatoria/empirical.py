@@ -188,8 +188,9 @@ def ks_distance(dist: EmpiricalDistribution) -> float:
 
 class LagCorrelations:
     """Probe: rho(n, h) of ``independence_estimator`` for each lag h >= 0,
-    and the mean S(n)/n; the stream must reach n + max(lags).  rho(n, 0)
-    is the population variance.
+    the mean S(n)/n and the least and largest f(k), k <= n (``low`` and
+    ``high``); the stream must reach n + max(lags).  rho(n, 0) is the
+    population variance.
 
     Each block's exact sums of f(k) f(k+h) (``Block.dot``) are merged
     exactly, with the last max(lags) values carried across block
@@ -202,10 +203,14 @@ class LagCorrelations:
         self.sums = {0: 0}  # exact S(k) at the points the stream has passed
         self.products = dict.fromkeys(self.lags, 0)
         self.tail = None  # the last max(lags) values, as Block.split gives them
+        self.low, self.high = math.inf, -math.inf
 
     def add(self, block: Block) -> None:
         hits, sums = block.sums_at(self.points)
         self.sums.update(zip(hits.tolist(), sums))
+        if block.lo <= self.n:
+            head = block.values[: self.n - block.lo + 1]
+            self.low, self.high = min(self.low, head.min()), max(self.high, head.max())
         ext = block.split(self.tail)
         start = block.hi + 1 - ext.shape[-1]  # ext[..., 0] holds f(start)
         for h in self.products:  # each lag once, though it may be listed twice

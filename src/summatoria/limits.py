@@ -16,11 +16,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import traces
 from .empirical import empirical_cdf, ks_distance
 from .errors import BoundError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
-from .traces import (KS_SAMPLE_CAP, Strided, SummatoryTrace, stream, summatory_trace,
-                     validate_checkpoints)
+from .traces import Strided, SummatoryTrace, stream, summatory_trace, validate_checkpoints
 
 DECAYING = "decaying"
 BOUNDED = "bounded"
@@ -194,7 +194,7 @@ def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerd
     if N > seq.bound:
         raise BoundError(f"N={N} exceeds the sequence bound {seq.bound}")
     cps = validate_checkpoints(checkpoints, N)
-    samples = Strided(cps, KS_SAMPLE_CAP)
+    samples = Strided(cps, traces.KS_SAMPLE_CAP)
     trace = SummatoryTrace(cps, stream(seq, cps, [samples]), seq.name)
 
     mu0, drift = estimate_limit_mean(trace)

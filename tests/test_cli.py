@@ -257,6 +257,32 @@ def test_synthetic_sequences_beyond_their_budget_exit_two(argv, capsys, monkeypa
     assert "budget of 1000 values" in err
 
 
+def test_a_failing_synth_leaves_its_output_alone(tmp_path, capsys, monkeypatch):
+    # synth realizes the schedule before it opens --output, as the other
+    # commands compute before they write.
+    from summatoria import schedules
+
+    monkeypatch.setattr(schedules, "_REALIZE_BUDGET", 1000)
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("keep")
+    assert run_cli("synth", "--function", "synth:log2", "--N", "1001",
+                   "--output", str(kept), capsys=capsys)[0] == 2
+    assert kept.read_text() == "keep"
+    assert run_cli("synth", "--function", "synth:log2", "--output", str(new),
+                   capsys=capsys)[0] == 1
+    assert not new.exists()
+
+
+def test_analyze_min_and_max_are_over_every_value(capsys):
+    # Past 10**6 values the KS sample is strided: at N = 2e6 it holds
+    # f(2), f(4), ... and misses harmonic's largest value, f(1) = 1.
+    status, out, err = run_cli("analyze", "--function", "harmonic", "--N", "2000000",
+                               "--lag", "1", capsys=capsys)
+    assert status == 0, err
+    doc = json.loads(out)
+    assert (doc["min"], doc["max"]) == (1 / 2_000_000, 1.0)
+
+
 def test_analyze_streams_in_blocks_below_the_block_budget(capsys, monkeypatch):
     # The lag windows used to be sieved as single blocks of N entries.
     monkeypatch.setattr(sieve, "MAX_BLOCK_SIZE", 4096)

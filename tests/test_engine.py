@@ -162,7 +162,7 @@ def test_real_analyze_is_exact_at_every_blocking(function, N, block_size, lags):
 
 def test_analyze_ks_sample_keeps_its_stride_across_blocks(monkeypatch):
     # With 1000 sample points over N = 5000, the sample is f(5), f(10), ...
-    monkeypatch.setattr(cli, "KS_SAMPLE_CAP", 1000)
+    monkeypatch.setattr(traces, "KS_SAMPLE_CAP", 1000)
     reference = cli_bytes("analyze", "--function", "mu", "--N", 5000, "--lag", 3)
     for block_size in (7, 64, 999):
         assert cli_bytes("analyze", "--function", "mu", "--N", 5000, "--lag", 3,

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import importlib.util
 import pathlib
+import re
 import resource
 import sys
 
@@ -52,11 +53,9 @@ def test_demos_import_only_existing_names():
 def test_bench_uses_only_existing_names():
     # A name the bench reads that is gone fails only when the bench runs:
     # check each function's summatoria imports and the attributes it reads
-    # of the modules among them, and the same of the source AHEAD.
+    # of the modules among them.
     tree = ast.parse(BENCH.read_text(), str(BENCH))
-    ahead, = [node.value.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
-              and [getattr(t, "id", None) for t in node.targets] == ["AHEAD"]]
-    scopes = [ast.parse(ahead), *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]
+    scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     seen, missing = set(), set()
     for scope in scopes:
         modules = {}  # the name a summatoria module is bound to -> the module
@@ -96,3 +95,14 @@ def test_the_bench_runner_measures_each_child_on_its_own(monkeypatch, capsys):
     assert {side: len(got) for side, got in runs.items()} == {"entry": 2, "prelude": 2}
     assert cli.main(argv) == 0
     assert digest == hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+
+
+def test_the_bench_usage_lines_name_its_subcommands(monkeypatch):
+    # A section that goes takes its usage line with it, and a new one brings
+    # one: the docstring's usage lines name the subcommands, each once.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH)
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    usage = re.findall(r"^ .*bench/kernels\.py (\w+)", kernels.__doc__, re.MULTILINE)
+    assert sorted(usage) == sorted([*kernels.SECTIONS, "pairs", "traced"])
