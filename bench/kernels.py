@@ -57,10 +57,10 @@ each call's best of 5, the two sides alternating, with the number of
 points at which ``ks_distance`` evaluates Phi.
 ``moments`` times, per 2**20 block of mu(k)/k and of 1/k ending at
 2**20, 10 * 2**20 and 3e7, best of 5: the sum of the rounded products
-f(k) f(k+3) by ``exact_prefix_sums`` against the exact ``Block.dot`` of
-the split values, with the once-per-block ``Block.split`` timed on its
-own; then ``analyze --N 1e6`` of mu, mu-over-k and harmonic in DIR and
-here, best of 5, with each run's peak RSS.
+f(k) f(k+3) by ``exact_prefix_sums`` against their exact sum by
+``Block.dots`` on the raw values, which splits them a window at a time;
+then ``analyze --N 1e6`` of mu, mu-over-k and harmonic in DIR and here,
+best of 5, with each run's peak RSS.
 ``sublinear`` runs ``compute --function mu|lambda`` on the schedules of
 ``SUBLINEAR_RUNS``, best of 3 (of 1 for the 10**9 stream), with each
 run's peak RSS: as the CLI picks its path, and forced to stream
@@ -81,14 +81,16 @@ best of 5, after checking that they are the bytes the CLI wrote.
 medians of wall time and peak RSS: ``file:`` of a ``synth:log2`` CSV at
 1e6, then ``SAMPLES_RUNS``, whose checkpoints share KS sample strides.
 ``memory`` runs float-accumulate's two ``compute`` calls, stats-analyze's
-``verdict`` at seed 1 and ``MEMORY_VERDICT`` (an integer stream with
-partial-sum KS samples) in DIR and here, 11 runs each, and keeps each
-side's median wall time, median and largest peak RSS and median minor
-page faults, which each child counts itself (``FAULTS``); then, in a
-child in each checkout, the ``tracemalloc`` peak of ``traces.stream`` over
+``analyze`` and ``verdict`` at seed 1, ``MEMORY_VERDICT`` (an integer
+stream with partial-sum KS samples) and ``MEMORY_ANALYZE`` (a real
+``analyze``) in DIR and here, 11 runs each, and keeps each side's median
+wall time, median and largest peak RSS and median minor page faults,
+which each child counts itself (``FAULTS``); then, in a child in each
+checkout, the ``tracemalloc`` peak of ``traces.stream`` over
 ``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic, mu-over-k and mu,
-in float64 blocks, with no probe, a partial-sum ``Strided`` and a value
-``Strided`` (``BLOCK_PEAKS``).
+in float64 blocks, with no probe, a partial-sum ``Strided``, a value
+``Strided`` and a ``LagCorrelations`` at lags 0, 1, 2, 5 and 10
+(``BLOCK_PEAKS``).
 ``startup`` runs, in ``STARTUP_ROUNDS`` rounds, in DIR and here:
 ``import summatoria.cli`` with and without ``gc.freeze()`` after it, then
 every perfbench call at seed 1 in its workload's order.  It keeps each
@@ -457,17 +459,14 @@ def moments_section(parent: str) -> dict:
                                                                    hi + MOMENTS_LAG))):
             x = seq.values(lo, hi + MOMENTS_LAG)
             block = traces.Block(lo, x, 0, False)
-            split = block.split()
             runs = {
                 "rounded": lambda: traces.exact_prefix_sums(x[:BLOCK] * x[MOMENTS_LAG:], [BLOCK]),
-                "split": block.split,
-                "dot": lambda: block.dot(split[:, :BLOCK], split[:, MOMENTS_LAG:]),
+                "dots": lambda: block.dots(x, [(0, BLOCK - 1, MOMENTS_LAG)]),
             }
             ms = {side: 1e3 * t for side, t in best_of(5, runs).items()}
             rows.append({"terms": name, "lag": MOMENTS_LAG, "lo": lo, "hi": hi,
                          "rounded_product_ms": round(ms["rounded"], 1),
-                         "split_ms": round(ms["split"], 1),
-                         "exact_dot_ms": round(ms["dot"], 1)})
+                         "exact_dots_ms": round(ms["dots"], 1)})
 
     return {"command": "PYTHONPATH=src python3 bench/kernels.py moments --parent DIR",
             "block_2pow20_best_of_5": rows, "analyze_best_of_5": analyze}
@@ -605,21 +604,25 @@ def samples_section(parent: str) -> dict:
 
 # The tracemalloc peak of one ``traces.stream`` over MEMORY_BLOCKS blocks of
 # 2**18 entries, in float64 blocks, after a one-block stream has built the
-# prime table: with no probe, with a partial-sum ``Strided`` and with a
-# value ``Strided``.  It runs in a child in each checkout.
+# prime table: with no probe, with a partial-sum ``Strided``, with a value
+# ``Strided`` and with ``analyze``'s lag sums.  It runs in a child in each
+# checkout.
 MEMORY_BLOCKS = 8
 MEMORY_VERDICT = ["verdict", "--function", "mu", "--N", "30000000"]
+MEMORY_ANALYZE = ["analyze", "--function", "mu-over-k", "--N", "10000000"]
 BLOCK_PEAKS = f"""
 import json, tracemalloc
 from unittest import mock
-from summatoria import cli, sieve, traces
+from summatoria import cli, empirical, sieve, traces
 size, last, peaks = 1 << 18, {MEMORY_BLOCKS} << 18, {{}}
 with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size):
     for function in ("harmonic", "mu-over-k", "mu"):
         seq = cli.resolve_function(function, last)
         for probe, probes in (("none", lambda: []),
                               ("strided_sums", lambda: [traces.Strided(last, 1000)]),
-                              ("strided_values", lambda: [traces.Strided(last, 1000, sums=False)])):
+                              ("strided_values", lambda: [traces.Strided(last, 1000, sums=False)]),
+                              ("lag_correlations",
+                               lambda: [empirical.LagCorrelations(last, (0, 1, 2, 5, 10))])):
             traces.stream(seq, size, [])
             ready = probes()
             tracemalloc.start()
@@ -641,7 +644,8 @@ def memory_section(parent: str) -> dict:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         calls = [*(call.args for call in WORKLOADS["float-accumulate"](1, tmp).calls),
-                 WORKLOADS["stats-analyze"](1, tmp).calls[1].args, MEMORY_VERDICT]
+                 *(call.args for call in WORKLOADS["stats-analyze"](1, tmp).calls),
+                 MEMORY_VERDICT, MEMORY_ANALYZE]
         for args in calls:
             (runs, _), = alternate(11, sides, [args])
             row = {"argv": " ".join(args[:5]), "same_bytes": True}

@@ -4,9 +4,9 @@ Restricting a sequence to {1..n} and weighting every point by 1/n turns
 it into a random variable.  Its mean, population variance and lagged
 correlations, which quantify asymptotic independence, come from one
 probe of ``traces.stream``, ``LagCorrelations``: exact sums of products
-(``Block.dot``) rounded once, the variance being lag 0, so ``analyze``
-gets all of them from one pass.  A sample's empirical CDF and its
-Kolmogorov-Smirnov distance to the normal law complete the module.
+(``Block.dots``, split a window at a time) rounded once, lag 0 being the
+variance, so ``analyze`` gets all of them from one pass.  A sample's
+empirical CDF and its KS distance to the normal law complete the module.
 """
 
 from __future__ import annotations
@@ -192,9 +192,10 @@ class LagCorrelations:
     ``high``); the stream must reach n + max(lags).  rho(n, 0) is the
     population variance.
 
-    Each block's exact sums of f(k) f(k+h) (``Block.dot``) are merged
-    exactly, with the last max(lags) values carried across block
-    boundaries.  The plain sums come from the exact S at h, n and n + h.
+    Each block's sums of f(k) f(k+h) are one exact ``Block.dots`` call, a
+    span per lag, over the raw last max(lags) values carried across block
+    boundaries and the block's, merged exactly.  The plain sums come from
+    the exact S at h, n and n + h.
     """
 
     def __init__(self, n: int, lags):
@@ -202,7 +203,7 @@ class LagCorrelations:
         self.points = np.array(sorted({n, *self.lags, *(n + h for h in self.lags)}))
         self.sums = {0: 0}  # exact S(k) at the points the stream has passed
         self.products = dict.fromkeys(self.lags, 0)
-        self.tail = None  # the last max(lags) values, as Block.split gives them
+        self.tail = np.empty(0, np.int8)  # the last max(lags) raw f(k); int8 takes any dtype
         self.low, self.high = math.inf, -math.inf
 
     def add(self, block: Block) -> None:
@@ -211,13 +212,12 @@ class LagCorrelations:
         if block.lo <= self.n:
             head = block.values[: self.n - block.lo + 1]
             self.low, self.high = min(self.low, head.min()), max(self.high, head.max())
-        ext = block.split(self.tail)
-        start = block.hi + 1 - ext.shape[-1]  # ext[..., 0] holds f(start)
-        for h in self.products:  # each lag once, though it may be listed twice
-            a, b = max(1, block.lo - h) - start, min(self.n, block.hi - h) - start
-            if a <= b:
-                self.products[h] += block.dot(ext[..., a : b + 1], ext[..., a + h : b + h + 1])
-        self.tail = ext[..., max(0, ext.shape[-1] - max(self.lags)) :].copy()
+        x = np.concatenate((self.tail, block.values))
+        start = block.hi + 1 - x.size  # x[0] holds f(start)
+        spans = [(max(1, block.lo - h) - start, min(self.n, block.hi - h) - start, h)
+                 for h in self.products]  # each lag once, though it may be listed twice
+        self.products = {h: p + d for (h, p), d in zip(self.products.items(), block.dots(x, spans))}
+        self.tail = x[max(0, x.size - max(self.lags)) :].copy()
 
     def mean(self) -> float:
         """S(n)/n, rounded once."""

@@ -7,12 +7,12 @@ probes: strided samples for the KS statistics (an anchor S(c) plus a
 cumsum after c, for integers and reals alike) and lag products (lag 0
 gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
 once, exactly.  A ``Block`` has one exact rule for sums and one for sums
-of products: integers as int64 (or Python ints where int64 could wrap),
-reals through ``exact_prefix_sums``: levels that float adds sum exactly
-(Rump, Ogita & Oishi 2008), or binning by exponent, which a product of
-reals enters as Dekker's exact two-product.  So every S(n) at a
-checkpoint is the exact sum, rounded once to float: correctly rounded at
-every block size.  A sum that is not finite raises NumericError.
+of products (``Block.dots``): integers as int64 (or Python ints where
+int64 could wrap), reals through ``exact_prefix_sums``: levels that float
+adds sum exactly (Rump, Ogita & Oishi 2008), or binning by exponent, which
+products enter as Dekker's two-product, split a window at a time.  So
+every S(n) at a checkpoint is the exact sum, rounded once: correctly
+rounded at every block size.  A sum that is not finite raises NumericError.
 """
 
 from __future__ import annotations
@@ -233,7 +233,17 @@ def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int
 # Veltkamp's splitting factor 2**27 + 1: it cuts a float64 mantissa into
 # two halves of at most 26 bits, whose products are exact (Dekker 1971).
 _VELTKAMP = 134217729.0
-_DOT_CHUNK = 1 << 16  # pairs per pass of Block.dot
+_DOT_CHUNK = 1 << 15  # pairs per window of Block.dots: one window's rows live at a time
+
+
+def _split(x: np.ndarray) -> np.ndarray:
+    """Rows (mantissa, its high and low halves, exponent) of float64 x."""
+    mant, hi, lo, ex = out = np.empty((4, x.size))
+    mant[...], ex[...] = np.frexp(x)
+    np.multiply(mant, _VELTKAMP, out=hi)  # Veltkamp's split: hi keeps the top 26 bits
+    hi -= hi - mant
+    np.subtract(mant, hi, out=lo)
+    return out
 
 
 class Block:
@@ -278,41 +288,31 @@ class Block:
             return int(self.values.sum(dtype=self.dtype))
         return exact_prefix_sums(self.values, [self.values.size])[0]
 
-    def split(self, head: np.ndarray | None = None) -> np.ndarray:
-        """The block's values, after ``head`` (values of earlier blocks from
-        ``split``) if given, in the form ``dot`` takes: integers as an
-        integer array, reals as rows (mantissa, its high and low halves,
-        exponent)."""
-        if self.exact:
-            x = self.values.astype(self.dtype, copy=False)
-            return x if head is None else np.concatenate((head, x))
-        head = np.empty((4, 0)) if head is None else head
-        out = np.empty((4, head.shape[1] + self.values.size))
-        out[:, : head.shape[1]] = head
-        mant, hi, lo, ex = out[:, head.shape[1] :]
-        mant[...], ex[...] = np.frexp(self.values)
-        np.multiply(mant, _VELTKAMP, out=hi)  # Veltkamp's split: hi keeps the top 26 bits
-        hi -= hi - mant
-        np.subtract(mant, hi, out=lo)
-        return out
-
-    def dot(self, x: np.ndarray, y: np.ndarray):
-        """The exact sum of x * y over x and y from ``split``: an int for
-        integers, else a Fraction.  Each product of mantissas is exactly
-        p + e, p rounded (Dekker's two-product), so p and e join the
-        binned sum with the exponents of x and y added back; no product is
-        ever formed as a float that could underflow or overflow."""
-        if self.exact:
-            return int((x * y).sum())  # dtype object if either side is
-        total = Fraction(0)
-        for k in range(0, x.shape[1], _DOT_CHUNK):  # chunks keep the temporaries in cache
-            (xm, xh, xl, xe), (ym, yh, yl, ye) = x[:, k : k + _DOT_CHUNK], y[:, k : k + _DOT_CHUNK]
-            p = xm * ym
-            mant, ex = np.frexp(np.concatenate((p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)))
-            ex += np.tile((xe + ye).astype(ex.dtype), 2)
-            (num,), exp = _binned_sums(mant, ex, [mant.size])
-            total += _fraction(num, exp)
-        return total
+    def dots(self, x: np.ndarray, spans) -> list:
+        """Exact sums of x[a : b + 1] * x[a + h : b + h + 1] (0 where b < a)
+        for the (a, b, h) of ``spans``, x raw values of this block's kind:
+        ints (int64 or object products), else Fractions.  Windows of x,
+        _DOT_CHUNK + max h values, are cast or ``_split`` once for all spans.
+        Each product of mantissas is p + e exactly (Dekker's two-product),
+        binned with the exponents added back: none underflows or overflows."""
+        reach = max(h for _, _, h in spans)
+        totals = [0 if self.exact else Fraction(0)] * len(spans)
+        for k in range(0, x.size, _DOT_CHUNK):
+            w = x[k : k + _DOT_CHUNK + reach]
+            w = w.astype(np.result_type(w, self.dtype), copy=False) if self.exact else _split(w)
+            for i, (a, b, h) in enumerate(spans):
+                a, b = max(a - k, 0), min(b - k + 1, _DOT_CHUNK)  # the span's pairs in w: a..b-1
+                if a < b and self.exact:
+                    totals[i] += int((w[a:b] * w[a + h : b + h]).sum())
+                elif a < b:
+                    (xm, xh, xl, xe), (ym, yh, yl, ye) = w[:, a:b], w[:, a + h : b + h]
+                    p = xm * ym
+                    mant, ex = np.frexp(np.concatenate((p, ((xh * yh - p) + xh * yl + xl * yh)
+                                                        + xl * yl)))
+                    ex += np.tile((xe + ye).astype(ex.dtype), 2)
+                    (num,), exp = _binned_sums(mant, ex, [mant.size])
+                    totals[i] += _fraction(num, exp)
+        return totals
 
     def sums_at(self, ns: np.ndarray, *, rounded: bool = False) -> tuple[np.ndarray, list]:
         """The n of the increasing ``ns`` that fall in this block, and S(n)

@@ -476,10 +476,9 @@ def test_block_sum_overflow_fails_only_at_rounding():
 
 
 def block_dot(x, y):
-    # One block holding x then y: dot of the split halves.
+    # One block holding x then y: the span pairing x[i] with y[i].
     block = Block(1, np.array([*x, *y], dtype=np.float64), 0, False)
-    split = block.split()
-    return block.dot(split[:, : len(x)], split[:, len(x) :])
+    return block.dots(block.values, [(0, len(x) - 1, len(x))])[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,6 +497,29 @@ def test_block_dot_of_extreme_products():
     chunk = traces._DOT_CHUNK + 3  # more pairs than one pass takes
     k = np.arange(chunk) - 1000
     assert block_dot(k * 2.0**-1000, k[::-1] * 2.0**-900) == Fraction(int(k @ k[::-1]), 2**1900)
+
+
+@pytest.mark.parametrize("kind", ["int8", "int64", "object", "float"])
+def test_block_dots_sum_every_span_through_the_windows(kind):
+    # Windows of 16 pairs: several lags on one x, spans that cross window
+    # boundaries or start past the first window, and empty spans (b < a),
+    # one with b < 0, which must not slice from the end of x.
+    rng = np.random.default_rng(5)
+    x = {"int8": rng.integers(-128, 128, 100).astype(np.int8),  # products leave int8
+         "int64": rng.integers(-10**6, 10**6, 100),
+         "object": rng.integers(-10**6, 10**6, 100).astype(object) * 2**70,
+         "float": rng.standard_normal(100) * 2.0 ** rng.integers(-1000, 960, 100)}[kind]
+    block = Block(1, x, 0, kind != "float")
+    assert block.dtype is {"int8": np.int64, "int64": np.int64, "object": object,
+                           "float": np.float64}[kind]
+    spans = [(0, 99, 0), (0, 89, 10), (3, 40, 5), (12, 20, 3), (20, 60, 39), (40, 47, 1),
+             (0, -1, 2), (30, 29, 1), (0, -5, 0)]
+    F = [Fraction(v) for v in x.tolist()]
+    with mock.patch.object(traces, "_DOT_CHUNK", 16):
+        got = block.dots(x, spans)
+    assert got == [sum((F[k] * F[k + h] for k in range(a, b + 1)), Fraction(0))
+                   for a, b, h in spans]
+    assert all(type(t) is (int if kind != "float" else Fraction) for t in got)
 
 
 @pytest.mark.parametrize("n", [3, 8, 40])
