@@ -76,7 +76,11 @@ best of 5, with each run's peak RSS; then the
 tracemalloc peak of ``schedules.realize_greedy`` at that N in each
 checkout; then, in this process, the CSV rows of that realization written
 to os.devnull by ``cli.csv_rows`` in blocks of ``cli._CSV_ROWS`` rows,
-best of 5, after checking that they are the bytes the CLI wrote.
+best of 5, after checking that they are the bytes the CLI wrote; then
+``cli._load_file_sequence`` of DIR's package, loaded as for ``kernel``,
+and of this one on that CSV and on a CSV of ``SYNTH_N`` standard normal
+values written as ``.17g``, best of 5, the two sides alternating, after
+checking that both read the same bits.
 ``samples`` runs five verdicts in DIR and here, 5 runs each, and keeps the
 medians of wall time and peak RSS: ``file:`` of a ``synth:log2`` CSV at
 1e6, then ``SAMPLES_RUNS``, whose checkpoints share KS sample strides.
@@ -570,6 +574,23 @@ def synth_section(parent: str) -> dict:
         raise SystemExit("csv_rows gives other text than the CLI")
     with open(os.devnull, "w", encoding="utf-8", newline="\n") as null:
         writer_s = best_of(5, {"blocks": lambda: blocks(null)})
+
+    loaders = {"parent": load_parent(parent, "cli")._load_file_sequence,
+               "change": cli._load_file_sequence}
+    reader = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        reals = np.random.default_rng(0).standard_normal(SYNTH_N)
+        normal = "".join(cli.csv_rows(lo, reals[lo - 1 : lo - 1 + cli._CSV_ROWS])
+                         for lo in range(1, SYNTH_N + 1, cli._CSV_ROWS))
+        for name, rows in (("synth_log2", buf.getvalue()), ("normal_17g", normal)):
+            path = os.path.join(tmp, f"{name}.csv")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("k,f\n" + rows)
+            read = {side: load(path).values(1, SYNTH_N) for side, load in loaders.items()}
+            if read["parent"].tobytes() != read["change"].tobytes():
+                raise SystemExit(f"the readers give other values on {name}")
+            reader[name] = {f"{side}_s": round(t, 4) for side, t in best_of(
+                5, {side: lambda load=load: load(path) for side, load in loaders.items()}).items()}
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py synth --parent DIR",
         "cli_best_of_5": {"argv": argv, "sha256": digest, **summary(runs)},
@@ -580,6 +601,7 @@ def synth_section(parent: str) -> dict:
             **{f"{name}_s": round(t, 4) for name, t in writer_s.items()},
             **{f"{name}_ns_per_row": round(1e9 * t / SYNTH_N, 1)
                for name, t in writer_s.items()}},
+        "load_file_sequence_best_of_5": {"rows": SYNTH_N, **reader},
     }
 
 

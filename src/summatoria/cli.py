@@ -21,7 +21,9 @@ import argparse
 import gc
 import json
 import math
+import os
 import re
+import stat
 import sys
 import warnings
 from contextlib import contextmanager
@@ -77,16 +79,28 @@ def parse_checkpoints(spec: str, N: int) -> np.ndarray:
     return validate_checkpoints([int(part) for part in spec.split(",") if part.strip()], N)
 
 
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes np.loadtxt decompresses
+
+
 def _load_file_sequence(path: str) -> ArithmeticSequence:
-    """Read a ``k,f`` CSV whose indices run 1..n; every error names the file."""
+    """Read a ``k,f`` CSV whose indices run 1..n; every error names the file.
+
+    numpy's reader takes a regular file by its absolute path and pulls it in
+    large chunks, faster than a line at a time from a handle.  A pipe, which
+    cannot be opened twice, and a name numpy would decompress keep the
+    handle; an absolute path is never taken for a URL."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "k,f":
                 raise ValueError(f"expected header 'k,f', got {header!r}")
+            source, skip = fh, 0
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not path.endswith(_COMPRESSED):
+                source, skip = os.path.abspath(path), 1
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # empty: reported below
-                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+                rows = np.loadtxt(source, delimiter=",", ndmin=2, comments=None,
+                                  skiprows=skip, encoding="utf-8")
         if rows.size == 0:
             raise ValueError("no data rows")
         if rows.shape[1] != 2:
@@ -179,6 +193,7 @@ def cmd_analyze(args) -> int:
 
 
 _CSV_ROWS = 1 << 16  # rows of one write of synth's CSV
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)  # ASCII, as index digits
 
 
 def csv_rows(lo: int, values: np.ndarray) -> str:
@@ -192,12 +207,21 @@ def csv_rows(lo: int, values: np.ndarray) -> str:
     table = np.zeros((len(labels), max(map(len, labels))), dtype=np.uint8)
     for row, label in zip(table, labels):
         row[: len(label)] = np.frombuffer(label, dtype=np.uint8)
-    k = np.arange(lo, lo + len(values), dtype=np.int64)
-    width = len(str(lo + len(values) - 1))
+    hi = lo + len(values) - 1
+    width = len(str(hi))
     mat = np.empty((len(values), width + table.shape[1]), dtype=np.uint8)
     for col in range(width):
+        # k // power runs through q0..q1, each q on `power` consecutive k
+        # (fewer on the first and last run); its digit cycles through 0-9.
         power = 10 ** (width - 1 - col)
-        mat[:, col] = np.where(k >= power, k // power % 10 + 48, 0)  # 48 is "0"
+        q0, q1 = lo // power, hi // power
+        digits = np.tile(_DIGITS, (q1 - q0) // 10 + 2)[q0 % 10 : q0 % 10 + q1 - q0 + 1]
+        if q0 == 0:
+            digits[0] = 0  # k < power: no digit here
+        runs = np.full(q1 - q0 + 1, power, dtype=np.intp)
+        runs[0] -= lo - q0 * power
+        runs[-1] -= (q1 + 1) * power - 1 - hi
+        mat[:, col] = np.repeat(digits, runs)
     mat[:, width:] = table[which]
     return mat[mat != 0].tobytes().decode("ascii")
 

@@ -322,9 +322,11 @@ class Block:
         hits = ns[(ns >= self.lo) & (ns <= self.hi)]
         if not hits.size:
             return hits, []
-        if self.exact:
-            sums = self.base + np.cumsum(self.values, dtype=self.dtype)[hits - self.lo]
-            return hits, sums.tolist()
+        if self.exact:  # sums of the segments between hits, not a block-long cumsum
+            ends = hits - self.lo + 1
+            segments = np.add.reduceat(self.values[: ends[-1]], np.concatenate(([0], ends[:-1])),
+                                       dtype=self.dtype)
+            return hits, (self.base + np.cumsum(segments, dtype=self.dtype)).tolist()
         nums, exp = _peeled_sums(self.values, [*(hits - self.lo + 1), self.values.size])
         self.__dict__.setdefault("total", _fraction(nums.pop(), exp))  # fills the cached_property
         start = Fraction(self.start)

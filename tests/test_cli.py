@@ -1,5 +1,6 @@
 import ast
 import gc
+import gzip
 import hashlib
 import json
 import math
@@ -8,7 +9,9 @@ import pathlib
 import re
 import subprocess
 import sys
+import urllib.request
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,6 +157,15 @@ def test_csv_rows_keys_values_on_their_bits():
     for lo in (1, 7, 99_995):
         assert cli.csv_rows(lo, values) == rows_one_at_a_time(values, lo)
     assert cli.csv_rows(1, values[:2]) == "1,0\n2,-0\n"
+    # Index digits are built from runs of k // power: across every change of
+    # width up to synth's budget of 2**25 values, from a power of ten, near
+    # the budget's end, over many runs of each power, and one row at a time.
+    for lo in (*(10**j - 4 for j in range(1, 8)), *(10**j for j in range(8)), 2**25 - 4):
+        assert cli.csv_rows(lo, values) == rows_one_at_a_time(values, lo)
+        assert cli.csv_rows(lo, values[3:4]) == rows_one_at_a_time(values[3:4], lo)
+    many = np.resize(values, 2345)
+    for lo in (1, 998_765, 2**25 - 2345):
+        assert cli.csv_rows(lo, many) == rows_one_at_a_time(many, lo)
 
 
 def test_overflowing_geometric_ratio_stops_the_schedule(capsys):
@@ -628,6 +640,80 @@ def test_malformed_file_sequences(tmp_path, capsys, body, status):
         assert str(path) in err
     else:
         assert out == "n,S\n2,1\n"
+
+
+PLAIN = b"k,f\n1,1\n2,0\n"
+BAD_ROW_1000 = ("k,f\n" + "".join(f"{k},{'x' if k == 1000 else 1}\n"
+                                  for k in range(1, 1500))).encode()
+NO_HEADER = "expected header 'k,f', got ''"
+
+
+# (file name, bytes, error message or None): a regular file goes to numpy's
+# reader by its path, anything else by the handle; the text is read and
+# rejected the same way either way, and a name ending in a compression
+# suffix is plain text, never decompressed.
+READER_CASES = [
+    ("crlf.csv", b"k,f\r\n1,1\r\n2,0\r\n", None),
+    ("bom.csv", b"\xef\xbb\xbf" + PLAIN, "expected header 'k,f', got '\\ufeffk,f'"),
+    ("spaces.csv", b"k,f\n 1 , 1 \n2 ,0\n", None),
+    ("quoted.csv", b'k,f\n1,"1"\n2,0\n',
+     "could not convert string '\"1\"' to float64 at row 0, column 2."),
+    ("underscore.csv", b"k,f\n1,1_0\n2,0\n",
+     "could not convert string '1_0' to float64 at row 0, column 2."),
+    ("row1000.csv", BAD_ROW_1000, "could not convert string 'x' to float64 at row 999, column 2."),
+    ("empty.csv", b"", NO_HEADER),
+    ("blank.csv", b"\n\n\n", NO_HEADER),
+    ("late-header.csv", b"\n" + PLAIN, NO_HEADER),
+    ("plain.gz", PLAIN, None),
+    ("plain.bz2", PLAIN, None),
+    ("plain.xz", PLAIN, None),
+    ("plain.lzma", PLAIN, None),
+    ("real.gz", gzip.compress(PLAIN, mtime=0),
+     "'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("name, body, message", READER_CASES,
+                         ids=[name for name, *_ in READER_CASES])
+def test_the_file_reader_keeps_its_answers(tmp_path, capsys, name, body, message):
+    path = tmp_path / name
+    path.write_bytes(body)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+        status, out, err = run_cli("compute", "--function", f"file:{path}", "--N", "2",
+                                   "--checkpoints", "2", capsys=capsys)
+    if message is None:
+        assert (status, out, err) == (0, "n,S\n2,1\n", "")
+    else:
+        assert (status, out, err) == (1, "", f"error: {path}: {message}\n")
+    if spy.called:  # by path for a regular file numpy reads as plain text
+        assert isinstance(spy.call_args.args[0], str) == name.endswith(".csv")
+
+
+@pytest.mark.parametrize("name", ["http:/host/x.csv", "http://host/x.csv"])
+def test_a_url_like_file_path_reads_the_local_file(name, tmp_path, capsys, monkeypatch):
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "x.csv").write_bytes(PLAIN)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(urllib.request, "urlopen", mock.Mock(side_effect=AssertionError(name)))
+    assert run_cli("compute", "--function", f"file:{name}", "--N", "2", "--checkpoints", "2",
+                   capsys=capsys) == (0, "n,S\n2,1\n", "")
+
+
+@pytest.mark.parametrize("body", [
+    ("k,f\n" + "".join(f"{k},{k % 7 / 3!r}\n" for k in range(1, 5000))).encode(),
+    PLAIN.replace(b"2,0", b"3,0"),  # an index gap
+    BAD_ROW_1000,
+], ids=["reals", "gap", "row1000"])
+def test_a_piped_file_reads_as_its_path_does(body, tmp_path, capsys):
+    path = tmp_path / "seq.csv"
+    path.write_bytes(body)
+    argv = ["compute", "--function", "file:{}", "--N", "2", "--checkpoints", "1,2"]
+    status, out, err = run_cli(*[a.format(path) for a in argv], capsys=capsys)
+    proc = subprocess.run([sys.executable, "-m", "summatoria.cli",
+                           *[a.format("/dev/stdin") for a in argv]], input=body,
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout.decode()) == (status, out)
+    assert proc.stderr.decode() == err.replace(str(path), "/dev/stdin")
 
 
 def test_analyze_of_a_short_file_names_the_bound_it_needs(tmp_path, capsys):

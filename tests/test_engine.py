@@ -241,3 +241,24 @@ def test_a_real_stream_holds_one_block_at_a_time(function, probe):
         finally:
             tracemalloc.stop()
     assert peak <= (4 if probe == "lags" else 1.5) * size * 8
+
+
+@pytest.mark.parametrize("function", ["mu", "lambda"])
+def test_an_integer_analyze_adds_no_block_to_the_stream(function):
+    # analyze's probes over int8 blocks: S(n) at the lag points comes from
+    # segment sums up to the last point, so the peak stays the bare stream's
+    # 1.38 float64 blocks; an int64 cumsum of the whole block measured 2.13.
+    size, last = 1 << 18, 8 << 18
+    N = last - 10
+    with blocks_of(size):
+        seq = cli.resolve_function(function, last)
+        stream(seq, size, [])  # the prime table and the small-prime tile
+        probes = [Strided(N, traces.KS_SAMPLE_CAP, sums=False),
+                  LagCorrelations(N, (0, 1, 2, 5, 10))]
+        tracemalloc.start()
+        try:
+            stream(seq, last, probes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 1.5 * size * 8

@@ -314,14 +314,15 @@ def cumsums_built(blocks, spy) -> list[int]:
             if call.args[0] is block.values and call.kwargs.get("out") is None]
 
 
-@pytest.mark.parametrize("ns, built", [(1000, []), ([450, 1000], [401])])
-def test_only_a_block_holding_an_earlier_n_builds_a_cumsum(ns, built):
-    # S(last) is rounded from the exact total, so the int64 cumsum of a
-    # block, a block's worth of memory, is built only where an earlier n is.
+@pytest.mark.parametrize("ns", [1000, [450, 1000], [1, 100, 101, 450, 999, 1000]])
+def test_no_block_builds_a_cumsum(ns):
+    # S(last) is rounded from the exact total and an earlier S(n) from sums
+    # of the segments up to it, so no block is copied whole into an int64
+    # cumsum, a block's worth of memory.
     keep = Keep()
     with blocks_of(100), spy_cumsum() as spy:
         stream(mobius_sequence(1000), ns, [keep])
-    assert len(keep.blocks) == 10 and cumsums_built(keep.blocks, spy) == built
+    assert len(keep.blocks) == 10 and cumsums_built(keep.blocks, spy) == []
 
 
 def test_the_sublinear_table_stream_builds_no_cumsum():
@@ -459,6 +460,29 @@ def test_block_sums_peel_or_bin_and_are_exact(values, binned):
         total = Block(1, values, 0, False).total
     assert spy.called == binned
     assert [*sums, total] == exact_prefixes(values, [*ns, values.size])
+
+
+@pytest.mark.parametrize("values, dtype", [
+    (np.random.default_rng(1).integers(-1, 2, 5000).astype(np.int8), np.int64),
+    (np.random.default_rng(2).integers(-2**20, 2**20, 5000), np.int64),
+    (np.random.default_rng(3).integers(-2**60, 2**60, 5000), object),  # |f|**2 * size > 2**63
+], ids=["int8", "int64", "object"])
+def test_exact_block_sums_at_match_a_cumsum(values, dtype):
+    lo, start = 1001, -(2**62)
+    block = Block(lo, values, start, True)
+    assert block.dtype is dtype
+    expected = start + np.cumsum(values.astype(object))  # S(lo..lo + i) as Python ints
+    rng = np.random.default_rng(4)
+    hi = lo + values.size - 1
+    cases = [[lo], [hi], [lo, hi], [lo + 1, lo + 2, lo + 3],
+             *(np.sort(rng.choice(np.arange(lo, hi + 1), k, replace=False))
+               for k in (1, 2, 7, 100))]
+    for hits in cases:
+        ns = np.array([1, lo - 1, *hits, hi + 1, hi + 10**6])  # ns outside the block are skipped
+        got_hits, sums = block.sums_at(ns)
+        assert got_hits.tolist() == list(map(int, hits))
+        assert sums == expected[np.subtract(hits, lo)].tolist()
+        assert all(type(s) is int for s in sums)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
