@@ -26,7 +26,7 @@ write different bytes is not recorded (``alternate``).
 ``kernel`` times one 2**20 block ending
 at each of ``BLOCK_ENDS`` (4 * 2**20 and 10 * 2**20, at the last blocks
 of stats-analyze's verdict, N = 4,096,000, and of float-accumulate's
-``mu-over-k`` call, then 3e7 and 1e9), median and best of 15 in this
+``mu-over-k`` call, then 3e7, 1e8 and 1e9), median and best of 15 in this
 process with the kernels' runs alternating: the reference kernel of
 ``tests/reference_sieve.py`` and ``summatoria.sieve.sieve_block``, after
 checking that both give the same bytes; then ``mertens_trace(3e7)`` forced to stream
@@ -140,7 +140,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 ENV = dict(os.environ, **PINNED_ENV, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 BLOCK = 1 << 20
-BLOCK_ENDS = (4 * BLOCK, 10 * BLOCK, 30_000_000, 1_000_000_000)
+BLOCK_ENDS = (4 * BLOCK, 10 * BLOCK, 30_000_000, 10**8, 10**9)
 TRACE_N = 30_000_000
 SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
 CALLS_N = 1 << 12

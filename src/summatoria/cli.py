@@ -110,6 +110,8 @@ def _load_file_sequence(path: str) -> ArithmeticSequence:
             raise ValueError(f"indices must run 1,2,... got {rows[bad[0], 0]:g} "
                              f"in data row {bad[0] + 1}")
         return sequences.sequence_from_values(rows[:, 1], name=f"file:{path}")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text; file: reads a plain-text k,f CSV") from None
     except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 

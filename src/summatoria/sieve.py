@@ -119,29 +119,18 @@ def liouville_oracle(n: int) -> int:
     return -1 if total % 2 else 1
 
 
-def _mark(square, smooth, lo: int, hi: int, q: int, p: int) -> None:
-    """Record the prime power q = p**k in every multiple of q in [lo, hi]:
-    multiply the smooth part by -p, and set the square flag for k > 1."""
-    first = -(-lo // q) * q
-    if first > hi:
-        return
-    sl = slice(first - lo, None, q)
-    smooth[sl] *= -p
-    if q != p:
-        square[sl] = 1
-
-
 @functools.cache
 def _small_prime_tile() -> tuple[np.ndarray, np.ndarray]:
     """Square flag and signed smooth part of n mod 44100 from the powers p
     and p**2 of p <= 7; read-only, built on first use."""
-    tile = np.zeros(_TILE_PERIOD, dtype=np.uint8), np.ones(_TILE_PERIOD, dtype=np.int32)
+    square = np.zeros(_TILE_PERIOD, dtype=np.uint8)
+    smooth = np.ones(_TILE_PERIOD, dtype=np.int32)
     for p in _TILE_PRIMES:
-        _mark(*tile, 0, _TILE_PERIOD - 1, p, p)
-        _mark(*tile, 0, _TILE_PERIOD - 1, p * p, p)
-    for a in tile:
-        a.flags.writeable = False
-    return tile
+        smooth[::p] *= -p
+        smooth[:: p * p] *= -p
+        square[:: p * p] = 1
+    square.flags.writeable = smooth.flags.writeable = False
+    return square, smooth
 
 
 @functools.cache
@@ -174,9 +163,17 @@ def sieve_block(lo: int, hi: int) -> SieveBlock:
     for p in _sieving_primes():
         if p * p > hi:
             break
-        q = p**3 if p in _TILE_PRIMES else p
+        # Each p**k multiplies the smooth part of its multiples by -p in place
+        # and, for k > 1, sets their square flag; no view outlives ``del smooth``.
+        tiled = p in _TILE_PRIMES
+        if not tiled:
+            smooth[-lo % p :: p] *= -p
+        q = p**3 if tiled else p * p
         while q <= hi:
-            _mark(square, smooth, lo, hi, q, p)
+            first = -lo % q
+            if first < width:
+                smooth[first::q] *= -p
+                square[first::q] = 1
             q *= p
 
     # Whatever was not divided out is a single prime > sqrt(hi), power 1:

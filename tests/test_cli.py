@@ -646,6 +646,7 @@ PLAIN = b"k,f\n1,1\n2,0\n"
 BAD_ROW_1000 = ("k,f\n" + "".join(f"{k},{'x' if k == 1000 else 1}\n"
                                   for k in range(1, 1500))).encode()
 NO_HEADER = "expected header 'k,f', got ''"
+NOT_UTF8 = "not UTF-8 text; file: reads a plain-text k,f CSV"
 
 
 # (file name, bytes, error message or None): a regular file goes to numpy's
@@ -668,8 +669,8 @@ READER_CASES = [
     ("plain.bz2", PLAIN, None),
     ("plain.xz", PLAIN, None),
     ("plain.lzma", PLAIN, None),
-    ("real.gz", gzip.compress(PLAIN, mtime=0),
-     "'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte"),
+    ("real.gz", gzip.compress(PLAIN, mtime=0), NOT_UTF8),
+    ("latin1.csv", PLAIN.replace(b"2,0", b"2,0\xe9"), NOT_UTF8),  # Latin-1 e-acute
 ]
 
 

@@ -172,6 +172,10 @@ def test_sieve_block_matches_reference_kernel(lo_width):
       for k in (0, 1, 22_000) for r in (0, 1, TILE_PERIOD - 1) if k or r],
     *[(lo, hi) for hi in range(1, 11) for lo in range(1, hi + 1)],
     *[(lo, lo + width - 1) for lo in (4, 8, 9, 25, 27, 49, 343) for width in (1, 1000)],
+    # Blocks of width 100 that end on p**2 (its one multiple there is the last
+    # entry) or one before it, for p = 11, 1031 (the first prime past 1024)
+    # and 31607 (the largest sieving prime).
+    *[(p * p - 100 + end, p * p - 1 + end) for p in (11, 1031, 31_607) for end in (1, 0)],
 ])
 def test_sieve_block_matches_reference_kernel_at_edges(lo, hi):
     assert_matches_reference(lo, hi)
