@@ -84,8 +84,9 @@ checking that both read the same bits.
 ``samples`` runs five verdicts in DIR and here, 5 runs each, and keeps the
 medians of wall time and peak RSS: ``file:`` of a ``synth:log2`` CSV at
 1e6, then ``SAMPLES_RUNS``, whose checkpoints share KS sample strides.
-``memory`` runs float-accumulate's two ``compute`` calls, stats-analyze's
-``analyze`` and ``verdict`` at seed 1, ``MEMORY_VERDICT`` (an integer
+``memory`` runs sieve-stream's and float-accumulate's two ``compute`` calls
+each, stats-analyze's ``analyze`` and ``verdict`` at seed 1 (all without
+``--threads``), ``MEMORY_VERDICT`` (an integer
 stream with partial-sum KS samples) and ``MEMORY_ANALYZE`` (a real
 ``analyze``) in DIR and here, 11 runs each, and keeps each side's median
 wall time, median and largest peak RSS and median minor page faults,
@@ -665,8 +666,8 @@ def memory_section(parent: str) -> dict:
     sides = {"parent": Side(os.path.abspath(parent), FAULTS), "change": Side(ROOT, FAULTS)}
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        calls = [*(call.args for call in WORKLOADS["float-accumulate"](1, tmp).calls),
-                 *(call.args for call in WORKLOADS["stats-analyze"](1, tmp).calls),
+        calls = [*(call.args for workload in ("sieve-stream", "float-accumulate", "stats-analyze")
+                   for call in WORKLOADS[workload](1, tmp).calls),
                  MEMORY_VERDICT, MEMORY_ANALYZE]
         for args in calls:
             (runs, _), = alternate(11, sides, [args])
