@@ -81,9 +81,11 @@ best of 5, after checking that they are the bytes the CLI wrote; then
 and of this one on that CSV and on a CSV of ``SYNTH_N`` standard normal
 values written as ``.17g``, best of 5, the two sides alternating, after
 checking that both read the same bits.
-``samples`` runs five verdicts in DIR and here, 5 runs each, and keeps the
-medians of wall time and peak RSS: ``file:`` of a ``synth:log2`` CSV at
-1e6, then ``SAMPLES_RUNS``, whose checkpoints share KS sample strides.
+``samples`` runs verdicts in DIR and here, 5 runs each unless
+``SAMPLES_RUNS`` says otherwise, and keeps the medians of wall time and
+peak RSS and the sha256 of the report both sides wrote: ``file:`` of a
+``synth:log2`` CSV at 1e6, then ``SAMPLES_RUNS``, whose checkpoints share
+KS sample strides, and μ streams at 1e8 and 1e9 on the default schedule.
 ``memory`` runs sieve-stream's and float-accumulate's two ``compute`` calls
 each, stats-analyze's ``analyze`` and ``verdict`` at seed 1 (all without
 ``--threads``), ``MEMORY_VERDICT`` (an integer
@@ -163,10 +165,14 @@ SUBLINEAR_RUNS = [
 ]
 FIT_TABLE = 1 << 24
 SYNTH_N = 1_000_000
-# (function, N, checkpoints) of the ``samples`` verdicts, after the file: one
+# (function, N, checkpoints or None for the default, runs per side) of the
+# ``samples`` verdicts, after the file
 SAMPLES_RUNS = [
-    ("mu-over-k", KS_VERDICT_N, "geometric(1000,2)"), ("mu-over-k", 10**7, "geometric(1000,2)"),
-    ("mu", 3 * 10**7, "geometric(1000000,1.1)"), ("mu-over-k", 3 * 10**6, "geometric(1000,1.02)"),
+    ("mu-over-k", KS_VERDICT_N, "geometric(1000,2)", 5),
+    ("mu-over-k", 10**7, "geometric(1000,2)", 5),
+    ("mu", 3 * 10**7, "geometric(1000000,1.1)", 5),
+    ("mu-over-k", 3 * 10**6, "geometric(1000,1.02)", 5),
+    ("mu", 10**8, None, 5), ("mu", 10**9, None, 1),
 ]
 FORCE_STREAM = ("from summatoria import sublinear\n"
                 "sublinear.table_limit = lambda cps: int(cps[-1])\n")
@@ -613,16 +619,17 @@ def samples_section(parent: str) -> dict:
         csv = os.path.join(tmp, "synth_log2.csv")
         alternate(1, {"change": Side(ROOT)},
                   [["synth", "--function", "synth:log2", "--N", str(SYNTH_N), "--output", csv]])
-        for argv in [["verdict", "--function", f"file:{csv}", "--N", str(SYNTH_N)],
-                     *[["verdict", "--function", f, "--N", str(N), "--checkpoints", cps]
-                       for f, N, cps in SAMPLES_RUNS]]:
-            (runs, _), = alternate(5, sides, [argv])
+        for argv, k in [(["verdict", "--function", f"file:{csv}", "--N", str(SYNTH_N)], 5),
+                        *[(["verdict", "--function", f, "--N", str(N),
+                            *(["--checkpoints", cps] if cps else [])], k)
+                          for f, N, cps, k in SAMPLES_RUNS]]:
+            (runs, digest), = alternate(k, sides, [argv])
             argv[2] = argv[2].replace(csv, "synth_log2.csv")
-            rows.append({"argv": argv, "same_bytes": True,
+            rows.append({"argv": argv, "runs": k, "same_bytes": True, "sha256": digest,
                          **summary(runs, ("median_s", "median_peak_rss_mb"))})
             print(json.dumps(rows[-1]), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py samples --parent DIR",
-            "verdict_median_of_5": rows}
+            "verdict_medians": rows}
 
 
 # The tracemalloc peak of one ``traces.stream`` over MEMORY_BLOCKS blocks of

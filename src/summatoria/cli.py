@@ -166,19 +166,16 @@ def cmd_compute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .empirical import LagCorrelations, empirical_cdf, ks_distance
+    from .empirical import LagCorrelations, ks_distances
 
     N, lags = args.N, args.lag
     seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
-    values = traces.Strided(N, traces.KS_SAMPLE_CAP, sums=False)
+    ks = []  # finished once the stream passes N
+    values = traces.Strided(N, traces.KS_SAMPLE_CAP, sums=False,
+                            finish=lambda samples: ks.extend(ks_distances(samples.values())))
     correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
     traces.stream(seq, N + max(lags), [values, correlations])
-    mean, (variance, *rhos) = correlations.mean(), correlations.result()
-    dist = empirical_cdf(values.sample(N))
-    try:
-        ks_normal = ks_distance(dist)
-    except DegenerateSampleError:
-        ks_normal = float("nan")
+    mean, (variance, *rhos), (ks_normal,) = correlations.mean(), correlations.result(), ks
     rho = list(zip(lags, rhos))
 
     with _open_output(args.output) as out:

@@ -36,14 +36,19 @@ class EmpiricalDistribution:
 
 
 def empirical_cdf(values) -> EmpiricalDistribution:
-    """Sort a sample and package it with its mean and population variance."""
+    """Sort a sample and package it with its mean and population variance,
+    by numpy's own ``_mean`` and ``_var`` arithmetic with the mean formed
+    once: the same bits as ``np.mean`` and ``np.var``."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sample must be a nonempty 1-D array")
-    sample = np.sort(arr)
+    sample, n = np.sort(arr), arr.size
     with np.errstate(over="ignore", invalid="ignore"):  # ks_distance refuses inf and nan
-        mean, variance = float(np.mean(sample)), float(np.var(sample))
-    return EmpiricalDistribution(sample, int(sample.size), mean, variance)
+        mean = float(np.add.reduce(sample)) / n
+        x = sample - mean
+        x *= x
+        variance = float(np.add.reduce(x)) / n
+    return EmpiricalDistribution(sample, n, mean, variance)
 
 
 # Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) in the
@@ -186,16 +191,29 @@ def ks_distance(dist: EmpiricalDistribution) -> float:
     return float(max(best, gaps(runs)[1]) if runs.size else best)
 
 
+def ks_distances(samples) -> list[float]:
+    """``ks_distance`` of the ``empirical_cdf`` of each sample, nan where a
+    sample is degenerate."""
+    out = []
+    for sample in samples:
+        try:
+            out.append(ks_distance(empirical_cdf(sample)))
+        except DegenerateSampleError:
+            out.append(math.nan)
+    return out
+
+
 class LagCorrelations:
     """Probe: rho(n, h) of ``independence_estimator`` for each lag h >= 0,
     the mean S(n)/n and the least and largest f(k), k <= n (``low`` and
     ``high``); the stream must reach n + max(lags).  rho(n, 0) is the
     population variance.
 
-    Each block's sums of f(k) f(k+h) are one exact ``Block.dots`` call, a
-    span per lag, over the raw last max(lags) values carried across block
-    boundaries and the block's, merged exactly.  The plain sums come from
-    the exact S at h, n and n + h.
+    Each block's sums of f(k) f(k+h), k + h in the block, are exact
+    ``Block.dots`` calls, a span per lag: the pairs from before the block
+    over the raw last max(lags) values carried across block boundaries and
+    the block's first max(lags), the rest over the block in place; all
+    merged exactly.  The plain sums come from the exact S at h, n and n + h.
     """
 
     def __init__(self, n: int, lags):
@@ -212,12 +230,16 @@ class LagCorrelations:
         if block.lo <= self.n:
             head = block.values[: self.n - block.lo + 1]
             self.low, self.high = min(self.low, head.min()), max(self.high, head.max())
-        x = np.concatenate((self.tail, block.values))
-        start = block.hi + 1 - x.size  # x[0] holds f(start)
-        spans = [(max(1, block.lo - h) - start, min(self.n, block.hi - h) - start, h)
-                 for h in self.products]  # each lag once, though it may be listed twice
-        self.products = {h: p + d for (h, p), d in zip(self.products.items(), block.dots(x, spans))}
-        self.tail = x[max(0, x.size - max(self.lags)) :].copy()
+        reach, tail, values = max(self.lags), self.tail, block.values
+        x = np.concatenate((tail, values[:reach]))  # x[0] holds f(lo - tail.size)
+        lo, hi, start = block.lo, block.hi, block.lo - tail.size
+        lags = list(self.products)  # each lag once, though it may be listed twice
+        before = block.dots(x, [(max(1, lo - h) - start, min(self.n, hi - h, lo - 1) - start, h)
+                                for h in lags])
+        inside = block.dots(values, [(0, min(self.n, hi - h) - lo, h) for h in lags])
+        self.products = {h: self.products[h] + a + b for h, a, b in zip(lags, before, inside)}
+        self.tail = np.concatenate((tail[max(0, tail.size + values.size - reach) :],
+                                    values[max(0, values.size - reach) :]))
 
     def mean(self) -> float:
         """S(n)/n, rounded once."""

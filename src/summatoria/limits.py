@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import traces
-from .empirical import empirical_cdf, ks_distance
-from .errors import BoundError, DegenerateSampleError, NumericError
+from .empirical import ks_distances
+from .errors import BoundError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
 from .traces import Strided, SummatoryTrace, stream, summatory_trace, validate_checkpoints
 
@@ -194,22 +194,25 @@ def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerd
     if N > seq.bound:
         raise BoundError(f"N={N} exceeds the sequence bound {seq.bound}")
     cps = validate_checkpoints(checkpoints, N)
-    samples = Strided(cps, traces.KS_SAMPLE_CAP)
+    ks, failed = {}, []  # D at each checkpoint, and a NumericError of the KS statistic
+
+    def finish(samples):  # each stride's samples as the stream passes them
+        try:
+            ks.update(zip(samples, ks_distances(samples.values())))
+        except NumericError as exc:
+            failed.append(exc)
+
+    samples = Strided(cps, traces.KS_SAMPLE_CAP, finish=finish)
     trace = SummatoryTrace(cps, stream(seq, cps, [samples]), seq.name)
 
     mu0, drift = estimate_limit_mean(trace)
     fit = mean_rate_fit(trace, mu0)
+    if failed:  # after the fit's errors: the KS statistic comes last
+        raise failed[0]
 
     notes = [f"mu0 drift from previous checkpoint: {drift:.6e}"]
-    ks_trace = []
-    degenerate = 0
-    for nj in cps.tolist():
-        try:
-            d = ks_distance(empirical_cdf(samples.sample(nj)))
-        except DegenerateSampleError:
-            d = float("nan")
-            degenerate += 1
-        ks_trace.append((nj, d))
+    ks_trace = [(n, ks[n]) for n in cps.tolist()]
+    degenerate = sum(math.isnan(d) for _, d in ks_trace)
     if degenerate:
         notes.append(f"{degenerate} checkpoint(s) had degenerate partial-sum samples")
 

@@ -352,14 +352,22 @@ def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
         raise BoundError(f"index {last} exceeds the sequence bound {seq.bound}")
     size = sieve.DEFAULT_BLOCK_SIZE  # read per call, so the tests can patch it
     total, sums = 0, []  # total exact: an int, or a Fraction once a real block is added
+    # A probe with a passed(m) hears, between blocks and after the last, with
+    # no block alive, that f(1..m) has been added.
+    hooks = [probe.passed for probe in probes if hasattr(probe, "passed")]
     for lo in range(1, last + 1, size):
         block = None  # one block alive at a time: drop it before the next is built
+        for passed in hooks:
+            passed(lo - 1)
         block = Block(lo, seq.values(lo, min(lo + size - 1, last)), total, seq.integer_valued)
         for probe in probes:
             probe.add(block)
         sums += block.sums_at(ns[:-1], rounded=True)[1]
         total += block.total
     sums.append(block.rounded(total))  # S(last) from the total: no cumsum of the last block
+    block = None
+    for passed in hooks:
+        passed(last)
     out = np.asarray(sums)
     if seq.integer_valued and out.dtype != np.int64:  # ints past int64 may become floats
         out = np.array(sums, dtype=object)
@@ -388,20 +396,30 @@ class Strided:
     block's base plus its float cumsum, the same at every block size.
     """
 
-    def __init__(self, ns, cap: int, *, sums: bool = True):
-        largest = {-(-n // cap): n for n in np.atleast_1d(ns).tolist()}  # stride -> largest n
-        points = sum(n // s for s, n in largest.items())
+    def __init__(self, ns, cap: int, *, sums: bool = True, finish=None):
+        self._ns = {}  # stride -> its n, increasing
+        for n in np.atleast_1d(ns).tolist():
+            self._ns.setdefault(-(-n // cap), []).append(n)
+        points = sum(ns[-1] // s for s, ns in self._ns.items())
         if points > _SAMPLE_BUDGET:
             raise CapacityError(f"strided samples of {points} points exceed the budget of "
                                 f"{_SAMPLE_BUDGET} float64 points")
-        self.cap, self.sums = cap, sums
-        self._arrays = {s: np.empty(n // s, dtype=np.float64) for s, n in largest.items()}
+        self.cap, self.sums, self.finish = cap, sums, finish
+        self._arrays = {s: np.empty(ns[-1] // s, dtype=np.float64) for s, ns in self._ns.items()}
         self._cell = None  # the open cell's anchor S(c) and cumsum after c
 
     def sample(self, n: int) -> np.ndarray:
         """S(k), or f(k), at k = s, 2s, ... <= n: a view of its stride's array."""
         s = -(-n // self.cap)
         return self._arrays[s][: n // s]
+
+    # With a finisher, a stride is done once the stream has passed its largest
+    # n: ``finish`` gets {n: sample(n)} over that stride's n, increasing, and
+    # then the stride's array is freed.
+    def passed(self, n: int) -> None:
+        for s in [s for s, ns in self._ns.items() if ns[-1] <= n] if self.finish else ():
+            self.finish({m: self.sample(m) for m in self._ns.pop(s)})
+            del self._arrays[s]
 
     def add(self, block: Block) -> None:
         pieces = (self._runs(block) if self.sums else

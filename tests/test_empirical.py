@@ -368,3 +368,51 @@ def test_ks_distance_is_that_of_the_sample_scaled_near_one(e, n, seed):
             ks_distance(empirical_cdf(x))
         return
     assert ks_distance(empirical_cdf(x)) == ks_distance(empirical_cdf(scaled))
+
+
+# Ties, both zeros, subnormals, values near 1e150 (their squares near
+# 1e300) and ordinary ones, drawn from a small pool so that ties are common.
+moment_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e150, -1e150,
+                     1.0000000000000002e150, 9.999999999999999e149, 1.0, -3.5]),
+    st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_subnormal=True))
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(moment_floats, min_size=1, max_size=60))
+def test_one_pass_moments_are_numpys_bit_for_bit(values):
+    arr = np.array(values)
+    ordered = np.sort(arr)
+    with np.errstate(all="ignore"):
+        mean, variance = float(np.mean(ordered)), float(np.var(ordered))
+    dist = empirical_cdf(arr)
+    assert dist.sample.tobytes() == ordered.tobytes() and dist.n == arr.size
+    assert (bits(dist.mean), bits(dist.variance)) == (bits(mean), bits(variance))
+
+
+def test_one_point_has_its_own_mean_and_no_spread():
+    for x in (-0.0, 5e-324, 1e150):
+        dist = empirical_cdf([x])
+        assert (bits(dist.mean), bits(dist.variance)) == (bits(np.mean([x])), bits(np.var([x])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(finite_floats, min_size=1, max_size=80), st.integers(1, 6))
+def test_ks_distances_of_a_strides_prefixes(values, parts):
+    # The prefixes one stride's checkpoints take, in increasing order; a
+    # degenerate one reads nan, as a verdict reports it.
+    arr = np.array(values)
+    ends = sorted({max(1, arr.size * j // parts) for j in range(1, parts + 1)})
+    samples = [arr[:e] for e in ends]
+    expected = []
+    for sample in samples:
+        try:
+            expected.append(ks_distance(empirical_cdf(sample)))
+        except DegenerateSampleError:
+            expected.append(math.nan)
+    got = empirical.ks_distances(samples)
+    assert [bits(d) for d in got] == [bits(d) for d in expected]

@@ -1,9 +1,12 @@
+import contextlib
 import io
 import itertools
 import math
 import operator
 import sys
+import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -28,8 +31,8 @@ from summatoria import (
     weighted_mobius_trace,
     write_trace_csv,
 )
-from summatoria import sieve, sublinear, traces
-from summatoria.empirical import independence_estimator
+from summatoria import cli, limits, sieve, sublinear, traces
+from summatoria.empirical import LagCorrelations, independence_estimator, ks_distances
 from summatoria.traces import Block, Strided, exact_prefix_sums, stream
 
 from moments import moments
@@ -625,3 +628,110 @@ def test_strided_samples_beyond_the_budget_are_refused():
     with pytest.raises(CapacityError, match="budget of 134217728"):
         Strided(cps, 10**6)
     Strided(geometric_checkpoints(10**9), 10**6)  # the default schedule: 76 MiB
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "--function", "mu-over-k", "--N", "6000", "--checkpoints", "geometric(20,1.3)"],
+    ["analyze", "--function", "mu", "--N", "3000", "--lag", "1,100"],
+], ids=["verdict", "analyze"])
+def test_each_stride_is_finished_once_between_blocks(monkeypatch, argv):
+    # A KS cap of 100 gives the verdict many strides.  Each stride reaches
+    # the finisher once, over its checkpoints in increasing order, when the
+    # stream has passed the largest and the last block built is dead; the
+    # first strides are finished while blocks are still to come.
+    monkeypatch.setattr(traces, "KS_SAMPLE_CAP", 100)
+    real_block, real_strided = traces.Block, traces.Strided
+    blocks, finished = [], []
+
+    def block(*args):
+        made = real_block(*args)
+        blocks.append(weakref.ref(made))
+        return made
+
+    class Spy(real_strided):
+        def __init__(self, ns, cap, *, finish, **kwargs):
+            def spied(samples):
+                finished.append((list(samples), len(blocks), blocks[-1]() is None))
+                finish(samples)
+            super().__init__(ns, cap, finish=spied, **kwargs)
+
+    def run():
+        out = io.StringIO()
+        with blocks_of(64), contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        return out.getvalue()
+
+    plain = run()
+    with mock.patch.object(traces, "Block", block), mock.patch.object(traces, "Strided", Spy), \
+            mock.patch.object(limits, "Strided", Spy):
+        assert run() == plain
+    N = int(argv[4])
+    ns = cli.parse_checkpoints(argv[6], N).tolist() if argv[0] == "verdict" else [N]
+    groups = [got for got, _, _ in finished]
+    assert [n for group in groups for n in group] == ns  # once each, in increasing order
+    strides = [{-(-n // 100) for n in group} for group in groups]
+    assert all(len(s) == 1 for s in strides) and len(set().union(*strides)) == len(groups)
+    assert len({-(-n // 100) for n in ns}) == len(groups) > (10 if argv[0] == "verdict" else 0)
+    assert all(dead for _, _, dead in finished)
+    assert finished[0][1] < len(blocks)
+    for group, built, _ in finished:  # the stream had passed the largest n, not the next block
+        assert (built - 1) * 64 < max(group) <= built * 64 or built == len(blocks)
+
+
+def test_finished_strides_leave_memory_as_the_stream_passes_them():
+    # tracemalloc counts an array from its allocation, and a probe makes its
+    # stride arrays when it is built, so its traced peak holds all of them;
+    # the resident pages of a stride array grow as the stream writes it.
+    # What tracemalloc does show is each array leaving: when a stride is
+    # finished, the memory traced since the probe was built is no more than
+    # the arrays of the strides not yet finished, and at the end it is less
+    # than one of them, where before the probe held every array to the end.
+    size, cap = 1 << 15, 8000
+    cps = geometric_checkpoints(1 << 21, cap, 1.1)
+    seq = weighted_mobius_sequence(int(cps[-1]))
+    strides = {}
+    for n in cps.tolist():
+        strides[-(-n // cap)] = n
+    arrays = [8 * (n // s) for s, n in strides.items()]  # bytes, in finishing order
+    held = []
+    with blocks_of(size):
+        # the prime table, the small-prime tile and a first finish
+        stream(seq, 3 * size, [Strided([size, 2 * size], cap, finish=lambda samples: None)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+
+            def finish(samples):
+                held.append(tracemalloc.get_traced_memory()[0] - base)
+                ks_distances(samples.values())
+            stream(seq, int(cps[-1]), [Strided(cps, cap, finish=finish)])
+            end = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    assert len(arrays) == len(held) > 40
+    # Slack: one array, for the checkpoint sums, the spy's list and the
+    # interpreter's own caches (about 24 KB measured).
+    assert all(h <= sum(arrays[j:]) + 8 * cap for j, h in enumerate(held))
+    assert end < 8 * cap < sum(arrays) / 40
+
+
+@pytest.mark.parametrize("kind", ["integer", "object", "real"])
+@pytest.mark.parametrize("block_size", [1, 5, 13, 64, 500])
+def test_lag_sums_straddle_a_tail_longer_than_a_block(kind, block_size):
+    # Pairs whose first term is before the block come from the carried tail
+    # and the block's head; the rest read the block in place, in windows of
+    # 4 pairs.  Lags up to 12 make the tail longer than the smaller blocks;
+    # "object" starts with values whose squares leave int64, so a block of
+    # small ones follows an object tail.
+    rng = np.random.default_rng(11)
+    n, lags = 200, (0, 1, 3, 12)
+    values = {"integer": rng.integers(-9, 10, n + 12).astype(np.float64),
+              "object": np.concatenate((rng.integers(-2**40, 2**40, 30),
+                                        rng.integers(-9, 10, n - 18))).astype(np.float64),
+              "real": rng.standard_normal(n + 12) * 2.0 ** rng.integers(-60, 60, n + 12)}[kind]
+    probe = LagCorrelations(n, lags)
+    with blocks_of(block_size), mock.patch.object(traces, "_DOT_CHUNK", 4):
+        stream(sequence_from_values(values), n + 12, [probe])
+    F = [Fraction(v) for v in values.tolist()]
+    assert probe.products == {h: sum((F[k] * F[k + h] for k in range(n)), Fraction(0))
+                              for h in lags}
