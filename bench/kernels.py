@@ -110,7 +110,8 @@ here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
 ``--section NAME``, ``pairs`` writes into that
-section, else into the sieve kernel's top-level ``perfbench_pairs``.
+section, which need not belong to a command (``verdict_errors`` does not),
+else into the sieve kernel's top-level ``perfbench_pairs``.
 ``traced`` runs ``perfbench/run.py --trace 1`` once in DIR and once here,
 and keeps each run's per-layer metrics under ``perfbench_traced``.
 """
@@ -805,7 +806,7 @@ def main(argv=None) -> int:
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section", choices=[name for name in SECTIONS if name != "kernel"])
+    pairs.add_argument("--section")  # any name but kernel: a section of its own
     traced = sub.add_parser("traced")
     traced.add_argument("--parent", required=True)
     traced.add_argument("--workload", required=True)

@@ -33,7 +33,7 @@ import numpy as np
 # What compute runs; the other commands import empirical, limits and
 # schedules in their bodies, so a process loads only its command's modules.
 from . import sequences, sieve, traces
-from .errors import BoundError, CapacityError, DegenerateSampleError, NumericError
+from .errors import CapacityError, NumericError
 from .sequences import ArithmeticSequence
 from .traces import geometric_checkpoints, validate_checkpoints
 
@@ -71,12 +71,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _number(kind, part: str):
+    try:
+        return kind(part)
+    except ValueError:
+        raise ValueError(f"--checkpoints: cannot read {part.strip()!r}; use geometric(start,ratio) "
+                         "or a comma list of integers such as 10,100,1000") from None
+
+
 def parse_checkpoints(spec: str, N: int) -> np.ndarray:
     """Parse 'geometric(start,ratio)' or a comma list like '10,100,1000'."""
     m = _GEOMETRIC_RE.match(spec.strip())
     if m:
-        return geometric_checkpoints(N, start=int(m.group(1)), ratio=float(m.group(2)))
-    return validate_checkpoints([int(part) for part in spec.split(",") if part.strip()], N)
+        return geometric_checkpoints(N, start=int(m.group(1)), ratio=_number(float, m.group(2)))
+    return validate_checkpoints([_number(int, p) for p in spec.split(",") if p.strip()], N)
 
 
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")  # suffixes np.loadtxt decompresses
@@ -170,12 +178,12 @@ def cmd_analyze(args) -> int:
 
     N, lags = args.N, args.lag
     seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
-    ks = []  # finished once the stream passes N
-    values = traces.Strided(N, traces.KS_SAMPLE_CAP, sums=False,
-                            finish=lambda samples: ks.extend(ks_distances(samples.values())))
+    ks = {}  # finished once the stream passes N
+    values = traces.Strided(N, traces.KS_SAMPLE_CAP, sums=False, finish=lambda stride: ks.update(
+        zip(stride, ks_distances(stride.values()))))
     correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
     traces.stream(seq, N + max(lags), [values, correlations])
-    mean, (variance, *rhos), (ks_normal,) = correlations.mean(), correlations.result(), ks
+    mean, (variance, *rhos), ks_normal = correlations.mean(), correlations.result(), ks[N]
     rho = list(zip(lags, rhos))
 
     with _open_output(args.output) as out:
@@ -442,12 +450,9 @@ def main(argv=None) -> int:
         try:
             args = build_parser().parse_args(_expand_config(argv))
             return _COMMANDS[args.command](args)
-        except (BoundError, DegenerateSampleError, ValueError) as exc:
+        except (ValueError, CapacityError, NumericError, MemoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (CapacityError, NumericError, MemoryError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return 1 if isinstance(exc, ValueError) else 2  # BoundError is a ValueError
 
 
 def run() -> None:

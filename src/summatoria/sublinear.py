@@ -35,12 +35,12 @@ from .sieve import GLOBAL_SIEVE_BOUND
 # (``sequences.SUBLINEAR_BOUND``) the cost model picks about 7.6e6.
 TABLE_MAX = 1 << 25
 
-# Cost model, in seconds per unit, fitted by ``bench/kernels.py sublinear``
-# on a 2-vCPU Xeon (BENCH_kernels.json, ``sublinear.fit``): streaming
-# costs STREAM_S per entry, a table TABLE_S per entry, and a checkpoint x
-# above a table of L entries ELEMENT_S * x / sqrt(L) + VALUE_S * x / L.
-# The fit is within a factor of two of every measured recursion: it
-# overcounts the values that nested checkpoints share.
+# Cost model, in seconds per unit: streaming costs STREAM_S per entry, a table
+# TABLE_S per entry, and a checkpoint x above a table of L entries ELEMENT_S *
+# x / sqrt(L) + VALUE_S * x / L; it overcounts the values nested checkpoints
+# share.  The constants are an earlier fit by ``bench/kernels.py sublinear`` on a
+# 2-vCPU Xeon, within a factor of two of every recursion measured; the latest fit
+# (BENCH_kernels.json, ``sublinear.fit``) is about 0.5x STREAM_S and TABLE_S, 0.7x VALUE_S.
 STREAM_S = 25e-9
 TABLE_S = 29e-9
 ELEMENT_S = 5e-9

@@ -421,6 +421,7 @@ class Strided:
             self.finish({m: self.sample(m) for m in self._ns.pop(s)})
             del self._arrays[s]
 
+    @np.errstate(over="ignore")  # a float sum past DBL_MAX: the KS statistic refuses it
     def add(self, block: Block) -> None:
         pieces = (self._runs(block) if self.sums else
                   [(block.lo, block.hi, block.values.__getitem__)])

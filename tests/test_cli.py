@@ -18,7 +18,7 @@ import pytest
 from scipy.special import ndtr
 
 import summatoria
-from summatoria import cli, empirical_cdf, ks_distance, sieve
+from summatoria import cli, empirical_cdf, ks_distance, limits, sieve, traces
 from summatoria.cli import main, parse_checkpoints
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -339,6 +339,16 @@ def test_parse_checkpoints_forms():
         parse_checkpoints("geometric(10,2) extra", 100)
 
 
+@pytest.mark.parametrize("spec, bad", [("1e2", "1e2"), ("geometric(10,1..2)", "1..2"),
+                                       ("10, abc ,100", "abc")])
+def test_an_unreadable_checkpoint_is_named_with_the_accepted_forms(spec, bad, capsys):
+    status, out, err = run_cli("compute", "--function", "mu", "--N", "1000",
+                               "--checkpoints", spec, capsys=capsys)
+    assert (status, out) == (1, "")
+    assert err == (f"error: --checkpoints: cannot read {bad!r}; use geometric(start,ratio) "
+                   "or a comma list of integers such as 10,100,1000\n")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "summatoria.cli", "compute", "--function", "mu",
@@ -546,6 +556,42 @@ def test_a_ks_sample_holding_inf_exits_two(tmp_path, capsys):
                                    "--checkpoints", "400,800,1200,2000", capsys=capsys)
     assert (status, out) == (2, "")
     assert "variance of the KS sample is not finite" in err and "Traceback" not in err
+
+
+def test_a_ks_error_ends_the_verdict_before_the_fit_with_one_stderr_line(tmp_path, capsys,
+                                                                         monkeypatch):
+    # The CSV of test_a_ks_sample_holding_inf_exits_two, without errstate:
+    # its float partial sums pass DBL_MAX, and no warning line is printed.
+    path = tmp_path / "huge.csv"
+    _write_values(path, [1e308, 1e308, -1e308, -1e308] * 500)
+    fits = []
+    monkeypatch.setattr(limits, "mean_rate_fit", lambda *args: fits.append(args))
+    status, out, err = run_cli("verdict", "--function", f"file:{path}", "--N", "2000",
+                               "--checkpoints", "400,800,1200,2000", capsys=capsys)
+    assert (status, out, fits) == (2, "", [])
+    assert err == "error: the mean or variance of the KS sample is not finite\n"
+
+
+@pytest.mark.parametrize("function, N, checkpoints", [
+    ("mu", 10**9, "1000000000"),
+    ("mu-over-k", 10**6, "10,1000"),
+    ("file", 3, "1,2,3"),  # its sum passes DBL_MAX: the stream would exit 2
+])
+def test_a_verdict_of_fewer_than_4_checkpoints_stops_before_the_first_block(
+        function, N, checkpoints, tmp_path, capsys, monkeypatch):
+    if function == "file":
+        path = tmp_path / "huge.csv"
+        _write_values(path, [1e308, 1e308, 1.0])
+        function = f"file:{path}"
+
+    def block(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(traces, "Block", block)
+    status, out, err = run_cli("verdict", "--function", function, "--N", str(N),
+                               "--checkpoints", checkpoints, capsys=capsys)
+    assert (status, out) == (1, "")
+    assert err == "error: limit-mean estimation needs at least 4 checkpoints\n"
 
 
 def test_explicit_flags_beat_config_values_equal_to_defaults(tmp_path, capsys, monkeypatch):
