@@ -55,10 +55,14 @@ of ``analyze mu --N 1e6`` (10**6 points), of ``verdict mu-over-k --N
 that both give the same D at every sample: the sum over the samples of
 each call's best of 5, the two sides alternating, with the number of
 points at which ``ks_distance`` evaluates Phi.
-``moments`` times, per 2**20 block of mu(k)/k and of 1/k ending at
-2**20, 10 * 2**20 and 3e7, best of 5: the sum of the rounded products
-f(k) f(k+3) by ``exact_prefix_sums`` against their exact sum by
-``Block.dots`` on the raw values, which splits them a window at a time;
+``moments`` times ``Block.dots`` of DIR's package, loaded as for
+``kernel``, against this one's, which cuts each window into 18-bit
+slices (``traces._slices``), on the same raw values and spans, best and
+median of 5 with the two sides alternating, after checking that both
+give the same Fractions: ``analyze``'s lags 0, 1, 2, 5 and 10 over a
+2**20 block of mu(k)/k and of 1/k ending at 2**20, 10 * 2**20 and 3e7,
+and over a standard normal block, then lags 1 and 2**19 over mu(k)/k
+(a far lag), with the least and largest number of rows per window;
 then ``analyze --N 1e6`` of mu, mu-over-k and harmonic in DIR and here,
 best of 5, with each run's peak RSS.
 ``sublinear`` runs ``compute --function mu|lambda`` on the schedules of
@@ -151,7 +155,8 @@ CALLS_N = 1 << 12
 KS_ANALYZE_N = 1_000_000
 KS_VERDICT_N = 4_096_000
 KS_DENSE_N = 3_000_000
-MOMENTS_LAG = 3
+MOMENTS_LAGS = (0, 1, 2, 5, 10)  # analyze's lag 0 and default lags
+MOMENTS_FAR = 1 << 19
 ANALYZE_N = 1_000_000
 # perfbench's sieve-stream schedule, with four checkpoints inside blocks
 SIEVE_STREAM = ("10,100,1000,10000,100000,1000000,10000000,"
@@ -348,7 +353,7 @@ def sum_section(parent: str | None) -> dict:
     before = load_parent(parent, "traces") if parent else None
 
     def binned(x, ends):  # the exponent-binning kernel on its own
-        return traces._binned_sums(*np.frexp(x), ends)
+        return traces._binned_sums(x, ends)
 
     def exact(run):  # the one sum of a kernel as a Fraction
         (num,), exp = run()
@@ -461,27 +466,50 @@ def moments_section(parent: str) -> dict:
         analyze.append({"function": function, "N": ANALYZE_N, "same_bytes": True,
                         **summary(runs)})
 
+    from unittest import mock
+
     from summatoria import sequences, traces
 
-    rows = []
+    before = load_parent(parent, "traces")
+    cases = []
     for hi in SUM_BLOCK_ENDS:
-        lo = hi - BLOCK + 1
-        for name, seq in (("mu(k)/k", sequences.weighted_mobius_sequence(hi + MOMENTS_LAG)),
-                          ("1/k", sequences.sequence_from_function(lambda k: 1.0 / k,
-                                                                   hi + MOMENTS_LAG))):
-            x = seq.values(lo, hi + MOMENTS_LAG)
-            block = traces.Block(lo, x, 0, False)
-            runs = {
-                "rounded": lambda: traces.exact_prefix_sums(x[:BLOCK] * x[MOMENTS_LAG:], [BLOCK]),
-                "dots": lambda: block.dots(x, [(0, BLOCK - 1, MOMENTS_LAG)]),
-            }
-            ms = {side: 1e3 * t for side, t in best_of(5, runs).items()}
-            rows.append({"terms": name, "lag": MOMENTS_LAG, "lo": lo, "hi": hi,
-                         "rounded_product_ms": round(ms["rounded"], 1),
-                         "exact_dots_ms": round(ms["dots"], 1)})
+        lo, end = hi - BLOCK + 1, hi + max(MOMENTS_LAGS)
+        cases += [(f"mu(k)/k, k = {lo}..{hi}", MOMENTS_LAGS,
+                   sequences.weighted_mobius_sequence(end).values(lo, end)),
+                  (f"1/k, k = {lo}..{hi}", MOMENTS_LAGS, 1.0 / np.arange(lo, end + 1))]
+    cases += [("standard normal, seed 1", MOMENTS_LAGS,
+               np.random.default_rng(1).standard_normal(BLOCK + max(MOMENTS_LAGS))),
+              ("mu(k)/k, k = 1..2**20, far lag", (1, MOMENTS_FAR),
+               sequences.weighted_mobius_sequence(BLOCK + MOMENTS_FAR).values(
+                   1, BLOCK + MOMENTS_FAR))]
+    rows = []
+    for name, lags, x in cases:
+        spans = [(0, BLOCK - 1, h) for h in lags]
+        blocks = {"parent": before.Block(1, x, 0, False), "change": traces.Block(1, x, 0, False)}
+        counts = []
+
+        def counted(w, slices=traces._slices):  # records the rows of each window
+            rows, g = slices(w)
+            counts.append(len(rows))
+            return rows, g
+
+        with mock.patch.object(traces, "_slices", counted):
+            same = blocks["change"].dots(x, spans) == blocks["parent"].dots(x, spans)
+        if not same:
+            raise SystemExit(f"{name}: the sides give different sums")
+        ms = {side: [1e3 * t for t in ts] for side, ts in times_of(
+            5, {side: lambda b=b: b.dots(x, spans) for side, b in blocks.items()}).items()}
+        rows.append({"terms": name, "lags": list(lags), "rows_per_window": [min(counts),
+                                                                          max(counts)],
+                     **{f"{side}_best_ms": round(min(t), 1) for side, t in ms.items()},
+                     **{f"{side}_median_ms": round(statistics.median(t), 1)
+                        for side, t in ms.items()},
+                     "speedup": round(statistics.median(ms["parent"])
+                                      / statistics.median(ms["change"]), 2)})
+        print(json.dumps(rows[-1]), flush=True)
 
     return {"command": "PYTHONPATH=src python3 bench/kernels.py moments --parent DIR",
-            "block_2pow20_best_of_5": rows, "analyze_best_of_5": analyze}
+            "dots_2pow20_pairs_of_5": rows, "analyze_best_of_5": analyze}
 
 
 def sublinear_section(parent: str) -> dict:

@@ -4,7 +4,7 @@ Restricting a sequence to {1..n} and weighting every point by 1/n turns
 it into a random variable.  Its mean, population variance and lagged
 correlations, which quantify asymptotic independence, come from one
 probe of ``traces.stream``, ``LagCorrelations``: exact sums of products
-(``Block.dots``, split a window at a time) rounded once, lag 0 being the
+(``Block.dots``, sliced a window at a time) rounded once, lag 0 being the
 variance, so ``analyze`` gets all of them from one pass.  A sample's
 empirical CDF and its KS distance to the normal law complete the module.
 """

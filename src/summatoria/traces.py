@@ -8,10 +8,9 @@ cumsum after c, for integers and reals alike) and lag products (lag 0
 gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
 once, exactly.  A ``Block`` has one exact rule for sums and one for sums
 of products (``Block.dots``): integers as int64 (or Python ints where
-int64 could wrap), reals through ``exact_prefix_sums``: levels that float
-adds sum exactly (Rump, Ogita & Oishi 2008), or binning by exponent, which
-products enter as Dekker's two-product, split a window at a time.  So
-every S(n) at a checkpoint is the exact sum, rounded once: correctly
+int64 could wrap), real sums by levels that float adds exactly (Rump et
+al. 2008) or by exponent bins, real products by np.dot of 18-bit slices.
+So every S(n) at a checkpoint is the exact sum, rounded once: correctly
 rounded at every block size.  A sum that is not finite raises NumericError.
 """
 
@@ -161,7 +160,7 @@ def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
     steps = (last + 1).bit_length()  # ceil(log2(n + 2))
     peak = max(x.max(initial=0.0), -x.min(initial=0.0))
     if peak >= 2.0 ** (1000 - steps):  # sigma could overflow
-        return _binned_sums(*np.frexp(x), ends)
+        return _binned_sums(x, ends)
     # Level k peels on the grid 2**(s[k] - 53) and leaves a rest below 2**(s[k + 1] - steps).
     s = (math.frexp(peak)[1] + steps) - (53 - steps) * np.arange(_LEVELS)
     sigmas = np.ldexp(1.0, s).tolist()
@@ -180,7 +179,7 @@ def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
             if not rc.any():
                 break
         else:  # a wide span: binning alone is exact and cheaper than peeling and binning
-            return _binned_sums(*np.frexp(x), ends)
+            return _binned_sums(x, ends)
         depth = max(depth, k + 1)
     ints = np.ldexp(np.cumsum(sums[:depth], axis=1), 53 - s[:depth, None]).astype(np.int64)
     exp = int(s[depth - 1]) - 53
@@ -188,12 +187,11 @@ def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
                for n, e in zip(ints, s)).tolist(), exp
 
 
-def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int]:
-    """``exact_prefix_sums`` of the terms mant * 2**ex, for mant a multiple
-    of 2**-53 below 1 in magnitude, as ``np.frexp`` gives, as integers n
-    with the one exponent e of n * 2**e; overwrites mant."""
-    if mant.size > 2**26:
-        raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {mant.size}")
+def _binned_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
+    """``exact_prefix_sums`` of x as ints n with one exponent e: n * 2**e."""
+    if x.size > 2**26:
+        raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {x.size}")
+    mant, ex = np.frexp(x)
     mant *= 2.0**26
     hi = np.floor(mant)
     lo = np.subtract(mant, hi, out=mant)
@@ -230,20 +228,26 @@ def _binned_sums(mant: np.ndarray, ex: np.ndarray, ends) -> tuple[list[int], int
     return sums, e0 - 53
 
 
-# Veltkamp's splitting factor 2**27 + 1: it cuts a float64 mantissa into
-# two halves of at most 26 bits, whose products are exact (Dekker 1971).
-_VELTKAMP = 134217729.0
-_DOT_CHUNK = 1 << 15  # pairs per window of Block.dots: one window's rows live at a time
+_DOT_CHUNK = 1 << 15  # pairs per window of Block.dots: 2**15 products of 2**36 stay below 2**53
 
 
-def _split(x: np.ndarray) -> np.ndarray:
-    """Rows (mantissa, its high and low halves, exponent) of float64 x."""
-    mant, hi, lo, ex = out = np.empty((4, x.size))
-    mant[...], ex[...] = np.frexp(x)
-    np.multiply(mant, _VELTKAMP, out=hi)  # Veltkamp's split: hi keeps the top 26 bits
-    hi -= hi - mant
-    np.subtract(mant, hi, out=lo)
-    return out
+def _slices(w: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """Rows of ints, lowest first, and g: w = sum_k rows[k] * 2**(g + 18k).
+    Step j takes q = (r + s) - s off the rest r, s = 2**(e + 35 - 18j) for
+    max|w| < 2**e: |q| <= 2**18, so np.dot of two rows over _DOT_CHUNK pairs
+    is exact (Ozaki et al. 2012).  Past 8 rows or 2**988: one row of ints."""
+    e = math.frexp(max(w.max(initial=0.0), -w.min(initial=0.0)))[1]
+    rows, r = [], w.copy()
+    while r.any() and len(rows) < 8 and e <= 988:
+        s = math.ldexp(1.0, e + 35 - 18 * len(rows))
+        q = (r + s) - s
+        r -= q
+        rows.append(np.ldexp(q, 18 * len(rows) + 18 - e, out=q))
+    if not r.any():
+        return rows[::-1], e - 18 * len(rows)
+    mant, ex = np.frexp(w)  # ints on the grid of the least exponent
+    g = int(ex[mant != 0].min()) - 53
+    return [np.ldexp(mant, 53).astype(np.int64).astype(object) << (ex - 53 - g).clip(0)], g
 
 
 class Block:
@@ -290,28 +294,24 @@ class Block:
 
     def dots(self, x: np.ndarray, spans) -> list:
         """Exact sums of x[a : b + 1] * x[a + h : b + h + 1] (0 where b < a)
-        for the (a, b, h) of ``spans``, x raw values of this block's kind:
-        ints (int64 or object products), else Fractions.  Windows of x,
-        _DOT_CHUNK + max h values, are cast or ``_split`` once for all spans.
-        Each product of mantissas is p + e exactly (Dekker's two-product),
-        binned with the exponents added back: none underflows or overflows."""
-        reach = max(h for _, _, h in spans)
+        for the (a, b, h) of ``spans``, x raw values of this block's kind, as
+        ints or Fractions: np.dot of the row pairs of each window of x, cast
+        (one row) or ``_slices`` once for all spans."""
+        near = max((h for _, _, h in spans if h <= _DOT_CHUNK), default=0)
+        far = sorted({h for _, _, h in spans if h > _DOT_CHUNK})  # each reads _DOT_CHUNK values
         totals = [0 if self.exact else Fraction(0)] * len(spans)
-        for k in range(0, x.size, _DOT_CHUNK):
-            w = x[k : k + _DOT_CHUNK + reach]
-            w = w.astype(np.result_type(w, self.dtype), copy=False) if self.exact else _split(w)
+        for k in range(0, max(b for _, b, _ in spans) + 1, _DOT_CHUNK):  # windows with pairs
+            parts = [x[k : k + _DOT_CHUNK + near], *(x[k + h : k + h + _DOT_CHUNK] for h in far)]
+            at = dict(zip(far, np.cumsum([p.size for p in parts]).tolist()))  # far starts in w
+            w = np.concatenate(parts) if far else parts[0]
+            rows, g = _slices(w) if not self.exact else (
+                [w.astype(np.result_type(w, self.dtype), copy=False)], 0)
             for i, (a, b, h) in enumerate(spans):
-                a, b = max(a - k, 0), min(b - k + 1, _DOT_CHUNK)  # the span's pairs in w: a..b-1
-                if a < b and self.exact:
-                    totals[i] += int((w[a:b] * w[a + h : b + h]).sum())
-                elif a < b:
-                    (xm, xh, xl, xe), (ym, yh, yl, ye) = w[:, a:b], w[:, a + h : b + h]
-                    p = xm * ym
-                    mant, ex = np.frexp(np.concatenate((p, ((xh * yh - p) + xh * yl + xl * yh)
-                                                        + xl * yl)))
-                    ex += np.tile((xe + ye).astype(ex.dtype), 2)
-                    (num,), exp = _binned_sums(mant, ex, [mant.size])
-                    totals[i] += _fraction(num, exp)
+                a, b = max(a - k, 0), max(a - k, 0, min(b - k + 1, _DOT_CHUNK))  # pairs a..b-1
+                y = a + at.get(h, h)
+                num = sum(int(np.dot(p[a:b], q[y : y + b - a])) << 18 * (j + m)
+                          for j, p in enumerate(rows) for m, q in enumerate(rows))
+                totals[i] += num if self.exact else _fraction(num, 2 * g)
         return totals
 
     def sums_at(self, ns: np.ndarray, *, rounded: bool = False) -> tuple[np.ndarray, list]:

@@ -549,6 +549,142 @@ def test_block_dots_sum_every_span_through_the_windows(kind):
     assert all(type(t) is (int if kind != "float" else Fraction) for t in got)
 
 
+@contextlib.contextmanager
+def slices_seen():
+    """Record (window, rows, g) of every ``traces._slices`` call."""
+    seen, real = [], traces._slices
+
+    def record(w):
+        rows, g = real(w)
+        seen.append((w.copy(), rows, g))
+        return rows, g
+
+    with mock.patch.object(traces, "_slices", record):
+        yield seen
+
+
+def bit_span(w) -> int:
+    # e - low for max|w| < 2**e and 2**low the least set bit of w: 8 rows of
+    # 18 bits hold a span of up to 126 bits, and never one past 144.
+    ratios = [v.as_integer_ratio() for v in w.tolist() if v]
+    low = min((n & -n).bit_length() - d.bit_length() for n, d in ratios)
+    return math.frexp(max(map(abs, w.tolist())))[1] - low
+
+
+def check_slices(w, rows, g):
+    # The rows sum back to w exactly; sliced rows are integers within
+    # 2**18, and a window falls back to one row of ints only when it must.
+    assert [sum((Fraction(int(row[i])) * Fraction(2) ** (g + 18 * k)
+                 for k, row in enumerate(rows)), Fraction(0)) for i in range(w.size)] == \
+        [Fraction(v) for v in w.tolist()]
+    fell_back = bool(rows) and rows[0].dtype == object
+    if fell_back:
+        assert len(rows) == 1 and (np.abs(w).max() >= 2.0**988 or bit_span(w) > 126)
+    else:
+        assert len(rows) <= 8
+        assert all(np.all(np.abs(row) <= 2**18) and np.all(row == np.round(row)) for row in rows)
+        assert not w.any() or (np.abs(w).max() < 2.0**988 and bit_span(w) <= 144)
+
+
+@st.composite
+def dot_cases(draw):
+    # Windows of 1, 3 or 8 pairs (a patched _DOT_CHUNK) and lags up to
+    # thrice that; terms whose bits lie within 53 to 2100 bits below a top
+    # exponent, any float (subnormals, near DBL_MAX), zeros, and whole
+    # windows of zeros.
+    chunk = draw(st.sampled_from([1, 3, 8]))
+    top = draw(st.integers(-1021, 1024))
+    span = draw(st.sampled_from([53, 100, 140, 150, 2100]))
+    term = st.builds(math.ldexp, st.integers(-2**53 + 1, 2**53 - 1),
+                     st.integers(top - span, top - 53))
+    values = draw(st.lists(st.one_of(term, any_float, st.just(0.0)), min_size=1, max_size=40))
+    for k in draw(st.sets(st.integers(0, len(values) // chunk), max_size=3)):
+        values[k * chunk : (k + 1) * chunk] = [0.0] * len(values[k * chunk : (k + 1) * chunk])
+    n, spans = len(values), []
+    for h in draw(st.lists(st.integers(0, 3 * chunk + 1), min_size=1, max_size=4)):
+        spans.append((draw(st.integers(0, n - 1)), draw(st.integers(-1, max(-1, n - 1 - h))), h))
+    return values, chunk, spans
+
+
+def exact_dots(values, spans) -> list[Fraction]:
+    F = [Fraction(v) for v in values]
+    return [sum((F[k] * F[k + h] for k in range(a, b + 1)), Fraction(0)) for a, b, h in spans]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dot_cases())
+@example(([0.0] * 9 + [1.5, -2.0**-60], 3, [(0, 10, 0), (0, 6, 4)]))  # a window of zeros
+@example(([5e-324, -3e-320, 2.0**-1022] * 3, 3, [(0, 8, 0), (0, 2, 6)]))  # subnormals
+@example(([sys.float_info.max, -2.0**987, 2.0**988, 1.0], 1, [(0, 3, 0), (0, 0, 3)]))
+@example(([1.0, 2.0**-150, 3.0, 2.0**-130] * 4, 8, [(0, 15, 0), (0, 5, 10)]))  # 151 bits
+def test_sliced_dots_match_fraction_sums(case):
+    values, chunk, spans = case
+    x = np.array(values, dtype=np.float64)
+    with mock.patch.object(traces, "_DOT_CHUNK", chunk), slices_seen() as seen:
+        got = Block(1, x, 0, False).dots(x, spans)
+    assert got == exact_dots(values, spans)
+    for w, rows, g in seen:
+        check_slices(w, rows, g)
+
+
+def test_a_window_of_the_largest_rows_dots_exactly():
+    # 2**15 + 1 copies of 1 - 2**-53: the top row is 2**18 everywhere, so
+    # its dot with itself over one window is 2**51, the most it may be.
+    C, v = traces._DOT_CHUNK, 1 - 2.0**-53
+    x = np.full(C + 1, v)
+    with slices_seen() as seen:
+        got = Block(1, x, 0, False).dots(x, [(0, C - 1, 1), (0, C, 0)])
+    assert got == [C * Fraction(v) ** 2, (C + 1) * Fraction(v) ** 2]
+    (_, rows, _), *_ = seen
+    assert np.all(rows[-1] == 2.0**18) and np.dot(rows[-1][:C], rows[-1][1:]) == 2.0**51
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_cases(), st.integers(0, 2**16), st.booleans())
+@example(([2.0**987, -3.0, 2.0**900], 1, [(0, 2, 0), (0, 0, 2)]), 1, True)
+def test_dots_of_a_sample_scaled_by_a_power_of_two_scale_exactly(case, pick, at_edge):
+    # dots(x * 2**k) = 4**k dots(x) for every k at which the scaling is
+    # exact, on narrow and wide samples, and across max|x| = 2**988, where
+    # slicing gives way to the fallback (k at the edge).
+    values, chunk, spans = case
+    x = np.array(values, dtype=np.float64)
+    k = pick % 2201 - 1100
+    if x.any():
+        e, span = math.frexp(np.abs(x).max())[1], bit_span(x)
+        lowest, highest = -1074 - (e - span), 1024 - e
+        edge = [j for j in (988 - e, 989 - e) if lowest <= j <= highest]
+        k = edge[pick % len(edge)] if at_edge and edge else lowest + pick % (highest - lowest + 1)
+    with mock.patch.object(traces, "_DOT_CHUNK", chunk):
+        block = Block(1, x, 0, False)
+        scaled = np.ldexp(x, k)
+        assert np.array_equal(np.ldexp(scaled, -k), x)  # the scaling is exact
+        assert block.dots(scaled, spans) == [t * Fraction(4) ** k for t in block.dots(x, spans)]
+
+
+def test_a_far_lag_reads_one_window_of_its_own():
+    # Each window takes _DOT_CHUNK values at a lag past it, not the whole
+    # stretch up to that lag.  So the traced peak of dots is two windows'
+    # rows and their values (8 windows' worth at lag 1, 20 and 22 at lags of
+    # 4 and 16 windows), where slicing the stretch took 52 and 166.
+    C = traces._DOT_CHUNK
+    x = weighted_mobius_sequence(20 * C).values(1, 20 * C)
+    block = Block(1, x, 0, False)
+    pairs = [v.as_integer_ratio() for v in x.tolist()]  # x as ints over 2**shift
+    shift = max(d for _, d in pairs).bit_length() - 1
+    ints = np.array([n << (shift + 1 - d.bit_length()) for n, d in pairs], dtype=object)
+    for h in (1, 4 * C, 16 * C):
+        spans = [(0, 4 * C - 1, 0), (0, 4 * C - 1, 3), (0, 4 * C - 1, h)]
+        tracemalloc.start()
+        try:
+            got = block.dots(x, spans)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * C * 8, h
+        assert got == [Fraction(int(np.dot(ints[a : b + 1], ints[a + d : b + d + 1])),
+                                1 << 2 * shift) for a, b, d in spans]
+
+
 @pytest.mark.parametrize("n", [3, 8, 40])
 def test_squares_that_underflow_give_the_exact_variance_and_rho(n):
     # f(k) near 1e-160: f(k)**2 is subnormal as a float, not as a Fraction.
