@@ -35,17 +35,16 @@ with each kernel swapped in for ``sieve.sieve_block``.  With
 ``--parent``, the package of DIR is loaded into the
 same process under another name, and its ``sieve_block`` is a third
 kernel in every comparison.
-``sum`` times the exact sum of one 2**20 block, best and median of 7,
-by the level-peeling front (``traces._peeled_sums``, which bins the
-whole block where its levels leave a rest) against exponent binning
-alone (``_binned_sums``), and with ``--parent`` against the
-``_peeled_sums`` of DIR's package, loaded as for
-``kernel``, after checking that all give the same Fraction: mu(k)/k and
-1/k ending at 2**20, 10 * 2**20 and 3e7, a standard normal sample,
-exp(-k/1000) and a tiled 1e300/subnormal mix.  Then the microseconds per ``Block.sums_at``
-call at block sizes 1 and 64 over mu(k)/k, k <= 4096, with every k a
-checkpoint, best and median of 5, with each kernel behind ``sums_at``,
-after checking both give the same sums.  The runs of the two sides
+``sum`` times ``traces.exact_prefix_sums`` of one 2**20 block, best and
+median of 7, which cuts each chunk of 2**15 terms into rows of 37 bits
+(``traces._slices``), with the least and largest number of rows per
+chunk and the number of chunks that fall back to one row of ints; with
+``--parent``, against the ``exact_prefix_sums`` of DIR's package, loaded
+as for ``kernel``, after checking that both give the same Fraction:
+mu(k)/k and 1/k ending at 2**20, 10 * 2**20 and 3e7, a standard normal
+sample, exp(-k/1000) and a tiled 1e300/subnormal mix.  Then the
+microseconds per call on the first 1, 7, 64 and 4096 terms of mu(k)/k,
+best and median of 5 runs of 100 calls.  The runs of the two sides
 alternate.
 ``ks`` times ``ks_distance`` against the full evaluation it replaced (Phi
 and both step arrays at every sorted point, ``tests/reference_ks.py``) on the KS samples
@@ -350,15 +349,7 @@ def sum_section(parent: str | None) -> dict:
 
     from summatoria import sequences, traces
 
-    before = load_parent(parent, "traces") if parent else None
-
-    def binned(x, ends):  # the exponent-binning kernel on its own
-        return traces._binned_sums(x, ends)
-
-    def exact(run):  # the one sum of a kernel as a Fraction
-        (num,), exp = run()
-        return traces._fraction(num, exp)
-
+    sides = {"change": traces, **({"parent": load_parent(parent, "traces")} if parent else {})}
     blocks = []
     for hi in SUM_BLOCK_ENDS:
         lo = hi - BLOCK + 1
@@ -371,47 +362,45 @@ def sum_section(parent: str | None) -> dict:
                (f"{mix} tiled", np.tile(mix, BLOCK // 4))]
     rows = []
     for name, x in blocks:
-        runs = {"peel": lambda: traces._peeled_sums(x, [BLOCK]),
-                "bin": lambda: binned(x, [BLOCK]),
-                **({"parent_peel": lambda: before._peeled_sums(x, [BLOCK])} if before else {})}
-        with mock.patch.object(traces, "_binned_sums", wraps=traces._binned_sums) as spy:
-            runs["peel"]()
-        if len({exact(run) for run in runs.values()}) != 1:
-            raise SystemExit(f"{name}: peeling and binning give different sums")
+        runs = {side: lambda m=m: m.exact_prefix_sums(x, [BLOCK]) for side, m in sides.items()}
+        counts = []
+
+        def counted(*args, slices=traces._slices):  # records the rows of each chunk
+            rows, g = slices(*args)
+            counts.append(None if rows[0].dtype == object else len(rows))  # None: fell back
+            return rows, g
+
+        with mock.patch.object(traces, "_slices", counted):
+            if len({tuple(run()) for run in runs.values()}) != 1:
+                raise SystemExit(f"{name}: the sides give different sums")
         ms = {side: [1e3 * t for t in ts] for side, ts in times_of(7, runs).items()}
-        rows.append({"terms": name, "peeling_bins_a_rest": spy.called,
+        sliced = [c for c in counts if c is not None]
+        rows.append({"terms": name,
+                     "rows_per_chunk": [min(sliced), max(sliced)] if sliced else None,
+                     "chunks_falling_back": counts.count(None),
                      **{f"{side}_best_ms": round(min(ms[side]), 1) for side in runs},
                      **{f"{side}_median_ms": round(statistics.median(ms[side]), 1)
-                        for side in runs},
-                     "speedup": round(statistics.median(ms["bin"])
-                                      / statistics.median(ms["peel"]), 2)})
+                        for side in runs}})
         print(json.dumps(rows[-1]), flush=True)
 
-    # Block.sums_at at small block sizes, every k a checkpoint: its fixed cost.
+    # One exact sum of the first few terms of mu(k)/k: the fixed cost of a call.
     values = sequences.weighted_mobius_sequence(CALLS_N).values(1, CALLS_N)
-    ns = np.arange(1, CALLS_N + 1)
     calls = []
-    for size in (1, 64):
-        us, out = {"peel": [], "bin": []}, {}
-        for i in range(5):
-            for side in (["peel", "bin"] if i % 2 == 0 else ["bin", "peel"]):
-                with mock.patch.object(traces, "_peeled_sums",
-                                       traces._peeled_sums if side == "peel" else binned):
-                    built = [traces.Block(lo, values[lo - 1 : lo - 1 + size], 0, False)
-                             for lo in range(1, CALLS_N + 1, size)]
-                    start = time.perf_counter()
-                    out[side] = [block.sums_at(ns)[1] for block in built]
-                    us[side].append(1e6 * (time.perf_counter() - start) / len(built))
-        if out["peel"] != out["bin"]:
-            raise SystemExit(f"sums_at at block size {size}: peeling and binning differ")
-        calls.append({"terms": f"mu(k)/k, k = 1..{CALLS_N}", "block_size": size,
+    for n in (1, 7, 64, CALLS_N):
+        x = values[:n]
+        runs = {side: lambda m=m: [m.exact_prefix_sums(x, [n]) for _ in range(100)]
+                for side, m in sides.items()}
+        if len({tuple(run()[0]) for run in runs.values()}) != 1:
+            raise SystemExit(f"{n} terms: the sides give different sums")
+        us = {side: [1e4 * t for t in ts] for side, ts in times_of(5, runs).items()}
+        calls.append({"terms": f"mu(k)/k, k = 1..{n}",
                       **{f"{side}_best_us": round(min(us[side]), 1) for side in us},
                       **{f"{side}_median_us": round(statistics.median(us[side]), 1)
                          for side in us}})
         print(json.dumps(calls[-1]), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py sum"
                        + (" --parent DIR" if parent else ""),
-            "block_2pow20_of_7": rows, "sums_at_call_of_5": calls}
+            "block_2pow20_of_7": rows, "call_us_of_5": calls}
 
 
 def ks_section() -> dict:
@@ -488,8 +477,8 @@ def moments_section(parent: str) -> dict:
         blocks = {"parent": before.Block(1, x, 0, False), "change": traces.Block(1, x, 0, False)}
         counts = []
 
-        def counted(w, slices=traces._slices):  # records the rows of each window
-            rows, g = slices(w)
+        def counted(*args, slices=traces._slices):  # records the rows of each window
+            rows, g = slices(*args)
             counts.append(len(rows))
             return rows, g
 

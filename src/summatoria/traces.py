@@ -8,14 +8,16 @@ cumsum after c, for integers and reals alike) and lag products (lag 0
 gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
 once, exactly.  A ``Block`` has one exact rule for sums and one for sums
 of products (``Block.dots``): integers as int64 (or Python ints where
-int64 could wrap), real sums by levels that float adds exactly (Rump et
-al. 2008) or by exponent bins, real products by np.dot of 18-bit slices.
+int64 could wrap), reals by one exact extraction into rows of small ints
+(``_slices``) that float adds exactly: 37-bit rows of each chunk summed by
+np.add.reduceat, 18-bit rows of each window multiplied by np.dot.
 So every S(n) at a checkpoint is the exact sum, rounded once: correctly
 rounded at every block size.  A sum that is not finite raises NumericError.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,132 +124,68 @@ def as_float(total, where: str, scale: int = 1) -> float:
     return value
 
 
-# Bins of one bincount call in exact_prefix_sums: bounds its memory when
-# many prefixes end inside one array.
-_MAX_BINS = 1 << 16
-_LANES = 8
-_GROUP = 8
-
-
 def _fraction(num: int, exp: int) -> Fraction:
     return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
 
 
+# Terms per chunk of a sum and pairs per window of Block.dots: 2**15 terms
+# of 2**37 and 2**15 products of 2**36 stay below 2**53.
+_CHUNK = _DOT_CHUNK = 1 << 15
+
+
+def _slices(w: np.ndarray, bits: int, cuts=None, out=None) -> tuple[list[np.ndarray], int]:
+    """Rows of ints, lowest first, and g: w = sum_k rows[k] * 2**(g + bits*k);
+    with ``cuts``, each row is summed over the segments of w that start
+    there as soon as it is made.  Step j takes q = (r + s) - s off the
+    rest r, s = 2**(e + 53 - bits*(j+1)) for max|w| < 2**e: q is exact, on
+    the grid 2**(e - bits*(j+1)) and within 2**(e - bits*j) (Rump, Ogita &
+    Oishi 2008; Ozaki et al. 2012), so a row holds ints within 2**bits.
+    ``out``: arrays of w's size for the rest and, with ``cuts``, for q.
+    Past 8 rows, or where s would overflow: one row of ints on the grid of
+    the least exponent of w."""
+    e = math.frexp(max(w.max(initial=0.0), -w.min(initial=0.0)))[1]
+    rest, buf = out or (np.empty_like(w), None)
+    rows, r = [], w
+    while len(rows) < 8 and e + 53 - bits <= 1023:
+        s = math.ldexp(1.0, e + 53 - bits * (len(rows) + 1))
+        q = np.add(r, s, out=buf)
+        q -= s
+        r = np.subtract(r, q, out=rest)
+        row = q if cuts is None else np.add.reduceat(q, cuts)
+        rows.append(np.ldexp(row, bits * (len(rows) + 1) - e, out=row))
+        if not r.any():
+            return rows[::-1], e - bits * len(rows)
+    mant, ex = np.frexp(w)
+    g = int(ex[mant != 0].min()) - 53
+    ints = np.ldexp(mant, 53).astype(np.int64).astype(object) << (ex - 53 - g).clip(0)
+    return [ints if cuts is None else np.add.reduceat(ints, cuts)], g
+
+
 def exact_prefix_sums(x: np.ndarray, ends) -> list[Fraction]:
     """The exact sum of x[:e] for each e of ``ends`` (nondecreasing), for
-    finite float64 x.
-
-    It peels x in levels (Rump, Ogita & Oishi 2008, ExtractVector): for
-    the rest r of x and sigma = 2**s >= (n + 2) * max|r|, q = (r + sigma) -
-    sigma is exact and on the grid 2**(s - 53), and r - q is within half a
-    step.  A sum of q's is a whole number of steps below 2**53, so float
-    adds (``np.add.reduceat``) are exact.  A level moves the grid down by
-    53 - log2(n + 2) bits.  An x that _LEVELS levels do not exhaust, or whose
-    sigma could overflow, goes whole to ``_binned_sums`` (at most 2**26 terms).
-    """
-    nums, exp = _peeled_sums(x, ends)
+    finite float64 x: ``_slices`` cuts each chunk of _CHUNK terms into
+    rows of 37 bits on the chunk's own grid and sums each row between the
+    ends, exactly in float; the segment sums join as ints."""
+    nums, exp = _prefix_sums(x, ends)
     return [_fraction(n, exp) for n in nums]
 
 
-_LEVELS, _CHUNK = 3, 1 << 15  # _peeled_sums: levels, and terms per pass (kept in cache)
-
-
-def _peeled_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
-    """``exact_prefix_sums`` of x as ints n with one exponent e: n * 2**e."""
+def _prefix_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
+    """``exact_prefix_sums`` of x as ints n with one exponent g: n * 2**g."""
     ends = np.asarray(ends, dtype=np.intp)
     last = int(ends[-1]) if ends.size else 0
-    x = x[:last]
-    steps = (last + 1).bit_length()  # ceil(log2(n + 2))
-    peak = max(x.max(initial=0.0), -x.min(initial=0.0))
-    if peak >= 2.0 ** (1000 - steps):  # sigma could overflow
-        return _binned_sums(x, ends)
-    # Level k peels on the grid 2**(s[k] - 53) and leaves a rest below 2**(s[k + 1] - steps).
-    s = (math.frexp(peak)[1] + steps) - (53 - steps) * np.arange(_LEVELS)
-    sigmas = np.ldexp(1.0, s).tolist()
     bounds = np.sort(np.concatenate((ends, np.arange(0, last, _CHUNK))))
-    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # every end and chunk boundary, once
-    sums = np.zeros((_LEVELS, bounds.size))  # per level, the segment sum ending at each bound
-    r, q, depth = np.empty(min(last, _CHUNK)), np.empty(min(last, _CHUNK)), 1
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]  # every end and chunk start, once
+    out, parts = (np.empty(min(last, _CHUNK)), np.empty(min(last, _CHUNK))), []
     for a in range(0, last, _CHUNK):
-        i, j = bounds.searchsorted([a, min(a + _CHUNK, last)])
-        xc, rc, qc = x[a : a + _CHUNK], r[: min(_CHUNK, last - a)], q[: min(_CHUNK, last - a)]
-        for k, sigma in enumerate(sigmas):
-            np.add(xc, sigma, out=qc)
-            qc -= sigma
-            xc = np.subtract(xc, qc, out=rc)
-            sums[k, i + 1 : j + 1] = np.add.reduceat(qc, bounds[i:j] - a)
-            if not rc.any():
-                break
-        else:  # a wide span: binning alone is exact and cheaper than peeling and binning
-            return _binned_sums(x, ends)
-        depth = max(depth, k + 1)
-    ints = np.ldexp(np.cumsum(sums[:depth], axis=1), 53 - s[:depth, None]).astype(np.int64)
-    exp = int(s[depth - 1]) - 53
-    return sum(np.array(n[bounds.searchsorted(ends)], dtype=object) << int(e - 53 - exp)
-               for n, e in zip(ints, s)).tolist(), exp
-
-
-def _binned_sums(x: np.ndarray, ends) -> tuple[list[int], int]:
-    """``exact_prefix_sums`` of x as ints n with one exponent e: n * 2**e."""
-    if x.size > 2**26:
-        raise ValueError(f"exact_prefix_sums takes at most 2**26 terms, got {x.size}")
-    mant, ex = np.frexp(x)
-    mant *= 2.0**26
-    hi = np.floor(mant)
-    lo = np.subtract(mant, hi, out=mant)
-    lo *= 2.0**27
-    e0 = int(ex.min(initial=0))
-    width = int(ex.max(initial=0)) - e0 + 1
-    # Bin of each term within its segment: exponent, then one of _LANES
-    # lanes, so that a run of equal exponents does not chain its adds.
-    ex = np.subtract(ex, e0, dtype=np.intp)
-    ex *= _LANES
-    ex[: mant.size // _LANES * _LANES].reshape(-1, _LANES)[...] += np.arange(_LANES)
-    ends = np.asarray(ends, dtype=np.intp)
-    sums, carry, start = [], np.zeros((2, 1, width)), 0
-    step = max(1, _MAX_BINS // (width * _LANES))  # segments per bincount
-    for k in range(0, ends.size, step):
-        cut = ends[k : k + step]
-        idx = ex[start : cut[-1]]
-        if cut.size > 1:  # segment j holds the terms before cut[j] and from cut[j - 1]
-            offsets = np.arange(cut.size) * (width * _LANES)
-            idx = idx + np.repeat(offsets, np.diff(cut, prepend=start))
-        bins = np.stack([np.bincount(idx, w[start : cut[-1]], minlength=cut.size * width * _LANES)
-                         for w in (hi, lo)]).reshape(2, cut.size, width, _LANES).sum(axis=3)
-        bins = np.cumsum(bins, axis=1) + carry  # prefix sums: still integers below 2**53
-        carry, start = bins[:, -1:], cut[-1]
-        # Column j of a row weighs 2**(e0 + j - 53): hi lands 27 columns above
-        # lo, and _GROUP adjacent columns fold into one int64 (below 2**62).
-        cols = np.zeros((cut.size, -(-(width + 27) // _GROUP) * _GROUP), dtype=np.int64)
-        cols[:, 27 : 27 + width] = bins[0]
-        cols[:, :width] += bins[1].astype(np.int64)
-        cols = (cols.reshape(cut.size, -1, _GROUP) << np.arange(_GROUP)).sum(axis=2)
-        used = np.flatnonzero(cols.any(axis=0))
-        scales = np.array([1 << (_GROUP * g) for g in used.tolist()], dtype=object)
-        sums += (cols[:, used].astype(object) * scales).sum(axis=1).tolist()
-    return sums, e0 - 53
-
-
-_DOT_CHUNK = 1 << 15  # pairs per window of Block.dots: 2**15 products of 2**36 stay below 2**53
-
-
-def _slices(w: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """Rows of ints, lowest first, and g: w = sum_k rows[k] * 2**(g + 18k).
-    Step j takes q = (r + s) - s off the rest r, s = 2**(e + 35 - 18j) for
-    max|w| < 2**e: |q| <= 2**18, so np.dot of two rows over _DOT_CHUNK pairs
-    is exact (Ozaki et al. 2012).  Past 8 rows or 2**988: one row of ints."""
-    e = math.frexp(max(w.max(initial=0.0), -w.min(initial=0.0)))[1]
-    rows, r = [], w.copy()
-    while r.any() and len(rows) < 8 and e <= 988:
-        s = math.ldexp(1.0, e + 35 - 18 * len(rows))
-        q = (r + s) - s
-        r -= q
-        rows.append(np.ldexp(q, 18 * len(rows) + 18 - e, out=q))
-    if not r.any():
-        return rows[::-1], e - 18 * len(rows)
-    mant, ex = np.frexp(w)  # ints on the grid of the least exponent
-    g = int(ex[mant != 0].min()) - 53
-    return [np.ldexp(mant, 53).astype(np.int64).astype(object) << (ex - 53 - g).clip(0)], g
+        c = x[a : min(a + _CHUNK, last)]
+        i, j = bounds.searchsorted([a, a + c.size])
+        rows, g = _slices(c, 37, bounds[i:j] - a, [o[: c.size] for o in out])
+        segments = zip(*(row.tolist() for row in rows))  # each segment's sum in every row
+        parts += [(sum(int(v) << 37 * k for k, v in enumerate(seg)), g) for seg in segments]
+    low = min((g for _, g in parts), default=0)
+    sums = [0, *itertools.accumulate(n << (g - low) for n, g in parts)]
+    return [sums[k] for k in bounds.searchsorted(ends).tolist()], low
 
 
 class Block:
@@ -304,7 +242,7 @@ class Block:
             parts = [x[k : k + _DOT_CHUNK + near], *(x[k + h : k + h + _DOT_CHUNK] for h in far)]
             at = dict(zip(far, np.cumsum([p.size for p in parts]).tolist()))  # far starts in w
             w = np.concatenate(parts) if far else parts[0]
-            rows, g = _slices(w) if not self.exact else (
+            rows, g = _slices(w, 18) if not self.exact else (
                 [w.astype(np.result_type(w, self.dtype), copy=False)], 0)
             for i, (a, b, h) in enumerate(spans):
                 a, b = max(a - k, 0), max(a - k, 0, min(b - k + 1, _DOT_CHUNK))  # pairs a..b-1
@@ -327,7 +265,7 @@ class Block:
             segments = np.add.reduceat(self.values[: ends[-1]], np.concatenate(([0], ends[:-1])),
                                        dtype=self.dtype)
             return hits, (self.base + np.cumsum(segments, dtype=self.dtype)).tolist()
-        nums, exp = _peeled_sums(self.values, [*(hits - self.lo + 1), self.values.size])
+        nums, exp = _prefix_sums(self.values, [*(hits - self.lo + 1), self.values.size])
         self.__dict__.setdefault("total", _fraction(nums.pop(), exp))  # fills the cached_property
         start = Fraction(self.start)
         shift = max(-exp, start.denominator.bit_length() - 1)  # S(n) = nums[i] / 2**shift

@@ -224,9 +224,10 @@ def test_a_real_stream_holds_one_block_at_a_time(function, probe):
     # numpy's buffers whatever the allocator keeps mapped.  Two live blocks,
     # a quotient beside its index array, a block-sized rest of the exact sum
     # or an int64 cumsum of a whole block for its partial sums would each
-    # pass 1.5 blocks.  Lag sums add the stretch they read (the carried
-    # tail and the block) and one window of Block.dots: 3.7 blocks measured
-    # for reals at this size, where splitting whole blocks took 7.3.
+    # pass 1.5 blocks.  Lag sums add the pairs that straddle a block
+    # boundary and one window of Block.dots and its rows: 2.13 blocks
+    # measured for mu-over-k and 2.01 for harmonic at this size, where
+    # splitting whole blocks took 7.3 and copying each block 3.7.
     size, last = 1 << 18, 8 << 18
     with blocks_of(size):
         seq = cli.resolve_function(function, last)
@@ -240,7 +241,7 @@ def test_a_real_stream_holds_one_block_at_a_time(function, probe):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak <= (4 if probe == "lags" else 1.5) * size * 8
+    assert peak <= (3 if probe == "lags" else 1.5) * size * 8
 
 
 @pytest.mark.parametrize("function", ["mu", "lambda"])

@@ -403,16 +403,16 @@ def test_block_sum_is_correctly_rounded(values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(any_float, min_size=0, max_size=120), st.data(), st.integers(1, 4096))
-def test_exact_prefix_sums_match_fractions(values, data, max_bins):
-    # A small _MAX_BINS splits the segments over several bincount calls.
+@given(st.lists(any_float, min_size=0, max_size=120), st.data(), st.integers(1, 128))
+def test_exact_prefix_sums_match_fractions(values, data, chunk):
+    # A small _CHUNK cuts the terms into several chunks, each sliced on its
+    # own grid; every chunk's rows sum back to its segments.
     ends = sorted(data.draw(st.lists(st.integers(0, len(values)), min_size=1, max_size=30)))
-    saved, traces._MAX_BINS = traces._MAX_BINS, max_bins
-    try:
+    with mock.patch.object(traces, "_CHUNK", chunk), slices_seen() as seen:
         got = exact_prefix_sums(np.array(values, dtype=np.float64), ends)
-    finally:
-        traces._MAX_BINS = saved
     assert got == [sum(map(Fraction, values[:e]), Fraction(0)) for e in ends]
+    for w, rows, g, bits, cuts in seen:
+        check_slices(w, rows, g, bits, cuts)
 
 
 @st.composite
@@ -434,12 +434,12 @@ def narrow_sums(draw):
 @example(([1 - 2.0**-53] * 5 + [-3 * 2.0**-51], [6]), 64)  # sigma = 4, not 8, would round
 def test_peeled_prefix_sums_match_fractions(case, chunk):
     # A small _CHUNK cuts the segments at chunk boundaries; a narrow span
-    # is peeled in at most _LEVELS levels and never binned.
+    # is sliced in at most 3 rows of 37 bits and never takes the row of ints.
     values, ends = case
-    with (mock.patch.object(traces, "_CHUNK", chunk),
-          mock.patch.object(traces, "_binned_sums", side_effect=AssertionError("binned"))):
+    with mock.patch.object(traces, "_CHUNK", chunk), slices_seen() as seen:
         got = exact_prefix_sums(np.array(values, dtype=np.float64), ends)
     assert got == [sum(map(Fraction, values[:e]), Fraction(0)) for e in ends]
+    assert all(len(rows) <= 3 and rows[0].dtype != object for _, rows, *_ in seen)
 
 
 def exact_prefixes(values: np.ndarray, ends) -> list[Fraction]:
@@ -450,18 +450,18 @@ def exact_prefixes(values: np.ndarray, ends) -> list[Fraction]:
     return [Fraction(acc[e], 1 << shift) for e in ends]
 
 
-@pytest.mark.parametrize("values, binned", [
+@pytest.mark.parametrize("values, falls_back", [
     (1.0 / np.arange(1, 2**20 + 1), False),  # harmonic: 73 bits of span
-    (np.exp(-np.arange(1, 2**16 + 1) / 1000), True),  # 147 bits: a rest is left
-    (np.tile([1e300, 5e-324, -1e300, 3.0], 2**14), True),  # sigma would overflow
+    (np.exp(-np.arange(1, 2**16 + 1) / 1000), False),  # 147 bits, but chunk by chunk
+    (np.tile([1e300, 5e-324, -1e300, 3.0], 2**14), True),  # 2070 bits in every chunk
 ], ids=["harmonic", "exp", "huge"])
-def test_block_sums_peel_or_bin_and_are_exact(values, binned):
+def test_block_sums_peel_or_bin_and_are_exact(values, falls_back):
     ns = np.array([1, 2, 3, 1000, values.size // 2, values.size - 1])
     block = Block(1, values, 0, False)
-    with mock.patch.object(traces, "_binned_sums", wraps=traces._binned_sums) as spy:
+    with slices_seen() as seen:
         _, sums = block.sums_at(ns)
         total = Block(1, values, 0, False).total
-    assert spy.called == binned
+    assert any(rows[0].dtype == object for _, rows, *_ in seen) == falls_back
     assert [*sums, total] == exact_prefixes(values, [*ns, values.size])
 
 
@@ -551,12 +551,12 @@ def test_block_dots_sum_every_span_through_the_windows(kind):
 
 @contextlib.contextmanager
 def slices_seen():
-    """Record (window, rows, g) of every ``traces._slices`` call."""
+    """Record (w, rows, g, bits, cuts) of every ``traces._slices`` call."""
     seen, real = [], traces._slices
 
-    def record(w):
-        rows, g = real(w)
-        seen.append((w.copy(), rows, g))
+    def record(w, bits, cuts=None, out=None):
+        rows, g = real(w, bits, cuts, out)
+        seen.append((w.copy(), rows, g, bits, cuts))
         return rows, g
 
     with mock.patch.object(traces, "_slices", record):
@@ -565,25 +565,31 @@ def slices_seen():
 
 def bit_span(w) -> int:
     # e - low for max|w| < 2**e and 2**low the least set bit of w: 8 rows of
-    # 18 bits hold a span of up to 126 bits, and never one past 144.
+    # b bits hold a span of up to 7b bits, and never one past 8b.
     ratios = [v.as_integer_ratio() for v in w.tolist() if v]
     low = min((n & -n).bit_length() - d.bit_length() for n, d in ratios)
     return math.frexp(max(map(abs, w.tolist())))[1] - low
 
 
-def check_slices(w, rows, g):
-    # The rows sum back to w exactly; sliced rows are integers within
-    # 2**18, and a window falls back to one row of ints only when it must.
-    assert [sum((Fraction(int(row[i])) * Fraction(2) ** (g + 18 * k)
-                 for k, row in enumerate(rows)), Fraction(0)) for i in range(w.size)] == \
-        [Fraction(v) for v in w.tolist()]
-    fell_back = bool(rows) and rows[0].dtype == object
-    if fell_back:
-        assert len(rows) == 1 and (np.abs(w).max() >= 2.0**988 or bit_span(w) > 126)
+def check_slices(w, rows, g, bits, cuts):
+    # The rows sum back to w exactly, or, summed over the segments that
+    # start at cuts, to w's segment sums; sliced rows are integers within
+    # 2**bits a term, and w falls back to one row of ints only when it must:
+    # where it needs more than 8 rows or reaches 2**(970 + bits), at which
+    # the first sigma would overflow.
+    starts = range(w.size) if cuts is None else cuts.tolist()
+    sizes = np.diff([*starts, w.size])
+    assert [sum((Fraction(int(row[i])) * Fraction(2) ** (g + bits * k)
+                 for k, row in enumerate(rows)), Fraction(0)) for i in range(len(starts))] == \
+        [sum(map(Fraction, w[a : a + n].tolist()), Fraction(0)) for a, n in zip(starts, sizes)]
+    if rows[0].dtype == object:
+        assert len(rows) == 1
+        assert np.abs(w).max() >= 2.0 ** (970 + bits) or bit_span(w) > 7 * bits
     else:
         assert len(rows) <= 8
-        assert all(np.all(np.abs(row) <= 2**18) and np.all(row == np.round(row)) for row in rows)
-        assert not w.any() or (np.abs(w).max() < 2.0**988 and bit_span(w) <= 144)
+        assert all(np.all(np.abs(row) <= 2.0**bits * sizes) and np.all(row == np.round(row))
+                   for row in rows)
+        assert not w.any() or (np.abs(w).max() < 2.0 ** (970 + bits) and bit_span(w) <= 8 * bits)
 
 
 @st.composite
@@ -623,8 +629,8 @@ def test_sliced_dots_match_fraction_sums(case):
     with mock.patch.object(traces, "_DOT_CHUNK", chunk), slices_seen() as seen:
         got = Block(1, x, 0, False).dots(x, spans)
     assert got == exact_dots(values, spans)
-    for w, rows, g in seen:
-        check_slices(w, rows, g)
+    for w, rows, g, bits, cuts in seen:
+        check_slices(w, rows, g, bits, cuts)
 
 
 def test_a_window_of_the_largest_rows_dots_exactly():
@@ -635,7 +641,7 @@ def test_a_window_of_the_largest_rows_dots_exactly():
     with slices_seen() as seen:
         got = Block(1, x, 0, False).dots(x, [(0, C - 1, 1), (0, C, 0)])
     assert got == [C * Fraction(v) ** 2, (C + 1) * Fraction(v) ** 2]
-    (_, rows, _), *_ = seen
+    (_, rows, *_), *_ = seen
     assert np.all(rows[-1] == 2.0**18) and np.dot(rows[-1][:C], rows[-1][1:]) == 2.0**51
 
 
