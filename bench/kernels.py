@@ -98,9 +98,10 @@ wall time, median and largest peak RSS and median minor page faults,
 which each child counts itself (``FAULTS``); then, in a child in each
 checkout, the ``tracemalloc`` peak of ``traces.stream`` over
 ``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic, mu-over-k and mu,
-in float64 blocks, with no probe, a partial-sum ``Strided``, a value
-``Strided`` and a ``LagCorrelations`` at lags 0, 1, 2, 5 and 10
-(``BLOCK_PEAKS``).
+in float64 blocks, with no probe, a partial-sum ``KSTrace``, a value
+``KSTrace`` (both of samples of 1000 points; ``traces.Strided`` in a
+checkout that predates ``KSTrace``) and a ``LagCorrelations`` at lags 0,
+1, 2, 5 and 10 (``BLOCK_PEAKS``).
 ``startup`` runs, in ``STARTUP_ROUNDS`` rounds, in DIR and here:
 ``import summatoria.cli`` with and without ``gc.freeze()`` after it, then
 every perfbench call at seed 1 in its workload's order.  It keeps each
@@ -404,6 +405,8 @@ def sum_section(parent: str | None) -> dict:
 
 
 def ks_section() -> dict:
+    from unittest import mock
+
     from reference_ks import ks_distance_full as ks_full
     from summatoria import cli, empirical, sequences, traces
     from summatoria.empirical import empirical_cdf, ks_distance
@@ -422,11 +425,12 @@ def ks_section() -> dict:
             ("verdict mu-over-k --N 3e6 --checkpoints geometric(1000,1.02)",
              sequences.weighted_mobius_sequence,
              cli.parse_checkpoints("geometric(1000,1.02)", KS_DENSE_N).tolist(), True)]:
-        probe = traces.Strided(cps, traces.KS_SAMPLE_CAP, sums=sums)
-        traces.stream(seq(cps[-1]), cps[-1], [probe])
+        samples = {}  # each n's sample, as the probe hands it to ks_distances
+        with mock.patch.object(empirical, "ks_distances", lambda got: samples.update(got) or {}):
+            traces.stream(seq(cps[-1]), cps[-1], [empirical.KSTrace(cps, sums=sums)])
         secs, evaluated = {"ks_full": 0.0, "ks_distance": 0.0}, [0]
         for n in cps:  # one sorted sample at a time, so that memory stays small
-            dist = empirical_cdf(probe.sample(n))
+            dist = empirical_cdf(samples[n])
             empirical._normal_cdf_sorted = counted
             try:
                 same = ks_distance(dist) == ks_full(dist)
@@ -437,7 +441,7 @@ def ks_section() -> dict:
             for side, t in best_of(5, {"ks_full": lambda: ks_full(dist),
                                        "ks_distance": lambda: ks_distance(dist)}).items():
                 secs[side] += t
-        points = sum(probe.sample(n).size for n in cps)
+        points = sum(samples[n].size for n in cps)
         rows.append({"samples": name, "checkpoints": len(cps), "points": points,
                      "phi_points_pruned": evaluated[0],
                      **{f"{side}_s": round(t, 4) for side, t in secs.items()}})
@@ -652,9 +656,10 @@ def samples_section(parent: str) -> dict:
 
 # The tracemalloc peak of one ``traces.stream`` over MEMORY_BLOCKS blocks of
 # 2**18 entries, in float64 blocks, after a one-block stream has built the
-# prime table: with no probe, with a partial-sum ``Strided``, with a value
-# ``Strided`` and with ``analyze``'s lag sums.  It runs in a child in each
-# checkout.
+# prime table: with no probe, with a partial-sum ``KSTrace``, with a value
+# ``KSTrace`` and with ``analyze``'s lag sums.  It runs in a child in each
+# checkout; in one that predates ``KSTrace``, its ``traces.Strided`` with no
+# finisher and the same cap takes the samples.
 MEMORY_BLOCKS = 8
 MEMORY_VERDICT = ["verdict", "--function", "mu", "--N", "30000000"]
 MEMORY_ANALYZE = ["analyze", "--function", "mu-over-k", "--N", "10000000"]
@@ -663,12 +668,18 @@ import json, tracemalloc
 from unittest import mock
 from summatoria import cli, empirical, sieve, traces
 size, last, peaks = 1 << 18, {MEMORY_BLOCKS} << 18, {{}}
+if hasattr(traces, "Strided"):
+    strided = lambda sums: traces.Strided(last, 1000, sums=sums)
+else:
+    def strided(sums):
+        with mock.patch.object(empirical, "KS_SAMPLE_CAP", 1000):
+            return empirical.KSTrace(last, sums=sums)
 with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size):
     for function in ("harmonic", "mu-over-k", "mu"):
         seq = cli.resolve_function(function, last)
         for probe, probes in (("none", lambda: []),
-                              ("strided_sums", lambda: [traces.Strided(last, 1000)]),
-                              ("strided_values", lambda: [traces.Strided(last, 1000, sums=False)]),
+                              ("strided_sums", lambda: [strided(True)]),
+                              ("strided_values", lambda: [strided(False)]),
                               ("lag_correlations",
                                lambda: [empirical.LagCorrelations(last, (0, 1, 2, 5, 10))])):
             traces.stream(seq, size, [])

@@ -174,16 +174,14 @@ def cmd_compute(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .empirical import LagCorrelations, ks_distances
+    from .empirical import KSTrace, LagCorrelations
 
     N, lags = args.N, args.lag
     seq = resolve_function(args.function, N + max(lags), f"N + max lag = {N + max(lags)}")
-    ks = {}  # finished once the stream passes N
-    values = traces.Strided(N, traces.KS_SAMPLE_CAP, sums=False, finish=lambda stride: ks.update(
-        zip(stride, ks_distances(stride.values()))))
+    ks = KSTrace(N, sums=False)
     correlations = LagCorrelations(N, (0, *lags))  # lag 0 is the variance
-    traces.stream(seq, N + max(lags), [values, correlations])
-    mean, (variance, *rhos), ks_normal = correlations.mean(), correlations.result(), ks[N]
+    traces.stream(seq, N + max(lags), [ks, correlations])
+    mean, (variance, *rhos), ks_normal = correlations.mean(), correlations.result(), ks.distances[N]
     rho = list(zip(lags, rhos))
 
     with _open_output(args.output) as out:

@@ -5,8 +5,9 @@ it into a random variable.  Its mean, population variance and lagged
 correlations, which quantify asymptotic independence, come from one
 probe of ``traces.stream``, ``LagCorrelations``: exact sums of products
 (``Block.dots``, sliced a window at a time) rounded once, lag 0 being the
-variance, so ``analyze`` gets all of them from one pass.  A sample's
-empirical CDF and its KS distance to the normal law complete the module.
+variance, so ``analyze`` gets all of them from one pass.  The other
+probe, ``KSTrace``, strides S(k) or f(k) in the same pass and gives the
+KS distance D(n) of each sample to the normal law, from its empirical CDF.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateSampleError, NumericError
+from . import sieve
+from .errors import CapacityError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence
-from .traces import Block, as_float, stream
+from .traces import _CHUNK, Block, as_float, stream
 
 # 1% critical coefficient for the one-sample KS statistic: D ~ c / sqrt(n).
 KS_CRITICAL_1PCT = 1.63
@@ -191,16 +193,89 @@ def ks_distance(dist: EmpiricalDistribution) -> float:
     return float(max(best, gaps(runs)[1]) if runs.size else best)
 
 
-def ks_distances(samples) -> list[float]:
-    """``ks_distance`` of the ``empirical_cdf`` of each sample, nan where a
-    sample is degenerate."""
-    out = []
-    for sample in samples:
+def ks_distances(samples: dict) -> dict:
+    """{n: sample} -> {n: D}: ``ks_distance`` of the ``empirical_cdf`` of
+    each sample, nan where a sample is degenerate."""
+    out = {}
+    for n, sample in samples.items():
         try:
-            out.append(ks_distance(empirical_cdf(sample)))
+            out[n] = ks_distance(empirical_cdf(sample))
         except DegenerateSampleError:
-            out.append(math.nan)
+            out[n] = math.nan
     return out
+
+
+# A KS sample has at most KS_SAMPLE_CAP points.  RUN_CELL is the cell of the
+# real partial sums in a sample (an integer block is its own), and one
+# probe may hold at most _SAMPLE_BUDGET float64 points (1 GiB).
+KS_SAMPLE_CAP = 10**6
+RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
+_SAMPLE_BUDGET = 1 << 27
+
+
+class KSTrace:
+    """Probe: ``distances[n]``, the ``ks_distances`` D of S(k), or of f(k)
+    with ``sums=False``, at k = s, 2s, ... <= n for each n of an increasing
+    schedule ``ns`` (or one n), with the stride s = ceil(n / KS_SAMPLE_CAP).
+
+    The sample of n is a prefix of the sample of the largest n of the same
+    stride, so each stride has one array.  Once the stream has passed that
+    n, ``distances`` gets D for every n of the stride, in increasing order,
+    and the array is freed.  S(k) is the rounded S(c), for c the last
+    multiple of RUN_CELL (for integers, or block start) below k, plus the
+    cumsum of f(c+1..k): exact for integers, and for reals at the default
+    block size the block's base plus its float cumsum, the same at every
+    block size.
+    """
+
+    def __init__(self, ns, *, sums: bool = True):
+        self._ns = {}  # stride -> its n, increasing
+        for n in np.atleast_1d(ns).tolist():
+            self._ns.setdefault(-(-n // KS_SAMPLE_CAP), []).append(n)
+        points = sum(ns[-1] // s for s, ns in self._ns.items())
+        if points > _SAMPLE_BUDGET:
+            raise CapacityError(f"strided samples of {points} points exceed the budget of "
+                                f"{_SAMPLE_BUDGET} float64 points")
+        self.sums, self.distances = sums, {}
+        self._arrays = {s: np.empty(ns[-1] // s, dtype=np.float64) for s, ns in self._ns.items()}
+        self._cell = None  # the open cell's anchor S(c) and cumsum after c
+
+    def passed(self, n: int) -> None:
+        for s in [s for s, ns in self._ns.items() if ns[-1] <= n]:
+            self.distances.update(ks_distances({m: self._arrays[s][: m // s]
+                                                for m in self._ns.pop(s)}))
+            del self._arrays[s]
+
+    @np.errstate(over="ignore")  # a float sum past DBL_MAX: the KS statistic refuses it
+    def add(self, block: Block) -> None:
+        pieces = (self._runs(block) if self.sums else
+                  [(block.lo, block.hi, block.values.__getitem__)])
+        for lo, hi, pick in pieces:  # pick maps a slice of k - lo to the values at those k
+            for s, out in self._arrays.items():
+                first = -(-lo // s) * s
+                upper = min(hi, out.size * s)
+                if first <= upper:
+                    out[first // s - 1 : upper // s] = pick(slice(first - lo, upper - lo + 1, s))
+
+    def _runs(self, block: Block):
+        """S(k) over a block by the cell rule, a chunk at a time in one
+        chunk-sized buffer of its dtype, as ``add``'s pieces (lo, hi, pick)."""
+        if block.exact or (block.lo - 1) % RUN_CELL == 0:  # an exact sum may open any cell
+            self._cell = (block.base, 0)
+        anchor, acc = self._cell
+        cells = np.arange(-(-block.lo // RUN_CELL) * RUN_CELL, block.hi, RUN_CELL)  # cell ends
+        anchors = [anchor, *block.sums_at(cells, rounded=True)[1]]
+        bounds = [0, *(cells - block.lo + 1).tolist(), block.values.size]
+        buf = np.empty(min(_CHUNK, block.values.size), dtype=block.dtype)
+        for anchor, a, b in zip(anchors, bounds, bounds[1:]):
+            for c in range(a, b, _CHUNK):
+                run = buf[: min(_CHUNK, b - c)]
+                run[...] = block.values[c : c + run.size]
+                run[0] += acc
+                acc = np.cumsum(run, out=run)[-1]
+                self._cell = (anchor, acc)
+                yield block.lo + c, block.lo + c + run.size - 1, lambda sl: run[sl] + anchor
+            acc = 0
 
 
 class LagCorrelations:

@@ -16,11 +16,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import traces
-from .empirical import ks_distances
+from .empirical import KSTrace
 from .errors import BoundError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_function
-from .traces import Strided, SummatoryTrace, stream, summatory_trace, validate_checkpoints
+from .traces import SummatoryTrace, stream, summatory_trace, validate_checkpoints
 
 DECAYING = "decaying"
 BOUNDED = "bounded"
@@ -194,16 +193,14 @@ def full_verdict(seq: ArithmeticSequence, N: int, checkpoints=None) -> LimitVerd
         raise BoundError(f"N={N} exceeds the sequence bound {seq.bound}")
     cps = validate_checkpoints(checkpoints, N)
     _need_four_checkpoints(cps)  # before the first block
-    ks = {}  # D at each checkpoint, as the stream passes each stride's largest
-    samples = Strided(cps, traces.KS_SAMPLE_CAP,
-                      finish=lambda stride: ks.update(zip(stride, ks_distances(stride.values()))))
-    trace = SummatoryTrace(cps, stream(seq, cps, [samples]), seq.name)
+    ks = KSTrace(cps)
+    trace = SummatoryTrace(cps, stream(seq, cps, [ks]), seq.name)
 
     mu0, drift = estimate_limit_mean(trace)
     fit = mean_rate_fit(trace, mu0)
 
     notes = [f"mu0 drift from previous checkpoint: {drift:.6e}"]
-    ks_trace = [(n, ks[n]) for n in cps.tolist()]
+    ks_trace = [(n, ks.distances[n]) for n in cps.tolist()]
     degenerate = sum(math.isnan(d) for _, d in ks_trace)
     if degenerate:
         notes.append(f"{degenerate} checkpoint(s) had degenerate partial-sum samples")

@@ -3,16 +3,15 @@ streaming engine every statistic in the package runs on.
 
 ``stream`` walks f(1..last) once in blocks, returns S(n) at the
 checkpoints it is given, and hands each block, in order, to a list of
-probes: strided samples for the KS statistics (an anchor S(c) plus a
-cumsum after c, for integers and reals alike) and lag products (lag 0
-gives the variance) in ``empirical``.  It keeps the running sum S(lo - 1)
-once, exactly.  A ``Block`` has one exact rule for sums and one for sums
-of products (``Block.dots``): integers as int64 (or Python ints where
-int64 could wrap), reals by one exact extraction into rows of small ints
-(``_slices``) that float adds exactly: 37-bit rows of each chunk summed by
-np.add.reduceat, 18-bit rows of each window multiplied by np.dot.
-So every S(n) at a checkpoint is the exact sum, rounded once: correctly
-rounded at every block size.  A sum that is not finite raises NumericError.
+probes, such as ``empirical``'s KS samples and lag products.  It keeps
+the running sum S(lo - 1) once, exactly.  A ``Block`` has one exact
+rule for sums and one for sums of products (``Block.dots``): integers as
+int64 (or Python ints where int64 could wrap), reals by one exact
+extraction into rows of small ints (``_slices``) that float adds
+exactly: 37-bit rows of each chunk summed by np.add.reduceat, 18-bit
+rows of each window multiplied by np.dot.  So every S(n) at a checkpoint
+is the exact sum, rounded once: correctly rounded at every block size.
+A sum that is not finite raises NumericError.
 """
 
 from __future__ import annotations
@@ -310,85 +309,6 @@ def stream(seq: ArithmeticSequence, ns, probes) -> np.ndarray:
     if seq.integer_valued and out.dtype != np.int64:  # ints past int64 may become floats
         out = np.array(sums, dtype=object)
     return out
-
-
-# The cell of the real partial sums in a ``Strided`` sample (an integer
-# block is its own), and the most float64 points one probe may hold (1 GiB).
-RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
-_SAMPLE_BUDGET = 1 << 27
-
-# The samples a command feeds to the KS statistic are strided down to this size.
-KS_SAMPLE_CAP = 10**6
-
-
-class Strided:
-    """Probe: S(k), or f(k) with ``sums=False``, at k = s, 2s, ... <= n for
-    each n of an increasing schedule ``ns`` (or one n), with the stride
-    s = ceil(n / cap), so at most cap points for each n.
-
-    The sample of n is a prefix of the sample of the largest n of the same
-    stride, so each stride has one array, and ``sample(n)`` is a view of
-    it.  S(k) is the rounded S(c), for c the last multiple of RUN_CELL
-    (for integers, or block start) below k, plus the cumsum of f(c+1..k):
-    exact for integers, and for reals at the default block size the
-    block's base plus its float cumsum, the same at every block size.
-    """
-
-    def __init__(self, ns, cap: int, *, sums: bool = True, finish=None):
-        self._ns = {}  # stride -> its n, increasing
-        for n in np.atleast_1d(ns).tolist():
-            self._ns.setdefault(-(-n // cap), []).append(n)
-        points = sum(ns[-1] // s for s, ns in self._ns.items())
-        if points > _SAMPLE_BUDGET:
-            raise CapacityError(f"strided samples of {points} points exceed the budget of "
-                                f"{_SAMPLE_BUDGET} float64 points")
-        self.cap, self.sums, self.finish = cap, sums, finish
-        self._arrays = {s: np.empty(ns[-1] // s, dtype=np.float64) for s, ns in self._ns.items()}
-        self._cell = None  # the open cell's anchor S(c) and cumsum after c
-
-    def sample(self, n: int) -> np.ndarray:
-        """S(k), or f(k), at k = s, 2s, ... <= n: a view of its stride's array."""
-        s = -(-n // self.cap)
-        return self._arrays[s][: n // s]
-
-    # With a finisher, a stride is done once the stream has passed its largest
-    # n: ``finish`` gets {n: sample(n)} over that stride's n, increasing, and
-    # then the stride's array is freed.
-    def passed(self, n: int) -> None:
-        for s in [s for s, ns in self._ns.items() if ns[-1] <= n] if self.finish else ():
-            self.finish({m: self.sample(m) for m in self._ns.pop(s)})
-            del self._arrays[s]
-
-    @np.errstate(over="ignore")  # a float sum past DBL_MAX: the KS statistic refuses it
-    def add(self, block: Block) -> None:
-        pieces = (self._runs(block) if self.sums else
-                  [(block.lo, block.hi, block.values.__getitem__)])
-        for lo, hi, pick in pieces:  # pick maps a slice of k - lo to the values at those k
-            for s, out in self._arrays.items():
-                first = -(-lo // s) * s
-                upper = min(hi, out.size * s)
-                if first <= upper:
-                    out[first // s - 1 : upper // s] = pick(slice(first - lo, upper - lo + 1, s))
-
-    def _runs(self, block: Block):
-        """S(k) over a block by the cell rule, a chunk at a time in one
-        chunk-sized buffer of its dtype, as ``add``'s pieces (lo, hi, pick)."""
-        if block.exact or (block.lo - 1) % RUN_CELL == 0:  # an exact sum may open any cell
-            self._cell = (block.base, 0)
-        anchor, acc = self._cell
-        cells = np.arange(-(-block.lo // RUN_CELL) * RUN_CELL, block.hi, RUN_CELL)  # cell ends
-        anchors = [anchor, *block.sums_at(cells, rounded=True)[1]]
-        bounds = [0, *(cells - block.lo + 1).tolist(), block.values.size]
-        buf = np.empty(min(_CHUNK, block.values.size), dtype=block.dtype)
-        for anchor, a, b in zip(anchors, bounds, bounds[1:]):
-            for c in range(a, b, _CHUNK):
-                run = buf[: min(_CHUNK, b - c)]
-                run[...] = block.values[c : c + run.size]
-                run[0] += acc
-                acc = np.cumsum(run, out=run)[-1]
-                self._cell = (anchor, acc)
-                yield block.lo + c, block.lo + c + run.size - 1, lambda sl: run[sl] + anchor
-            acc = 0
 
 
 def summatory_trace(seq: ArithmeticSequence, N: int, checkpoints=None) -> SummatoryTrace:

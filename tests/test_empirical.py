@@ -407,12 +407,13 @@ def test_ks_distances_of_a_strides_prefixes(values, parts):
     # degenerate one reads nan, as a verdict reports it.
     arr = np.array(values)
     ends = sorted({max(1, arr.size * j // parts) for j in range(1, parts + 1)})
-    samples = [arr[:e] for e in ends]
+    samples = {e: arr[:e] for e in ends}
     expected = []
-    for sample in samples:
+    for sample in samples.values():
         try:
             expected.append(ks_distance(empirical_cdf(sample)))
         except DegenerateSampleError:
             expected.append(math.nan)
     got = empirical.ks_distances(samples)
-    assert [bits(d) for d in got] == [bits(d) for d in expected]
+    assert list(got) == ends
+    assert [bits(d) for d in got.values()] == [bits(d) for d in expected]

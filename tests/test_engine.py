@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from summatoria import (
     cli,
+    empirical,
     full_verdict,
     mobius_oracle,
     mobius_sequence,
@@ -40,8 +41,8 @@ from summatoria import (
     traces,
     weighted_mobius_sequence,
 )
-from summatoria.empirical import LagCorrelations, empirical_cdf, ks_distance
-from summatoria.traces import Strided, stream
+from summatoria.empirical import KSTrace, LagCorrelations, empirical_cdf, ks_distance
+from summatoria.traces import stream
 
 README_TABLE = {
     "compute --function mu --N 10 --checkpoints 10":
@@ -163,7 +164,7 @@ def test_real_analyze_is_exact_at_every_blocking(function, N, block_size, lags):
 
 def test_analyze_ks_sample_keeps_its_stride_across_blocks(monkeypatch):
     # With 1000 sample points over N = 5000, the sample is f(5), f(10), ...
-    monkeypatch.setattr(traces, "KS_SAMPLE_CAP", 1000)
+    monkeypatch.setattr(empirical, "KS_SAMPLE_CAP", 1000)
     reference = cli_bytes("analyze", "--function", "mu", "--N", 5000, "--lag", 3)
     for block_size in (7, 64, 999):
         assert cli_bytes("analyze", "--function", "mu", "--N", 5000, "--lag", 3,
@@ -193,13 +194,17 @@ def test_stream_feeds_each_block_once_in_order(denominator):
     assert probes[0].seen == probes[1].seen == expected
 
 
-def test_strided_probe_matches_direct_slices():
+def test_strided_probe_matches_direct_slices(monkeypatch):
     vals = np.linspace(-1.0, 1.0, 100)
-    sums, values = Strided(97, 14), Strided(97, 14, sums=False)  # stride 7
+    samples, ks_distances = [], empirical.ks_distances
+    monkeypatch.setattr(empirical, "ks_distances",
+                        lambda got: samples.append(got[97]) or ks_distances(got))
+    monkeypatch.setattr(empirical, "KS_SAMPLE_CAP", 14)  # stride 7
     with blocks_of(9):
-        stream(sequence_from_values(vals), 100, [sums, values])
-    assert values.sample(97).tolist() == vals[6:97:7].tolist()
-    assert np.allclose(sums.sample(97), np.cumsum(vals)[6:97:7], rtol=0, atol=1e-12)
+        stream(sequence_from_values(vals), 100, [KSTrace(97), KSTrace(97, sums=False)])
+    sums, values = samples
+    assert values.tolist() == vals[6:97:7].tolist()
+    assert np.allclose(sums, np.cumsum(vals)[6:97:7], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("run, last", [
@@ -229,11 +234,10 @@ def test_a_real_stream_holds_one_block_at_a_time(function, probe):
     # measured for mu-over-k and 2.01 for harmonic at this size, where
     # splitting whole blocks took 7.3 and copying each block 3.7.
     size, last = 1 << 18, 8 << 18
-    with blocks_of(size):
+    with blocks_of(size), mock.patch.object(empirical, "KS_SAMPLE_CAP", 1000):
         seq = cli.resolve_function(function, last)
         stream(seq, size, [])  # the prime table and the small-prime tile
-        probes = {"none": [], "sums": [Strided(last, 1000)],
-                  "values": [Strided(last, 1000, sums=False)],
+        probes = {"none": [], "sums": [KSTrace(last)], "values": [KSTrace(last, sums=False)],
                   "lags": [LagCorrelations(last, (0, 1, 2, 5, 10))]}[probe]
         tracemalloc.start()
         try:
@@ -249,13 +253,14 @@ def test_an_integer_analyze_adds_no_block_to_the_stream(function):
     # analyze's probes over int8 blocks: S(n) at the lag points comes from
     # segment sums up to the last point, so the peak stays the bare stream's
     # 1.38 float64 blocks; an int64 cumsum of the whole block measured 2.13.
+    # No D is computed: the KS of the 699,047-point sample would add about
+    # 11 MB of sort and deviation arrays, after the last block.
     size, last = 1 << 18, 8 << 18
     N = last - 10
-    with blocks_of(size):
+    with blocks_of(size), mock.patch.object(empirical, "ks_distances", lambda samples: {}):
         seq = cli.resolve_function(function, last)
         stream(seq, size, [])  # the prime table and the small-prime tile
-        probes = [Strided(N, traces.KS_SAMPLE_CAP, sums=False),
-                  LagCorrelations(N, (0, 1, 2, 5, 10))]
+        probes = [KSTrace(N, sums=False), LagCorrelations(N, (0, 1, 2, 5, 10))]
         tracemalloc.start()
         try:
             stream(seq, last, probes)

@@ -31,9 +31,9 @@ from summatoria import (
     weighted_mobius_trace,
     write_trace_csv,
 )
-from summatoria import cli, limits, sieve, sublinear, traces
-from summatoria.empirical import LagCorrelations, independence_estimator, ks_distances
-from summatoria.traces import Block, Strided, exact_prefix_sums, stream
+from summatoria import cli, empirical, sieve, sublinear, traces
+from summatoria.empirical import KSTrace, LagCorrelations, independence_estimator, ks_distances
+from summatoria.traces import Block, exact_prefix_sums, stream
 
 from moments import moments
 
@@ -41,6 +41,22 @@ from moments import moments
 def blocks_of(size):
     """Stream in blocks of ``size`` entries: the one blocking seam."""
     return mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size)
+
+
+@contextlib.contextmanager
+def ks_samples(cap, cell):
+    """KS samples of at most ``cap`` points and cells of ``cell`` entries for
+    the probes built inside; yields the list of what each ``ks_distances``
+    call gets, as {n: sample as a list}, and calls it through."""
+    calls = []
+
+    def record(samples):
+        calls.append({n: sample.tolist() for n, sample in samples.items()})
+        return ks_distances(samples)
+    with mock.patch.object(empirical, "KS_SAMPLE_CAP", cap), \
+            mock.patch.object(empirical, "RUN_CELL", cell), \
+            mock.patch.object(empirical, "ks_distances", record):
+        yield calls
 
 
 def test_mertens_examples():
@@ -353,10 +369,9 @@ def test_integer_strided_sums_are_exact_across_block_dtypes(values, block_size):
     # would an int64 block whose S(k) leave int64.
     exact = list(itertools.accumulate(int(v) for v in values))
     n, ns = len(values), [4, 1105, 2001, len(values)]
-    probe = Strided(n, n)  # stride 1: every S(k)
-    with mock.patch.object(traces, "RUN_CELL", 4096), blocks_of(block_size):
-        got = stream(sequence_from_values(np.array(values)), ns, [probe])
-    assert probe.sample(n).tolist() == [float(s) for s in exact]
+    with ks_samples(n, 4096) as calls, blocks_of(block_size):  # stride 1: every S(k)
+        got = stream(sequence_from_values(np.array(values)), ns, [KSTrace(n)])
+    assert calls == [{n: [float(s) for s in exact]}]
     assert got.tolist() == [exact[k - 1] for k in ns]
 
 
@@ -740,10 +755,9 @@ def test_strided_sums_restart_from_the_rounded_sum_at_each_cell(values, cell, bl
     for k in range(1, len(values) + 1):
         c = (k - 1) // cell * cell
         expected.append(float(exact[c]) + float(np.cumsum(values[c:k])[-1]))
-    probe = Strided(len(values), len(values))
-    with mock.patch.object(traces, "RUN_CELL", cell), blocks_of(block_size):
-        stream(sequence_from_values(np.array(values)), len(values), [probe])
-    assert probe.sample(len(values)).tolist() == expected
+    with ks_samples(len(values), cell) as calls, blocks_of(block_size):
+        stream(sequence_from_values(np.array(values)), len(values), [KSTrace(len(values))])
+    assert calls == [{len(values): expected}]
 
 
 @settings(max_examples=60, deadline=None)
@@ -756,20 +770,20 @@ def test_one_probe_for_a_schedule_samples_as_one_probe_per_n(ns, cap, block_size
     values = {"real": lambda: rng.standard_normal(ns[-1]),
               "integer": lambda: rng.integers(-3, 4, ns[-1]).astype(np.float64),
               "mu-over-k": lambda: weighted_mobius_sequence(ns[-1]).values(1, ns[-1])}[kind]()
-    pooled = Strided(ns, cap, sums=sums)
-    alone = [Strided(n, cap, sums=sums) for n in ns]
-    with mock.patch.object(traces, "RUN_CELL", cell), blocks_of(block_size):
-        stream(sequence_from_values(values), ns[-1], [pooled, *alone])
-    assert [pooled.sample(n).tolist() for n in ns] == [p.sample(n).tolist()
-                                                       for p, n in zip(alone, ns)]
-    assert len(pooled._arrays) == len({-(-n // cap) for n in ns})
+    with ks_samples(cap, cell) as pooled, blocks_of(block_size):
+        stream(sequence_from_values(values), ns[-1], [KSTrace(ns, sums=sums)])
+    with ks_samples(cap, cell) as alone, blocks_of(block_size):
+        stream(sequence_from_values(values), ns[-1], [KSTrace(n, sums=sums) for n in ns])
+    assert [got for call in pooled for got in call.items()] == [
+        got for call in alone for got in call.items()]
+    assert len(pooled) == len({-(-n // cap) for n in ns})  # one KS call per stride
 
 
 def test_strided_samples_beyond_the_budget_are_refused():
     cps = geometric_checkpoints(10**9, 10**6, 1.01)  # about 3.3e8 sample points
     with pytest.raises(CapacityError, match="budget of 134217728"):
-        Strided(cps, 10**6)
-    Strided(geometric_checkpoints(10**9), 10**6)  # the default schedule: 76 MiB
+        KSTrace(cps)
+    KSTrace(geometric_checkpoints(10**9))  # the default schedule: 76 MiB
 
 
 @pytest.mark.parametrize("argv", [
@@ -778,11 +792,11 @@ def test_strided_samples_beyond_the_budget_are_refused():
 ], ids=["verdict", "analyze"])
 def test_each_stride_is_finished_once_between_blocks(monkeypatch, argv):
     # A KS cap of 100 gives the verdict many strides.  Each stride reaches
-    # the finisher once, over its checkpoints in increasing order, when the
+    # ks_distances once, over its checkpoints in increasing order, when the
     # stream has passed the largest and the last block built is dead; the
     # first strides are finished while blocks are still to come.
-    monkeypatch.setattr(traces, "KS_SAMPLE_CAP", 100)
-    real_block, real_strided = traces.Block, traces.Strided
+    monkeypatch.setattr(empirical, "KS_SAMPLE_CAP", 100)
+    real_block = traces.Block
     blocks, finished = [], []
 
     def block(*args):
@@ -790,12 +804,9 @@ def test_each_stride_is_finished_once_between_blocks(monkeypatch, argv):
         blocks.append(weakref.ref(made))
         return made
 
-    class Spy(real_strided):
-        def __init__(self, ns, cap, *, finish, **kwargs):
-            def spied(samples):
-                finished.append((list(samples), len(blocks), blocks[-1]() is None))
-                finish(samples)
-            super().__init__(ns, cap, finish=spied, **kwargs)
+    def spied(samples):
+        finished.append((list(samples), len(blocks), blocks[-1]() is None))
+        return ks_distances(samples)
 
     def run():
         out = io.StringIO()
@@ -804,8 +815,8 @@ def test_each_stride_is_finished_once_between_blocks(monkeypatch, argv):
         return out.getvalue()
 
     plain = run()
-    with mock.patch.object(traces, "Block", block), mock.patch.object(traces, "Strided", Spy), \
-            mock.patch.object(limits, "Strided", Spy):
+    with mock.patch.object(traces, "Block", block), \
+            mock.patch.object(empirical, "ks_distances", spied):
         assert run() == plain
     N = int(argv[4])
     ns = cli.parse_checkpoints(argv[6], N).tolist() if argv[0] == "verdict" else [N]
@@ -836,17 +847,18 @@ def test_finished_strides_leave_memory_as_the_stream_passes_them():
         strides[-(-n // cap)] = n
     arrays = [8 * (n // s) for s, n in strides.items()]  # bytes, in finishing order
     held = []
-    with blocks_of(size):
+    with blocks_of(size), mock.patch.object(empirical, "KS_SAMPLE_CAP", cap):
         # the prime table, the small-prime tile and a first finish
-        stream(seq, 3 * size, [Strided([size, 2 * size], cap, finish=lambda samples: None)])
+        stream(seq, 3 * size, [KSTrace([size, 2 * size])])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
 
             def finish(samples):
                 held.append(tracemalloc.get_traced_memory()[0] - base)
-                ks_distances(samples.values())
-            stream(seq, int(cps[-1]), [Strided(cps, cap, finish=finish)])
+                return ks_distances(samples)
+            with mock.patch.object(empirical, "ks_distances", finish):
+                stream(seq, int(cps[-1]), [KSTrace(cps)])
             end = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
