@@ -99,9 +99,8 @@ which each child counts itself (``FAULTS``); then, in a child in each
 checkout, the ``tracemalloc`` peak of ``traces.stream`` over
 ``MEMORY_BLOCKS`` blocks of 2**18 entries of harmonic, mu-over-k and mu,
 in float64 blocks, with no probe, a partial-sum ``KSTrace``, a value
-``KSTrace`` (both of samples of 1000 points; ``traces.Strided`` in a
-checkout that predates ``KSTrace``) and a ``LagCorrelations`` at lags 0,
-1, 2, 5 and 10 (``BLOCK_PEAKS``).
+``KSTrace`` (both of samples of 1000 points) and a ``LagCorrelations``
+at lags 0, 1, 2, 5 and 10 (``BLOCK_PEAKS``).
 ``startup`` runs, in ``STARTUP_ROUNDS`` rounds, in DIR and here:
 ``import summatoria.cli`` with and without ``gc.freeze()`` after it, then
 every perfbench call at seed 1 in its workload's order.  It keeps each
@@ -658,8 +657,7 @@ def samples_section(parent: str) -> dict:
 # 2**18 entries, in float64 blocks, after a one-block stream has built the
 # prime table: with no probe, with a partial-sum ``KSTrace``, with a value
 # ``KSTrace`` and with ``analyze``'s lag sums.  It runs in a child in each
-# checkout; in one that predates ``KSTrace``, its ``traces.Strided`` with no
-# finisher and the same cap takes the samples.
+# checkout.
 MEMORY_BLOCKS = 8
 MEMORY_VERDICT = ["verdict", "--function", "mu", "--N", "30000000"]
 MEMORY_ANALYZE = ["analyze", "--function", "mu-over-k", "--N", "10000000"]
@@ -668,12 +666,9 @@ import json, tracemalloc
 from unittest import mock
 from summatoria import cli, empirical, sieve, traces
 size, last, peaks = 1 << 18, {MEMORY_BLOCKS} << 18, {{}}
-if hasattr(traces, "Strided"):
-    strided = lambda sums: traces.Strided(last, 1000, sums=sums)
-else:
-    def strided(sums):
-        with mock.patch.object(empirical, "KS_SAMPLE_CAP", 1000):
-            return empirical.KSTrace(last, sums=sums)
+def strided(sums):
+    with mock.patch.object(empirical, "KS_SAMPLE_CAP", 1000):
+        return empirical.KSTrace(last, sums=sums)
 with mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", size):
     for function in ("harmonic", "mu-over-k", "mu"):
         seq = cli.resolve_function(function, last)

@@ -39,7 +39,7 @@ from .traces import geometric_checkpoints, validate_checkpoints
 
 DEFAULT_LAGS = (1, 2, 5, 10)
 
-_GEOMETRIC_RE = re.compile(r"^geometric\(\s*(\d+)\s*,\s*([0-9.]+)\s*\)$")
+_GEOMETRIC_RE = re.compile(r"^geometric\(([^,()]*),([^,()]*)\)$")
 
 
 def _schedules():
@@ -83,7 +83,7 @@ def parse_checkpoints(spec: str, N: int) -> np.ndarray:
     """Parse 'geometric(start,ratio)' or a comma list like '10,100,1000'."""
     m = _GEOMETRIC_RE.match(spec.strip())
     if m:
-        return geometric_checkpoints(N, start=int(m.group(1)), ratio=_number(float, m.group(2)))
+        return geometric_checkpoints(N, _number(int, m[1]), _number(float, m[2]))
     return validate_checkpoints([_number(int, p) for p in spec.split(",") if p.strip()], N)
 
 

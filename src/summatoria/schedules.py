@@ -30,9 +30,9 @@ _SERIALIZABLE_KINDS = (KIND_LOG, KIND_LOG2, KIND_NONE)
 class TwoPointSchedule:
     """Values a1, a2 with probabilities p1 + eps1(n) and its complement.
 
-    ``eps1`` is a vectorized callable over float64 arrays of n.  Below
-    ``n_min`` the first probability is clamped into [0, 1] (the canned
-    log perturbation leaves it only at n = 1).
+    ``eps1`` is a vectorized callable over float64 arrays of n.  Wherever
+    p1 + eps1(n) leaves [0, 1], the first probability is clamped into it;
+    the canned perturbations leave it only at n = 1, below ``n_min``.
     """
 
     a1: float
@@ -70,17 +70,15 @@ def schedule_mean(s: TwoPointSchedule, n):
     """Expected value a1 p_1(n) + a2 p_2(n), per the schedule's formulas.
 
     Computed as (a1 p1 + a2 (1 - p1)) + (a1 - a2) eps1(n) so perturbations
-    far below the base probabilities keep full relative precision; inside
-    the clamped region n < n_min the clamped probabilities are used.
+    far below the base probabilities keep full relative precision; wherever
+    p1 + eps1(n) leaves [0, 1] the clamped probabilities are used.
     """
     n_arr = np.atleast_1d(np.asarray(n, dtype=np.float64))
-    base = s.a1 * s.p1 + s.a2 * (1.0 - s.p1)
-    out = base + (s.a1 - s.a2) * np.asarray(s.eps1(n_arr), dtype=np.float64)
-    if s.n_min > 1:
-        clamped = n_arr < s.n_min
-        if np.any(clamped):
-            p1, p2 = s.probabilities(n_arr)
-            out = np.where(clamped, s.a1 * p1 + s.a2 * p2, out)
+    eps1 = np.asarray(s.eps1(n_arr), dtype=np.float64)
+    p1 = s.p1 + eps1
+    clamped = np.clip(p1, 0.0, 1.0)
+    out = np.where(clamped != p1, s.a1 * clamped + s.a2 * (1.0 - clamped),
+                   (s.a1 * s.p1 + s.a2 * (1.0 - s.p1)) + (s.a1 - s.a2) * eps1)
     return float(out[0]) if np.isscalar(n) or np.ndim(n) == 0 else out
 
 
@@ -111,7 +109,7 @@ def two_value_schedule(
                             _first_valid_n(p1_base, eps1))
 
 
-_SCAN_CHUNK = 1 << 16  # n per eps1 call of _first_valid_n
+_SCAN_CHUNK = 1 << 16  # n per eps1 call of _first_valid_n and realize_greedy
 _SCAN_LIMIT = 10**6  # the last n _first_valid_n tries
 
 
@@ -146,7 +144,7 @@ def fair_coin_schedule() -> TwoPointSchedule:
     return two_value_schedule(1.0, -1.0, 0.5, eps, kind=KIND_NONE)
 
 
-_REALIZE_BUDGET = 1 << 25  # values; at about 33 bytes a value (tracemalloc), near 1 GiB
+_REALIZE_BUDGET = 1 << 25  # values; at about 17.5 bytes a value (tracemalloc), near 590 MB
 
 
 def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
@@ -156,36 +154,29 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     target n * p_i(n) is emitted, ties going to the first value; this is
     equivalent to keeping count_1(n) = floor(n * p_1(n) + 1/2) whenever
     the rounded targets step by at most one, and guarantees
-    |count_1(n) - n * p_1(n)| <= 1 for all n <= N.  Realization is
-    inherently sequential; the closed form is used when valid, with a
-    step-by-step fallback otherwise.  Past ``_REALIZE_BUDGET`` values it
-    raises CapacityError before allocating.
+    |count_1(n) - n * p_1(n)| <= 1 for all n <= N.  The closed form is
+    worked out ``_SCAN_CHUNK`` values of n at a time into N steps; where
+    one leaves [0, 1] the rule runs step by step instead.  Past
+    ``_REALIZE_BUDGET`` values it raises CapacityError before allocating.
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if N > _REALIZE_BUDGET:
         raise CapacityError(f"realizing {N} values of a schedule exceeds the budget of "
                             f"{_REALIZE_BUDGET} values")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    eps1 = np.asarray(s.eps1(n), dtype=np.float64)
-    p1_exact = s.p1 + eps1
-    clamped = np.clip(p1_exact, 0.0, 1.0)
-    # Clamping happens only below n_min; there the target is n * clamped.
-    at = np.flatnonzero(p1_exact != clamped)
-    target_at = n[at] * clamped[at]
-    del p1_exact, clamped
-    # Split products keep tiny perturbations at full precision in the target;
-    # the buffers are reused, and every float is the same as with fresh ones.
-    target = n * eps1
-    del eps1
-    target += np.multiply(n, s.p1, out=n)
-    del n
-    target[at] = target_at
-    target += 0.5
-    rounded = np.floor(target, out=target)
-
-    steps = np.diff(rounded, prepend=0.0)
-    if not (rounded[0] <= 1.0 and steps.min() >= 0.0 and steps.max() <= 1.0):
+    steps = np.empty(N, dtype=np.float64)
+    last = 0.0
+    for lo in range(1, N + 1, _SCAN_CHUNK):
+        n = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.float64)
+        eps1 = np.asarray(s.eps1(n), dtype=np.float64)
+        p1 = s.p1 + eps1
+        clamped = np.clip(p1, 0.0, 1.0)
+        # Split products keep tiny perturbations at full precision in the target.
+        rounded = np.floor(np.where(clamped != p1, n * clamped, n * eps1 + n * s.p1) + 0.5)
+        steps[lo - 1 : lo - 1 + n.size] = np.diff(rounded, prepend=last)
+        last = rounded[-1]
+    if not (steps.min() >= 0.0 and steps.max() <= 1.0):
+        rounded = np.cumsum(steps)  # exact: whole numbers below 2**53
         counts = np.empty(N, dtype=np.float64)
         c = 0.0
         for i in range(N):
@@ -194,6 +185,7 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
             counts[i] = c
         steps = np.diff(counts, prepend=0.0)
     vals = np.where(steps > 0.0, s.a1, s.a2)
+    del steps
     return sequence_from_values(vals, name=f"synth:{s.kind}")
 
 

@@ -335,12 +335,14 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_parse_checkpoints_forms():
     assert parse_checkpoints("10,20,40", 100).tolist() == [10, 20, 40]
     assert parse_checkpoints("geometric(10,2)", 100).tolist() == [10, 20, 40, 80]
+    assert (parse_checkpoints("geometric(10,1.5e0)", 100).tolist()
+            == parse_checkpoints("geometric(10,1.5)", 100).tolist())
     with pytest.raises(Exception):
         parse_checkpoints("geometric(10,2) extra", 100)
 
 
 @pytest.mark.parametrize("spec, bad", [("1e2", "1e2"), ("geometric(10,1..2)", "1..2"),
-                                       ("10, abc ,100", "abc")])
+                                       ("geometric(1e1,2)", "1e1"), ("10, abc ,100", "abc")])
 def test_an_unreadable_checkpoint_is_named_with_the_accepted_forms(spec, bad, capsys):
     status, out, err = run_cli("compute", "--function", "mu", "--N", "1000",
                                "--checkpoints", spec, capsys=capsys)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,15 @@ def test_log_schedule_summatory_exact_form():
         assert schedule_summatory(s, n) == pytest.approx(want, rel=1e-12)
     # n = 9 in closed form: 18 / (10 log 10)
     assert schedule_summatory(s, 9) == pytest.approx(18 / (10 * math.log(10)), rel=1e-13)
+
+
+def test_mean_is_clamped_wherever_the_probability_is():
+    # p1 + eps1 leaves [0, 1] at n = 5 only, past n_min = 1.
+    s = two_value_schedule(1.0, -1.0, 0.5, lambda n: np.where(n == 5, 0.9, 0.0))
+    assert s.n_min == 1 and s.probabilities(5)[0, 0] == 1.0
+    assert schedule_mean(s, 5) == 1.0
+    assert schedule_summatory(s, 5) == 5.0
+    assert schedule_mean(s, np.array([4, 5, 6])).tolist() == [0.0, 1.0, 0.0]
 
 
 def test_summatory_is_n_times_mean():
@@ -177,6 +187,57 @@ def test_greedy_fallback_loop_matches_closed_form():
         loop_counts.append(c)
     counts = np.cumsum(seq.values(1, N) == 1.0)
     assert counts.tolist() == loop_counts
+
+
+def whole_array_realization(s, N):
+    # The closed form over all N values at once, as a reference for the
+    # chunked one: the same float operations on every n.
+    n = np.arange(1, N + 1, dtype=np.float64)
+    eps1 = np.asarray(s.eps1(n), dtype=np.float64)
+    p1 = s.p1 + eps1
+    clamped = np.clip(p1, 0.0, 1.0)
+    target = n * eps1 + n * s.p1
+    at = p1 != clamped
+    target[at] = n[at] * clamped[at]
+    rounded = np.floor(target + 0.5)
+    steps = np.diff(rounded, prepend=0.0)
+    if not (rounded[0] <= 1.0 and steps.min() >= 0.0 and steps.max() <= 1.0):
+        counts = np.empty(N)
+        c = 0.0
+        for i in range(N):
+            if c < rounded[i]:
+                c += 1.0
+            counts[i] = c
+        steps = np.diff(counts, prepend=0.0)
+    return np.where(steps > 0.0, s.a1, s.a2)
+
+
+BUMPS = {"bump at 5": lambda n: np.where(n == 5, 0.9, 0.0),
+         "bump past a chunk": lambda n: np.where(n == 2**16 + 1, 0.9, 0.0)}
+
+
+@pytest.mark.parametrize("N", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
+@pytest.mark.parametrize("make", [
+    log_coin_schedule, log2_indicator_schedule, fair_coin_schedule,
+    lambda: two_value_schedule(1.0, -1.0, 0.0, lambda n: 1 / n**2),  # the fallback
+    lambda: two_value_schedule(2.0, 5.0, 0.3, lambda n: np.zeros_like(n)),
+    *[lambda eps=eps: two_value_schedule(1.0, -1.0, 0.5, eps) for eps in BUMPS.values()],
+], ids=["log", "log2", "fair", "fallback", "constant", *BUMPS])
+def test_chunked_realization_matches_the_whole_array_formula(make, N):
+    s = make()
+    got = realize_greedy(s, N).values(1, N)
+    assert got.tobytes() == whole_array_realization(s, N).tobytes()
+
+
+def test_realization_peaks_under_20_bytes_a_value():
+    s, N = log2_indicator_schedule(), 2**20
+    tracemalloc.start()
+    try:
+        realize_greedy(s, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * N
 
 
 def test_schedule_json_round_trip():
