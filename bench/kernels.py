@@ -83,7 +83,8 @@ best of 5, after checking that they are the bytes the CLI wrote; then
 ``cli._load_file_sequence`` of DIR's package, loaded as for ``kernel``,
 and of this one on that CSV and on a CSV of ``SYNTH_N`` standard normal
 values written as ``.17g``, best of 5, the two sides alternating, after
-checking that both read the same bits.
+checking that both read the same bits, with its tracemalloc peak per row
+in a child in each checkout.
 ``samples`` runs verdicts in DIR and here, 5 runs each unless
 ``SAMPLES_RUNS`` says otherwise, and keeps the medians of wall time and
 peak RSS and the sha256 of the report both sides wrote: ``file:`` of a
@@ -112,9 +113,10 @@ within a round.
 here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
 replaces its own section of the JSON file and the machine record; with
-``--section NAME``, ``pairs`` writes into that
+``--section NAME``, a command writes into that
 section, which need not belong to a command (``verdict_errors`` does not),
-else into the sieve kernel's top-level ``perfbench_pairs``.
+under its own name (``pairs`` under ``perfbench_pairs``); ``pairs`` without
+it writes into the sieve kernel's top-level ``perfbench_pairs``.
 ``traced`` runs ``perfbench/run.py --trace 1`` once in DIR and once here,
 and keeps each run's per-layer metrics under ``perfbench_traced``.
 """
@@ -619,6 +621,11 @@ def synth_section(parent: str) -> dict:
                 raise SystemExit(f"the readers give other values on {name}")
             reader[name] = {f"{side}_s": round(t, 4) for side, t in best_of(
                 5, {side: lambda load=load: load(path) for side, load in loaders.items()}).items()}
+            load_peak = ("import tracemalloc\nfrom summatoria import cli\ntracemalloc.start()\n"
+                         f"cli._load_file_sequence({path!r})\n"
+                         "print(tracemalloc.get_traced_memory()[1])")
+            reader[name].update({f"{side}_tracemalloc_bytes_per_row": round(
+                int(python_in(sides[side].root, load_peak)) / SYNTH_N, 1) for side in sides})
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py synth --parent DIR",
         "cli_best_of_5": {"argv": argv, "sha256": digest, **summary(runs)},
@@ -825,11 +832,12 @@ def main(argv=None) -> int:
         command = sub.add_parser(name)
         if parent is not None:
             command.add_argument("--parent", required=parent)
+        command.add_argument("--section")  # any name but kernel: a section of its own
     pairs = sub.add_parser("pairs")
     pairs.add_argument("--parent", required=True)
     pairs.add_argument("--workload", required=True)
     pairs.add_argument("--seeds", required=True, type=lambda s: [int(x) for x in s.split(",")])
-    pairs.add_argument("--section")  # any name but kernel: a section of its own
+    pairs.add_argument("--section")
     traced = sub.add_parser("traced")
     traced.add_argument("--parent", required=True)
     traced.add_argument("--workload", required=True)
@@ -841,13 +849,15 @@ def main(argv=None) -> int:
         with open(OUT, encoding="utf-8") as fh:
             doc = json.load(fh)
     # The sieve kernel's numbers, machine record and perfbench pairs are top-level.
-    name = args.command if args.command in SECTIONS else getattr(args, "section", None)
+    given = getattr(args, "section", None)
+    name = given or (args.command if args.command in SECTIONS else None)
     section = doc if name in (None, "kernel") else doc.setdefault(name, {})
     if args.command == "kernel":
-        doc["kernel"] = kernel_section(args.parent)
+        section["kernel"] = kernel_section(args.parent)
     elif args.command in SECTIONS:
         run, parent = SECTIONS[args.command]
-        section.update(run() if parent is None else run(args.parent))
+        got = run() if parent is None else run(args.parent)
+        section.update({args.command: got} if given else got)
     elif args.command == "traced":
         doc.setdefault("perfbench_traced", {})[args.workload] = traced_section(
             args.parent, args.workload, args.seed)

@@ -38,19 +38,23 @@ class EmpiricalDistribution:
 
 
 def empirical_cdf(values) -> EmpiricalDistribution:
-    """Sort a sample and package it with its mean and population variance,
-    by numpy's own ``_mean`` and ``_var`` arithmetic with the mean formed
-    once: the same bits as ``np.mean`` and ``np.var``."""
+    """Package a sorted copy of a sample with its mean and population
+    variance, by numpy's own ``_mean`` and ``_var`` arithmetic with the
+    mean formed once: the same bits as ``np.mean`` and ``np.var``."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("sample must be a nonempty 1-D array")
-    sample, n = np.sort(arr), arr.size
+    return _sorted_cdf(np.sort(arr))
+
+
+def _sorted_cdf(sample: np.ndarray) -> EmpiricalDistribution:
+    """``empirical_cdf`` of a sorted nonempty float64 sample, which it holds."""
     with np.errstate(over="ignore", invalid="ignore"):  # ks_distance refuses inf and nan
-        mean = float(np.add.reduce(sample)) / n
+        mean = float(np.add.reduce(sample)) / sample.size
         x = sample - mean
         x *= x
-        variance = float(np.add.reduce(x)) / n
-    return EmpiricalDistribution(sample, n, mean, variance)
+        variance = float(np.add.reduce(x)) / sample.size
+    return EmpiricalDistribution(sample, sample.size, mean, variance)
 
 
 # Cody's rational Chebyshev approximations (Math. Comp. 23, 1969) in the
@@ -195,11 +199,14 @@ def ks_distance(dist: EmpiricalDistribution) -> float:
 
 def ks_distances(samples: dict) -> dict:
     """{n: sample} -> {n: D}: ``ks_distance`` of the ``empirical_cdf`` of
-    each sample, nan where a sample is degenerate."""
+    each sample, nan where a sample is degenerate.  Each sample, a float64
+    array, is sorted in place: increasing prefixes of one array, as
+    ``KSTrace``'s, keep their values and so the bits of their D."""
     out = {}
     for n, sample in samples.items():
+        sample.sort()
         try:
-            out[n] = ks_distance(empirical_cdf(sample))
+            out[n] = ks_distance(_sorted_cdf(sample))
         except DegenerateSampleError:
             out[n] = math.nan
     return out
@@ -221,11 +228,11 @@ class KSTrace:
     The sample of n is a prefix of the sample of the largest n of the same
     stride, so each stride has one array.  Once the stream has passed that
     n, ``distances`` gets D for every n of the stride, in increasing order,
-    and the array is freed.  S(k) is the rounded S(c), for c the last
-    multiple of RUN_CELL (for integers, or block start) below k, plus the
-    cumsum of f(c+1..k): exact for integers, and for reals at the default
-    block size the block's base plus its float cumsum, the same at every
-    block size.
+    from its prefixes sorted in place, and the array is freed.  S(k) is the
+    rounded S(c), for c the last multiple of RUN_CELL (for integers, or
+    block start) below k, plus the cumsum of f(c+1..k): exact for integers,
+    and for reals at the default block size the block's base plus its float
+    cumsum, the same at every block size.
     """
 
     def __init__(self, ns, *, sums: bool = True):

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, NumericError
 from .sequences import ArithmeticSequence, sequence_from_values
 
 KIND_LOG = "log"
@@ -157,8 +157,8 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     |count_1(n) - n * p_1(n)| <= 1 for all n <= N.  The closed form is
     worked out ``_SCAN_CHUNK`` values of n at a time into N steps; where
     one leaves [0, 1] the rule runs step by step instead.  Past
-    ``_REALIZE_BUDGET`` values it raises CapacityError before allocating.
-    """
+    ``_REALIZE_BUDGET`` values it raises CapacityError before allocating,
+    and NumericError at the first n whose perturbation is not finite."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
     if N > _REALIZE_BUDGET:
@@ -169,6 +169,8 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     for lo in range(1, N + 1, _SCAN_CHUNK):
         n = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.float64)
         eps1 = np.asarray(s.eps1(n), dtype=np.float64)
+        if (bad := np.flatnonzero(~np.isfinite(eps1))).size:
+            raise NumericError(f"the perturbation is not finite at n = {lo + bad[0]}")
         p1 = s.p1 + eps1
         clamped = np.clip(p1, 0.0, 1.0)
         # Split products keep tiny perturbations at full precision in the target.

@@ -20,6 +20,7 @@ from .errors import BoundError
 # The largest x whose S(x) ``sublinear`` computes for a sequence with a
 # hyperbola rule; M(10**11) peaks at 76 MB (BENCH_kernels.json, ``sublinear``).
 SUBLINEAR_BOUND = 10**11
+_CHECK_CHUNK = 1 << 16  # values per integrality check of sequence_from_values
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,15 @@ def sequence_from_values(values: np.ndarray, *, name: str = "values") -> Arithme
     arr = np.ascontiguousarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("materialized sequence must be a nonempty 1-D array")
-    if not np.all(np.isfinite(arr)):
+    top = max(arr.max(), -arr.min())  # nan if a value is
+    if not top < math.inf:
         raise ValueError("materialized sequence contains non-finite values")
     arr.flags.writeable = False
     # Beyond 2**53 floats skip integers and int64 block sums can wrap.
-    integer_valued = float(np.max(np.abs(arr))) <= 2**53 and bool(np.all(arr == np.round(arr)))
+    parts = np.array_split(arr, -(-arr.size // _CHECK_CHUNK))  # views
+    integer_valued = top <= 2**53 and all(np.array_equal(p.astype(np.int64), p) for p in parts)
 
     def block(lo: int, hi: int) -> np.ndarray:
         return arr[lo - 1 : hi]
 
-    return ArithmeticSequence(name, arr.size, integer_valued, block)
+    return ArithmeticSequence(name, arr.size, bool(integer_valued), block)

@@ -159,7 +159,9 @@ def sieve_block(lo: int, hi: int) -> SieveBlock:
 
     # The square flag and the signed sqrt(hi)-smooth part (int32 holds n <= 1e9).
     shift = lo % _TILE_PERIOD
-    square, smooth = (np.resize(np.roll(a, -shift), width) for a in _small_prime_tile())
+    end = shift + min(width, _TILE_PERIOD)  # one period of the tile from lo on, wrapping
+    square, smooth = (np.resize(np.concatenate((a[shift:end], a[: max(0, end - _TILE_PERIOD)])),
+                                width) for a in _small_prime_tile())
     for p in _sieving_primes():
         if p * p > hi:
             break

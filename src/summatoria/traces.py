@@ -202,10 +202,11 @@ class Block:
         if exact:
             if values.dtype.kind == "f":
                 # magnitude first: the cast of a value beyond int64 would wrap
-                if not (np.max(np.abs(values)) <= 2**53 and np.all(values == np.round(values))):
+                if not (max(values.max(), -values.min()) <= 2**53
+                        and np.array_equal(ints := values.astype(np.int64), values)):
                     raise NumericError(f"f({lo}..{lo + values.size - 1}) of an integer-valued "
                                        "sequence holds a non-integer or a value beyond 2**53")
-                values = values.astype(np.int64)
+                values = ints
             peak = max(int(values.max()), -int(values.min()))
             fits = peak * peak * values.size < 2**63 and abs(start) + peak * values.size < 2**63
             self.dtype = np.int64 if fits else object

@@ -9,6 +9,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import urllib.request
 import warnings
 from unittest import mock
@@ -763,6 +764,31 @@ def test_a_piped_file_reads_as_its_path_does(body, tmp_path, capsys):
                           capture_output=True)
     assert (proc.returncode, proc.stdout.decode()) == (status, out)
     assert proc.stderr.decode() == err.replace(str(path), "/dev/stdin")
+
+
+@pytest.mark.parametrize("row", [2, 2**16, 2**16 + 1, 70_000])
+def test_a_wrong_index_is_named_with_its_row_across_check_chunks(row, tmp_path, capsys):
+    path = tmp_path / "seq.csv"
+    path.write_text("k,f\n" + "".join(f"{k + (k == row) / 2},1\n" for k in range(1, 70_001)))
+    status, out, err = run_cli("compute", "--function", f"file:{path}", "--N", "2",
+                               "--checkpoints", "2", capsys=capsys)
+    assert (status, out) == (1, "")
+    assert err == f"error: {path}: indices must run 1,2,... got {row + 0.5:g} in data row {row}\n"
+
+
+def test_the_file_reader_holds_the_rows_and_one_copy_of_the_values(tmp_path):
+    # 16 bytes a parsed row and 8 for the values kept; the index check and
+    # the checks of the values take chunks.  Whole-array checks read 33.
+    N, path = 2**20, tmp_path / "log2.csv"
+    assert main(["synth", "--function", "synth:log2", "--N", str(N), "--output", str(path)]) == 0
+    tracemalloc.start()
+    try:
+        seq = cli._load_file_sequence(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.bound == N and seq.integer_valued
+    assert peak <= 25 * N
 
 
 def test_analyze_of_a_short_file_names_the_bound_it_needs(tmp_path, capsys):

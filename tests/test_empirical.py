@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -417,3 +418,46 @@ def test_ks_distances_of_a_strides_prefixes(values, parts):
     got = empirical.ks_distances(samples)
     assert list(got) == ends
     assert [bits(d) for d in got.values()] == [bits(d) for d in expected]
+
+
+prefix_floats = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), finite_floats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(prefix_floats, min_size=1, max_size=60), st.data())
+def test_ks_distances_sorts_each_prefix_in_place(values, data):
+    # Increasing prefixes of one array, with ties, both zeros and single
+    # points: each D has the bits of a sorted copy's, and each prefix is,
+    # when its D is taken, its own values sorted (-0.0 and 0.0 may swap).
+    arr = np.array(values)
+    ends = sorted(data.draw(st.sets(st.integers(1, arr.size), min_size=1)))
+    original = [arr[:e].copy() for e in ends]
+    expected = []
+    for sample in original:
+        try:
+            expected.append(ks_distance(empirical_cdf(sample)))
+        except DegenerateSampleError:
+            expected.append(math.nan)
+    seen = []
+    with mock.patch.object(empirical, "ks_distance",
+                           lambda dist: seen.append(dist.sample.copy()) or ks_distance(dist)):
+        got = empirical.ks_distances({e: arr[:e] for e in ends})
+    assert [bits(d) for d in got.values()] == [bits(d) for d in expected]
+    assert len(seen) == len(ends)
+    assert all(np.array_equal(s, np.sort(o)) for s, o in zip(seen, original))
+    assert np.array_equal(arr[: ends[-1]], np.sort(original[-1]))
+
+
+def test_finishing_a_stride_holds_one_more_array():
+    # The prefixes are sorted in place, so only the squared deviations of
+    # the longest are an array of its size; a sorted copy beside them would
+    # make two.
+    N = 2**20
+    arr = np.cumsum(np.random.default_rng(5).integers(-1, 2, N)) * 1.0
+    tracemalloc.start()
+    try:
+        got = empirical.ks_distances({n: arr[:n] for n in (N // 4, N // 2, N)})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(got) == [N // 4, N // 2, N] and peak <= 1.25 * 8 * N

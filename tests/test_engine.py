@@ -198,7 +198,7 @@ def test_strided_probe_matches_direct_slices(monkeypatch):
     vals = np.linspace(-1.0, 1.0, 100)
     samples, ks_distances = [], empirical.ks_distances
     monkeypatch.setattr(empirical, "ks_distances",
-                        lambda got: samples.append(got[97]) or ks_distances(got))
+                        lambda got: samples.append(got[97].copy()) or ks_distances(got))
     monkeypatch.setattr(empirical, "KS_SAMPLE_CAP", 14)  # stride 7
     with blocks_of(9):
         stream(sequence_from_values(vals), 100, [KSTrace(97), KSTrace(97, sums=False)])

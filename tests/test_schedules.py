@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from summatoria import (
+    NumericError,
     fair_coin_schedule,
     log2_indicator_schedule,
     log_coin_schedule,
@@ -227,6 +228,16 @@ def test_chunked_realization_matches_the_whole_array_formula(make, N):
     s = make()
     got = realize_greedy(s, N).values(1, N)
     assert got.tobytes() == whole_array_realization(s, N).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at, N", [(5, 12), (2**16 + 3, 2**16 + 10)])
+def test_a_perturbation_that_is_not_finite_is_refused(bad, at, N):
+    # Unchecked, each would realize a sequence silently: nan falls to the
+    # second value from there on, and +-inf clamps the probability to 1 or 0.
+    s = two_value_schedule(1.0, -1.0, 0.5, lambda n: np.where(n == at, bad, 0.0))
+    with pytest.raises(NumericError, match=f"the perturbation is not finite at n = {at}$"):
+        realize_greedy(s, N)
 
 
 def test_realization_peaks_under_20_bytes_a_value():

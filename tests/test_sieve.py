@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,10 @@ def test_sieve_block_matches_reference_kernel(lo_width):
     (GLOBAL_SIEVE_BOUND - (1 << 20) + 1, GLOBAL_SIEVE_BOUND),
     *[(k * TILE_PERIOD + r, k * TILE_PERIOD + r + 100_000)
       for k in (0, 1, 22_000) for r in (0, 1, TILE_PERIOD - 1) if k or r],
+    # Widths about one tile period, from offsets at the start, middle and
+    # end of the tile: a block's period of the tile wraps, or it does not.
+    *[(lo, lo + width - 1) for lo in (1, 22_051, TILE_PERIOD - 1, 10**8 + 99)
+      for width in (TILE_PERIOD - 1, TILE_PERIOD, TILE_PERIOD + 1, 50_000)],
     *[(lo, hi) for hi in range(1, 11) for lo in range(1, hi + 1)],
     *[(lo, lo + width - 1) for lo in (4, 8, 9, 25, 27, 49, 343) for width in (1, 1000)],
     # Blocks of width 100 that end on p**2 (its one multiple there is the last
@@ -217,3 +222,17 @@ def test_sieve_block_flips_the_sign_for_the_prime_above_sqrt_hi(n):
     assert int(blk.mu[0]) == ((-1) ** distinct if squarefree else 0)
     assert int(blk.lam[0]) == (-1) ** total
     assert_matches_reference(n - 5000, min(GLOBAL_SIEVE_BOUND, n + 5000))
+
+
+@pytest.mark.parametrize("lo", [1, TILE_PERIOD - 1, 10**8 + 99, GLOBAL_SIEVE_BOUND])
+def test_a_one_entry_block_reads_only_the_tile_entries_it_uses(lo):
+    # The tile and the prime table are built once; a block then copies only
+    # its own entries of the tile, where rolling the whole tile took 389 KB.
+    sieve_block(lo, lo)
+    tracemalloc.start()
+    try:
+        sieve_block(lo, lo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000

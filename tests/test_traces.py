@@ -79,6 +79,22 @@ def test_values_beyond_two_to_the_53_are_not_integer_valued():
     assert sequence_from_values(np.array([2.0**53, -1.0])).integer_valued
 
 
+@pytest.mark.parametrize("kind", ["integers", "reals"])
+def test_wrapping_values_adds_under_a_byte_a_value(kind):
+    # The array is held as given and its checks take chunks; checks of the
+    # whole array would add 9 bytes a value.
+    N = 2**20
+    values = np.arange(N) % 3.0 if kind == "integers" else np.linspace(-1.0, 1.0, N)
+    tracemalloc.start()
+    try:
+        seq = sequence_from_values(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.integer_valued == (kind == "integers") and np.shares_memory(seq.values(1, N), values)
+    assert peak <= N
+
+
 def test_integer_sums_past_int64_stay_exact():
     # S(1) fits int64 and S(1100) does not: one array of both must not be float64
     seq = sequence_from_values(np.full(1100, 2.0**53 - 1))
