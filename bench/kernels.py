@@ -9,6 +9,7 @@
     PYTHONPATH=src python3 bench/kernels.py samples --parent DIR
     PYTHONPATH=src python3 bench/kernels.py memory --parent DIR
     python3 bench/kernels.py startup --parent DIR
+    python3 bench/kernels.py calls --parent DIR
     python3 bench/kernels.py pairs --parent DIR --workload NAME --seeds 1,2,3 [--section NAME]
     python3 bench/kernels.py traced --parent DIR --workload NAME --seed 1
 
@@ -23,15 +24,18 @@ or, on a side that runs code of its own first, that code and then
 alternate, in reversed order every other round, and a call whose runs
 write different bytes is not recorded (``alternate``).
 
-``kernel`` times one 2**20 block ending
-at each of ``BLOCK_ENDS`` (4 * 2**20 and 10 * 2**20, at the last blocks
-of stats-analyze's verdict, N = 4,096,000, and of float-accumulate's
-``mu-over-k`` call, then 3e7, 1e8 and 1e9), median and best of 15 in this
+``kernel`` times the 2**20 entries ending
+at each of ``BLOCK_ENDS`` (2 * 2**20, then 4 * 2**20 and 10 * 2**20, where
+stats-analyze's verdict, N = 4,096,000, and float-accumulate's
+``mu-over-k`` call end, then 1e7, 3e7, 1e8 and 1e9), each kernel in blocks
+of its package's ``DEFAULT_BLOCK_SIZE``, median and best of 15 in this
 process with the kernels' runs alternating: the reference kernel of
-``tests/reference_sieve.py`` and ``summatoria.sieve.sieve_block``, after
+``tests/reference_sieve.py``, in blocks of this package's size, and
+``summatoria.sieve.sieve_block``, after
 checking that both give the same bytes; then ``mertens_trace(3e7)`` forced to stream
 (``sublinear.table_limit`` replaced by the last checkpoint), best of 3,
-with each kernel swapped in for ``sieve.sieve_block``.  With
+with each kernel and its block size swapped in for ``sieve.sieve_block``
+and ``sieve.DEFAULT_BLOCK_SIZE``.  With
 ``--parent``, the package of DIR is loaded into the
 same process under another name, and its ``sieve_block`` is a third
 kernel in every comparison.
@@ -109,6 +113,9 @@ side's quartiles of wall time, medians of CPU time and peak RSS, the
 number of ``summatoria.*`` modules each run loads (counted in a separate
 process), and the quartiles of each workload's calls' wall time summed
 within a round.
+``calls`` runs each of ``CALLS`` in DIR and here, and keeps the sha256
+of what both sides wrote and each side's median wall time, median and
+largest peak RSS and median minor page faults (as ``memory`` does).
 ``pairs`` runs ``perfbench/run.py --trace 0`` for each seed in DIR and
 here, alternating which goes first, and keeps every
 run's metrics with each side's median and quartiles.  Each command
@@ -149,7 +156,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 ENV = dict(os.environ, **PINNED_ENV, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
 BLOCK = 1 << 20
-BLOCK_ENDS = (4 * BLOCK, 10 * BLOCK, 30_000_000, 10**8, 10**9)
+BLOCK_ENDS = (2 * BLOCK, 4 * BLOCK, 10 * BLOCK, 10**7, 30_000_000, 10**8, 10**9)
 TRACE_N = 30_000_000
 SUM_BLOCK_ENDS = (BLOCK, 10 * BLOCK, 30_000_000)
 CALLS_N = 1 << 12
@@ -290,28 +297,39 @@ def load_parent(parent: str, module: str):
     return importlib.import_module(f"{spec.name}.{module}")
 
 
+def joined(blocks) -> list[bytes]:
+    """The mu bytes and the lam bytes of consecutive sieve blocks."""
+    return [b"".join(getattr(blk, f).tobytes() for blk in blocks) for f in ("mu", "lam")]
+
+
 def kernel_section(parent: str | None) -> dict:
     from unittest import mock
 
     from reference_sieve import reference_sieve_block
     from summatoria import sieve, sublinear, traces
 
+    parent_sieve = load_parent(parent, "sieve") if parent else None
     kernels = {"reference": reference_sieve_block,
-               **({"parent": load_parent(parent, "sieve").sieve_block} if parent else {}),
+               **({"parent": parent_sieve.sieve_block} if parent else {}),
                "new": sieve.sieve_block}
+    sizes = {"reference": sieve.DEFAULT_BLOCK_SIZE, "new": sieve.DEFAULT_BLOCK_SIZE,
+             **({"parent": parent_sieve.DEFAULT_BLOCK_SIZE} if parent else {})}
     blocks = []
     for hi in BLOCK_ENDS:
         lo = hi - BLOCK + 1
         primes = sieve.primes_up_to(math.isqrt(hi))
-        runs = {name: (lambda k=k: k(lo, hi)) for name, k in kernels.items()}
-        runs["reference"] = lambda: reference_sieve_block(lo, hi, primes=primes)
-        want = runs["reference"]()
+
+        def entries(kernel, size):  # the blocks of [lo, hi]
+            return lambda: [kernel(a, min(a + size - 1, hi)) for a in range(lo, hi + 1, size)]
+        runs = {name: entries(k, sizes[name]) for name, k in kernels.items()}
+        runs["reference"] = entries(lambda a, b: reference_sieve_block(a, b, primes=primes),
+                                    sizes["reference"])
+        want = joined(runs["reference"]())
         for name, run in runs.items():
-            got = run()
-            if got.mu.tobytes() != want.mu.tobytes() or got.lam.tobytes() != want.lam.tobytes():
+            if joined(run()) != want:
                 raise SystemExit(f"{name} kernel differs from the reference on [{lo}, {hi}]")
         times = times_of(15, runs)
-        row = {"lo": lo, "hi": hi}
+        row = {"lo": lo, "hi": hi, **{f"{name}_block": size for name, size in sizes.items()}}
         for name, t in times.items():
             row[f"{name}_median_ms"] = round(1e3 * statistics.median(t), 1)
             row[f"{name}_best_ms"] = round(1e3 * min(t), 1)
@@ -322,17 +340,15 @@ def kernel_section(parent: str | None) -> dict:
         blocks.append(row)
         print(json.dumps(row), flush=True)
 
-    def trace_with(kernel):
-        def run():
-            sieve.sieve_block = kernel
-            try:  # forced to stream: no table of sublinear
-                with mock.patch.object(sublinear, "table_limit", lambda cps: int(cps[-1])):
-                    return traces.mertens_trace(TRACE_N).values.tolist()
-            finally:
-                sieve.sieve_block = kernels["new"]
+    def trace_with(name):
+        def run():  # forced to stream: no table of sublinear
+            with mock.patch.object(sieve, "sieve_block", kernels[name]), \
+                    mock.patch.object(sieve, "DEFAULT_BLOCK_SIZE", sizes[name]), \
+                    mock.patch.object(sublinear, "table_limit", lambda cps: int(cps[-1])):
+                return traces.mertens_trace(TRACE_N).values.tolist()
         return run
 
-    runs = {name: trace_with(k) for name, k in kernels.items()}
+    runs = {name: trace_with(name) for name in kernels}
     want = runs["reference"]()
     if any(run() != want for run in runs.values()):
         raise SystemExit("mertens_trace values differ")
@@ -341,7 +357,7 @@ def kernel_section(parent: str | None) -> dict:
     return {
         "command": "PYTHONPATH=src python3 bench/kernels.py kernel"
                    + (" --parent DIR" if parent else ""),
-        "block_2pow20_median_of_15": blocks,
+        "entries_2pow20_median_of_15": blocks,
         "mertens_trace_best_of_3": trace_rows,
     }
 
@@ -700,6 +716,15 @@ FAULTS = ("import atexit, resource, sys\natexit.register(lambda: print("
           "resource.getrusage(resource.RUSAGE_SELF).ru_minflt, file=sys.stderr))")
 
 
+def side_stats(runs: list[Run]) -> dict:
+    """Median wall time, median and largest peak RSS and median minor page
+    faults of one side's runs of a call, each counted under FAULTS."""
+    return {"median_s": STATS["median_s"](runs),
+            "median_peak_rss_mb": STATS["median_peak_rss_mb"](runs),
+            "max_peak_rss_mb": STATS["peak_rss_mb"](runs),
+            "median_minor_faults": int(statistics.median(int(r.err.split()[-1]) for r in runs))}
+
+
 def memory_section(parent: str) -> dict:
     sides = {"parent": Side(os.path.abspath(parent), FAULTS), "change": Side(ROOT, FAULTS)}
     rows = []
@@ -709,19 +734,30 @@ def memory_section(parent: str) -> dict:
                  MEMORY_VERDICT, MEMORY_ANALYZE]
         for args in calls:
             (runs, _), = alternate(11, sides, [args])
-            row = {"argv": " ".join(args[:5]), "same_bytes": True}
-            for side, got in runs.items():
-                row[side] = {"median_s": STATS["median_s"](got),
-                             "median_peak_rss_mb": STATS["median_peak_rss_mb"](got),
-                             "max_peak_rss_mb": STATS["peak_rss_mb"](got),
-                             "median_minor_faults": int(statistics.median(
-                                 int(r.err.split()[-1]) for r in got))}
-            rows.append(row)
+            rows.append({"argv": " ".join(args[:5]), "same_bytes": True,
+                         **{side: side_stats(got) for side, got in runs.items()}})
             print(json.dumps(row), flush=True)
     peaks = {name: json.loads(python_in(side.root, BLOCK_PEAKS)) for name, side in sides.items()}
     print(json.dumps(peaks), flush=True)
     return {"command": "PYTHONPATH=src python3 bench/kernels.py memory --parent DIR",
             "cli_of_11_seed_1": rows, "stream_tracemalloc_peak_blocks": peaks}
+
+
+# (CLI arguments, runs per side) of ``calls``: streams of 1e8 and 1e9 entries
+# and a sublinear sum, which no perfbench workload runs
+CALLS = [("verdict --function mu --N 100000000", 7), ("verdict --function mu --N 1000000000", 5),
+         ("analyze --function mu --N 100000000", 7), ("compute --function mu --N 100000000000", 7)]
+
+
+def calls_section(parent: str) -> dict:
+    sides = {"parent": Side(os.path.abspath(parent), FAULTS), "change": Side(ROOT, FAULTS)}
+    rows = []
+    for call, k in CALLS:
+        (runs, digest), = alternate(k, sides, [call.split()])
+        rows.append({"argv": call, "runs": k, "same_bytes": True, "sha256": digest,
+                     **{side: side_stats(got) for side, got in runs.items()}})
+        print(json.dumps(rows[-1]), flush=True)
+    return {"command": "python3 bench/kernels.py calls --parent DIR", "cli": rows}
 
 
 STARTUP_ROUNDS = 15
@@ -822,7 +858,7 @@ SECTIONS = {"kernel": (kernel_section, False), "sum": (sum_section, False),
             "ks": (ks_section, None), "moments": (moments_section, True),
             "sublinear": (sublinear_section, True), "synth": (synth_section, True),
             "samples": (samples_section, True), "memory": (memory_section, True),
-            "startup": (startup_section, True)}
+            "startup": (startup_section, True), "calls": (calls_section, True)}
 
 
 def main(argv=None) -> int:

@@ -233,7 +233,7 @@ def csv_rows(lo: int, values: np.ndarray) -> str:
         runs[-1] -= (q1 + 1) * power - 1 - hi
         mat[:, col] = np.repeat(digits, runs)
     mat[:, width:] = table[which]
-    return mat[mat != 0].tobytes().decode("ascii")
+    return mat.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def cmd_synth(args) -> int:

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import sieve
 from .errors import CapacityError, DegenerateSampleError, NumericError
 from .sequences import ArithmeticSequence
 from .traces import _CHUNK, Block, as_float, stream
@@ -213,10 +212,11 @@ def ks_distances(samples: dict) -> dict:
 
 
 # A KS sample has at most KS_SAMPLE_CAP points.  RUN_CELL is the cell of the
-# real partial sums in a sample (an integer block is its own), and one
-# probe may hold at most _SAMPLE_BUDGET float64 points (1 GiB).
+# real partial sums in a sample (an integer block is its own), fixed apart
+# from the block size, and one probe may hold at most _SAMPLE_BUDGET
+# float64 points (1 GiB).
 KS_SAMPLE_CAP = 10**6
-RUN_CELL = sieve.DEFAULT_BLOCK_SIZE
+RUN_CELL = 1 << 20
 _SAMPLE_BUDGET = 1 << 27
 
 
@@ -231,8 +231,9 @@ class KSTrace:
     from its prefixes sorted in place, and the array is freed.  S(k) is the
     rounded S(c), for c the last multiple of RUN_CELL (for integers, or
     block start) below k, plus the cumsum of f(c+1..k): exact for integers,
-    and for reals at the default block size the block's base plus its float
-    cumsum, the same at every block size.
+    and for reals the same at every block size, the open cell's anchor and
+    float cumsum carrying from block to block (a cell spans two default
+    blocks).
     """
 
     def __init__(self, ns, *, sums: bool = True):

@@ -109,7 +109,7 @@ def two_value_schedule(
                             _first_valid_n(p1_base, eps1))
 
 
-_SCAN_CHUNK = 1 << 16  # n per eps1 call of _first_valid_n and realize_greedy
+_SCAN_CHUNK = 1 << 16  # n per eps1 call of _first_valid_n
 _SCAN_LIMIT = 10**6  # the last n _first_valid_n tries
 
 
@@ -144,7 +144,8 @@ def fair_coin_schedule() -> TwoPointSchedule:
     return two_value_schedule(1.0, -1.0, 0.5, eps, kind=KIND_NONE)
 
 
-_REALIZE_BUDGET = 1 << 25  # values; at about 17.5 bytes a value (tracemalloc), near 590 MB
+_REALIZE_BUDGET = 1 << 25  # values; at about 8.2 bytes a value (tracemalloc), near 280 MB
+_REALIZE_CHUNK = 1 << 13  # n per eps1 call of realize_greedy: 0.5 MB of temporaries
 
 
 def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
@@ -155,8 +156,9 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
     equivalent to keeping count_1(n) = floor(n * p_1(n) + 1/2) whenever
     the rounded targets step by at most one, and guarantees
     |count_1(n) - n * p_1(n)| <= 1 for all n <= N.  The closed form is
-    worked out ``_SCAN_CHUNK`` values of n at a time into N steps; where
-    one leaves [0, 1] the rule runs step by step instead.  Past
+    worked out ``_REALIZE_CHUNK`` values of n at a time into N steps; where
+    one leaves [0, 1] the rule runs step by step instead.  The values then
+    overwrite the steps, a chunk at a time.  Past
     ``_REALIZE_BUDGET`` values it raises CapacityError before allocating,
     and NumericError at the first n whose perturbation is not finite."""
     if N < 1:
@@ -166,8 +168,8 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
                             f"{_REALIZE_BUDGET} values")
     steps = np.empty(N, dtype=np.float64)
     last = 0.0
-    for lo in range(1, N + 1, _SCAN_CHUNK):
-        n = np.arange(lo, min(lo + _SCAN_CHUNK, N + 1), dtype=np.float64)
+    for lo in range(1, N + 1, _REALIZE_CHUNK):
+        n = np.arange(lo, min(lo + _REALIZE_CHUNK, N + 1), dtype=np.float64)
         eps1 = np.asarray(s.eps1(n), dtype=np.float64)
         if (bad := np.flatnonzero(~np.isfinite(eps1))).size:
             raise NumericError(f"the perturbation is not finite at n = {lo + bad[0]}")
@@ -186,9 +188,10 @@ def realize_greedy(s: TwoPointSchedule, N: int) -> ArithmeticSequence:
                 c += 1.0
             counts[i] = c
         steps = np.diff(counts, prepend=0.0)
-    vals = np.where(steps > 0.0, s.a1, s.a2)
-    del steps
-    return sequence_from_values(vals, name=f"synth:{s.kind}")
+    for lo in range(0, N, _REALIZE_CHUNK):  # the values overwrite the steps
+        chunk = steps[lo : lo + _REALIZE_CHUNK]
+        chunk[...] = np.where(chunk > 0.0, s.a1, s.a2)
+    return sequence_from_values(steps, name=f"synth:{s.kind}")
 
 
 def schedule_to_json_dict(s: TwoPointSchedule) -> dict:

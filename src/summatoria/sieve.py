@@ -10,9 +10,14 @@ it, in one strided update that multiplies its smooth part by -p, so that
 the marks of p and p**2 repeat with period 2²·3²·5²·7² = 44100, so a
 block starts as one cached period shifted to lo mod 44100 and the loop
 adds only their higher powers (the pre-sieve of Deléglise & Rivat, 1996).
-What remains of n is 1 or a single prime > sqrt(hi), present exactly
-where |smooth| != n, and flips the sign.  Then lambda = -1 where the
-sign is negative, and mu = lambda where the square flag is 0, else 0.
+In a block of 2**16 entries or more, the primes above 1024 skip the loop:
+one np.multiply.at marks the multiples of all of them, and a fancy update
+flags the multiples of their squares, the only higher powers below 1e9
+(the large-prime buckets of Oliveira e Silva, Herzog & Pardi, 2014).
+What remains of n is 1 or a single prime, > sqrt(hi) or the second p of
+such a square, present exactly where |smooth| != n, and flips the sign.
+Then lambda = -1 where the sign is negative, and mu = lambda where the
+square flag is 0, else 0.
 """
 
 from __future__ import annotations
@@ -28,13 +33,18 @@ from .errors import BoundError, CapacityError
 # Trial division is a test fixture, not a production path; keep it cheap.
 ORACLE_BOUND = 10_000_000
 GLOBAL_SIEVE_BOUND = 1_000_000_000
-# Every stream walks blocks of this many entries; no caller picks another
-# size.  Tests patch it (sizes 1-8192) to show the blocking changes no byte.
-DEFAULT_BLOCK_SIZE = 1 << 20
+# Every stream walks blocks of this many entries, 4 MiB as float64, which set
+# the peak of a real stream; 2**18 sieves about 15% slower.  No caller picks
+# another size; tests patch it (sizes 1 to 2**20) to show the blocking
+# changes no byte.
+DEFAULT_BLOCK_SIZE = 1 << 19
 MAX_BLOCK_SIZE = 1 << 24
 
 _TILE_PRIMES = (2, 3, 5, 7)
 _TILE_PERIOD = math.prod(p * p for p in _TILE_PRIMES)  # 44100
+# Blocks at least this wide mark the primes above _LOOP_PRIMES in one batch.
+_LOOP_PRIMES = 1024
+_BATCH_WIDTH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,13 @@ def _small_prime_tile() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _sieving_primes() -> tuple[int, ...]:
-    """The primes up to sqrt(GLOBAL_SIEVE_BOUND), enough for every block."""
-    return tuple(primes_up_to(math.isqrt(GLOBAL_SIEVE_BOUND)).tolist())
+def _sieving_primes() -> tuple[tuple[int, ...], np.ndarray]:
+    """The primes up to sqrt(GLOBAL_SIEVE_BOUND), enough for every block, as
+    ints for the loop; and those above _LOOP_PRIMES as int32, for the batch."""
+    primes = primes_up_to(math.isqrt(GLOBAL_SIEVE_BOUND))
+    large = primes[primes > _LOOP_PRIMES].astype(np.int32)
+    large.flags.writeable = False
+    return tuple(primes.tolist()), large
 
 
 def sieve_block(lo: int, hi: int) -> SieveBlock:
@@ -162,8 +176,11 @@ def sieve_block(lo: int, hi: int) -> SieveBlock:
     end = shift + min(width, _TILE_PERIOD)  # one period of the tile from lo on, wrapping
     square, smooth = (np.resize(np.concatenate((a[shift:end], a[: max(0, end - _TILE_PERIOD)])),
                                 width) for a in _small_prime_tile())
-    for p in _sieving_primes():
-        if p * p > hi:
+    looped, large = _sieving_primes()
+    large = large[: large.searchsorted(np.int32(math.isqrt(hi)), side="right")
+                  if width >= _BATCH_WIDTH else 0]  # else the loop takes every prime
+    for p in looped:
+        if p * p > hi or (large.size and p > _LOOP_PRIMES):
             break
         # Each p**k multiplies the smooth part of its multiples by -p in place
         # and, for k > 1, sets their square flag; no view outlives ``del smooth``.
@@ -177,15 +194,40 @@ def sieve_block(lo: int, hi: int) -> SieveBlock:
                 smooth[first::q] *= -p
                 square[first::q] = 1
             q *= p
+    if large.size:
+        # Every p > _LOOP_PRIMES has a multiple in a block this wide: one
+        # multiply.at marks them all, at indices that one cumsum makes from
+        # steps of p and, at each p's first multiple, the jump back to it.
+        first = -lo % large
+        counts = (width - 1 - first) // large + 1
+        marks = np.repeat(-large, counts)
+        at = np.negative(marks, dtype=np.intp)
+        lasts = first + large * (counts - 1)
+        at[np.cumsum(counts[:-1])] = first[1:] - lasts[:-1]
+        at[0] = first[0]
+        np.multiply.at(smooth, np.cumsum(at, out=at), marks)
+        del at, marks
+        # Their squares only set the flag: as p**3 > 1e9, the second p of
+        # p**2 is all that stays in n / |smooth|, and flips the sign below.
+        sq = large.astype(np.int64) ** 2
+        first = -lo % sq
+        while (hit := first < width).any():
+            square[first[hit]] = 1
+            first += sq
 
-    # Whatever was not divided out is a single prime > sqrt(hi), power 1:
-    # two such primes would multiply past hi.  |smooth| divides n, so that
-    # prime is there exactly where |smooth| != n, and flips the sign.
+    # Whatever was not divided out is a single prime: one > sqrt(hi), power
+    # 1 (two would multiply past hi), or a batched square's second p.
+    # |smooth| divides n, so that prime is there exactly where |smooth| != n,
+    # and flips the sign.
     odd = smooth < 0
     odd ^= np.abs(smooth, out=smooth) != np.arange(lo, hi + 1, dtype=np.int32)
     del smooth  # before decoding, which lowers the peak RSS of float streams
-    lam = 1 - (odd.astype(np.int8) << 1)
-    mu = lam * (square == 0)
+    lam = odd.view(np.int8)  # decoded in place: lambda = 1 - 2 * odd, and
+    lam *= -2
+    lam += 1
+    mu = square.view(np.int8)  # mu = lambda where the square flag is 0, else 0
+    mu ^= 1
+    mu *= lam
     mu.flags.writeable = False
     lam.flags.writeable = False
     return SieveBlock(lo=lo, hi=hi, mu=mu, lam=lam)

@@ -101,6 +101,16 @@ def test_readme_table_output_is_pinned(invocation):
     assert hashlib.sha256(cli_bytes(*invocation.split())).hexdigest() == README_TABLE[invocation]
 
 
+@pytest.mark.parametrize("block_size", [1 << 19, 1 << 20, 1_000_003])
+def test_a_real_ks_sample_keeps_its_cells_at_every_block_size(block_size):
+    # The strided S(k) restart from the rounded S(c) at each multiple c of
+    # empirical.RUN_CELL, left unpatched: N = 10**7 crosses nine cells.  Cells
+    # of 2**19 or 2**18 entries move D in its last digits.
+    call = "verdict --function mu-over-k --N 10000000 --checkpoints geometric(1000,2)"
+    got = cli_bytes(*call.split(), block_size=block_size)
+    assert hashlib.sha256(got).hexdigest() == README_TABLE[call]
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     function=st.sampled_from(["mu", "lambda", "synth:log2"]),

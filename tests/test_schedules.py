@@ -251,6 +251,20 @@ def test_realization_peaks_under_20_bytes_a_value():
     assert peak <= 20 * N
 
 
+@pytest.mark.parametrize("build", [log2_indicator_schedule, log_coin_schedule])
+def test_realization_holds_one_array_of_values(build):
+    # The values overwrite the steps a chunk at a time: 8.66 bytes a value
+    # at this N, where a values array and a mask beside the steps took 17.7.
+    s, N = build(), 10**6
+    tracemalloc.start()
+    try:
+        seq = realize_greedy(s, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.bound == N and peak <= 9 * N
+
+
 def test_schedule_json_round_trip():
     for build in (log_coin_schedule, log2_indicator_schedule, fair_coin_schedule):
         s = build()

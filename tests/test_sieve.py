@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from summatoria import (
     primes_up_to,
     sieve_block,
 )
+from summatoria import sieve
 from summatoria.sieve import (
     GLOBAL_SIEVE_BOUND,
     MAX_BLOCK_SIZE,
@@ -236,3 +239,65 @@ def test_a_one_entry_block_reads_only_the_tile_entries_it_uses(lo):
     finally:
         tracemalloc.stop()
     assert peak < 16_000
+
+
+# Blocks at least 2**16 wide mark the primes above 1024 in one np.multiply.at
+# and their squares in one fancy update; narrower ones loop over every prime.
+BATCH_WIDTHS = [(1 << 16) - 1, 1 << 16, 1 << 19, 1 << 20]
+PAIR = 1031 * 1033  # the least n with two prime factors above 1024
+
+
+@pytest.mark.parametrize("width", BATCH_WIDTHS)
+@pytest.mark.parametrize("hi", [10**7, 10**8 + 12_345, GLOBAL_SIEVE_BOUND])
+def test_wide_blocks_match_reference_at_every_height(hi, width):
+    assert_matches_reference(hi - width + 1, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # Entries divisible by two primes above 1024, whose marks share an index
+    # of the batch: blocks about k * 1031 * 1033.
+    *[(k * PAIR - (1 << 15), k * PAIR + (1 << 15)) for k in (1, 2, 7, 468, 936)],
+    # A stream's 2**19 block: it holds 500 * PAIR and multiples of 61 squares.
+    (1015 * (1 << 19) + 1, 1016 * (1 << 19)),
+    # Blocks that hold the square of a prime above 1024, on their first
+    # entry, inside and on their last; and 2**22 from 1, which holds three
+    # multiples of 1031**2 and one or more of each p**2 up to 2039**2.
+    *[(p * p - shift, p * p - shift + (1 << 16) - 1)
+      for p in (1031, 2003, 31_607) for shift in (0, 1 << 15, (1 << 16) - 1)],
+    (1, 1 << 22),
+])
+def test_batched_marks_match_reference(lo, hi):
+    assert_matches_reference(lo, hi)
+
+
+@pytest.mark.parametrize("lo, width, at_calls", [
+    (2 * sieve.DEFAULT_BLOCK_SIZE + 1, sieve.DEFAULT_BLOCK_SIZE, 1),
+    (10**8, 1 << 19, 1),
+    (10**8, (1 << 16) - 1, 0),
+])
+def test_a_wide_block_marks_the_primes_above_1024_in_one_ufunc_at(lo, width, at_calls):
+    looped, large = sieve._sieving_primes()
+    hi, taken, calls = lo + width - 1, [], []
+
+    class Recorded(tuple):  # the primes the loop takes
+        def __iter__(self):
+            for p in super().__iter__():
+                taken.append(p)
+                yield p
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "at":
+            calls.append(arg.__self__)
+
+    with mock.patch.object(sieve, "_sieving_primes", lambda: (Recorded(looped), large)):
+        sys.setprofile(profile)
+        try:
+            sieve_block(lo, hi)
+        finally:
+            sys.setprofile(None)
+    assert calls == [np.multiply] * at_calls
+    # A wide block's loop stops at 1031, the first prime above 1024; a
+    # narrow one's at the first prime whose square passes hi.
+    stop = 1031 if at_calls else next(p for p in looped if p * p > hi)
+    assert taken == [p for p in looped if p <= stop]
+    assert_matches_reference(lo, hi)
